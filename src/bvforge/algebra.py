@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple
 
 
 class OddGeneratorPresent(ValueError):
@@ -86,10 +86,6 @@ class Bidegree(NamedTuple):
     @property
     def parity(self) -> int:
         return self.total % 2
-
-
-def jet_order(jet: tuple[int, ...]) -> int:
-    return len(jet)
 
 
 @dataclass(frozen=True, order=False)
@@ -343,6 +339,10 @@ class LocalFunction:
         items = sorted(self._terms.items(), key=lambda kv: Monomial(kv[1], kv[0]).sort_key)
         return tuple(Monomial(c, f) for f, c in items)
 
+    def terms(self) -> ItemsView[Factors, Fraction]:
+        """The (factors, coefficient) pairs, in no particular order."""
+        return self._terms.items()
+
     def coefficient(self, factors: Factors) -> Fraction:
         return self._terms.get(tuple(factors), Fraction(0))
 
@@ -479,11 +479,6 @@ def _as_local_function(value) -> "LocalFunction":
 def gen(g: Generator) -> LocalFunction:
     """Shorthand used throughout: the local function consisting of one generator."""
     return LocalFunction.from_generator(g)
-
-
-def multiply(f: LocalFunction, g: LocalFunction) -> LocalFunction:
-    """Graded-commutative product (same as ``f * g``)."""
-    return f * g
 
 
 def graded_partial(f: LocalFunction, z: Generator, side: str = "left") -> LocalFunction:

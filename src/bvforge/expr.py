@@ -132,12 +132,19 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     return tokens
 
 
+# Deepest parenthesis nesting the recursive-descent parser accepts.  Each
+# level costs three Python frames, so this keeps a hostile input well
+# inside the interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class TokenStream:
     """Cursor over a token list with uniform error reporting."""
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self.depth = 0
 
     @property
     def current(self) -> Token:
@@ -229,8 +236,13 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
             return LocalFunction.from_generator(g) ** exponent
         return LocalFunction.from_generator(g)
     if tok.kind == "LPAREN":
+        if stream.depth == MAX_NESTING:
+            raise ExpressionSyntaxError(
+                f"parentheses nested deeper than {MAX_NESTING} levels", tok.line, tok.column)
         stream.advance()
+        stream.depth += 1
         inner = _parse_sum(stream)
+        stream.depth -= 1
         stream.expect("RPAREN", "')'")
         if stream.accept("CARET"):
             exp_tok = stream.expect("INT", "a nonnegative integer exponent")

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
-    Factors,
     Generator,
     GeneratorKind,
     LocalFunction,
@@ -26,7 +25,7 @@ from .algebra import (
     gen,
     graded_partial,
 )
-from .linsolve import solve_linear_system
+from .linsolve import match_coefficients, solve_linear_system
 
 
 class BaseCoordinateProlongation(ValueError):
@@ -329,8 +328,9 @@ class NoetherReport:
 def check_noether(m: ModelSpec) -> NoetherReport:
     """Verify the differential relations among the equations of motion.
 
-    For each gauge index alpha the residual is the local function
-    sum over (a, I) of r^{aI}_alpha D_I E_a(L); the identities hold
+    For each gauge index alpha the residual is the adjoint of the gauge
+    operator applied to the equations of motion, the local function
+    sum over (a, I) of (-D)_I (r^{aI}_alpha E_a(L)); the identities hold
     exactly when every residual is the zero element.
     """
     el = {a: euler_lagrange(m.lagrangian, a) for a in m.fields}
@@ -339,8 +339,9 @@ def check_noether(m: ModelSpec) -> NoetherReport:
         total = LocalFunction.zero()
         for a in m.fields:
             for jet in m.gauge_multi_indices(a, alpha):
-                total = total + m.gauge_coefficient(a, alpha, jet) * total_derivative_multi(
-                    el[a], jet, m.spatial_dim)
+                term = total_derivative_multi(
+                    m.gauge_coefficient(a, alpha, jet) * el[a], jet, m.spatial_dim)
+                total = total - term if len(jet) % 2 else total + term
         residuals[alpha] = total
     return NoetherReport(per_identity_residual=residuals, euler_lagrange_by_field=el)
 
@@ -493,30 +494,9 @@ def gauge_commutator(m: ModelSpec, alpha: str, beta: str) -> GaugeCommutatorRepo
                 if not (action[a].is_zero and action[b].is_zero):
                     candidates.append(("nu", (a, b, w), action))
 
-    # Coefficient matching over every monomial that appears anywhere.
-    keys: list[tuple[str, Factors]] = []
-    seen: set[tuple[str, Factors]] = set()
-    for a in m.fields:
-        sources = [commutator[a]] + [cand[2][a] for cand in candidates]
-        for src in sources:
-            for mono in src.monomials():
-                key = (a, mono.factors)
-                if key not in seen:
-                    seen.add(key)
-                    keys.append(key)
-    keys.sort(key=lambda k: (k[0], Monomial(Fraction(1), k[1]).sort_key))
-
-    equations = []
-    rhs = []
-    for a, factors in keys:
-        row = {}
-        for j, cand in enumerate(candidates):
-            coeff = cand[2][a].coefficient(factors)
-            if coeff:
-                row[j] = coeff
-        equations.append(row)
-        rhs.append(commutator[a].coefficient(factors))
-
+    # One block of equations per field, in the order of the field labels.
+    blocks = [(commutator[a], [cand[2][a] for cand in candidates]) for a in sorted(m.fields)]
+    equations, rhs = match_coefficients(blocks)
     solution = solve_linear_system(equations, rhs, len(candidates))
     if solution is None:
         return GaugeCommutatorReport(

@@ -1,17 +1,24 @@
 """Exact linear algebra over the rationals.
 
-A single deterministic Gaussian elimination routine backs every solver
-in the package.  Determinism matters more than speed here: pivots are
-chosen as the first row with a nonzero entry in column order, free
-variables are set to zero, and therefore two runs on the same system
-produce the identical solution vector.
+One sparse Gaussian elimination backs every solver in the package.  Its
+answer does not depend on the order in which rows are reduced: the
+pivot columns are the greedy leftmost independent columns (column j is
+a pivot exactly when it is not in the span of columns 0..j-1), every
+free variable is set to zero, and the remaining unknowns are then fixed
+by the system itself, because the reduced row echelon form of a matrix
+is unique.  So the solution vector is a function of the system alone.
+
+``match_coefficients`` turns an identity between local functions with
+unknown coefficients into such a system, one equation per monomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from .algebra import Factors, LocalFunction, Monomial
 
 
 @dataclass(frozen=True)
@@ -32,42 +39,74 @@ def solve_linear_system(
 
     Each equation is a sparse row mapping unknown index to coefficient.
     The returned particular solution sets every free variable to zero.
+
+    Rows are kept as dicts.  Each incoming row, augmented by its
+    right-hand side under the key ``num_unknowns``, is reduced against
+    the monic pivot rows until its leading column has no pivot; it then
+    becomes the pivot row of that column.  Every pivot row is zero left
+    of its pivot, so back-substitution from the highest pivot down
+    yields the solution.
     """
     if len(equations) != len(rhs):
         raise ValueError("one right-hand side per equation required")
-    rows = [
-        [Fraction(eq.get(j, 0)) for j in range(num_unknowns)] + [Fraction(b)]
-        for eq, b in zip(equations, rhs)
-    ]
-
-    pivot_cols: list[int] = []
-    pivot_row = 0
-    for col in range(num_unknowns):
-        chosen = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                chosen = r
+    n = num_unknowns
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for eq, b in zip(equations, rhs):
+        row: dict[int, Fraction] = {}
+        for j, c in eq.items():
+            if not 0 <= j < n:
+                raise ValueError(f"unknown index {j} outside 0..{n - 1}")
+            if c:
+                row[j] = Fraction(c)
+        if b:
+            row[n] = Fraction(b)
+        while row:
+            lead = min(row)
+            pivot_row = pivots.get(lead)
+            if pivot_row is None:
                 break
-        if chosen is None:
+            factor = row[lead]
+            for k, v in pivot_row.items():
+                value = row.get(k, 0) - factor * v
+                if value:
+                    row[k] = value
+                else:
+                    del row[k]
+        if not row:
             continue
-        rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
-        pivot = rows[pivot_row][col]
-        rows[pivot_row] = [v / pivot for v in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-
-    for r in range(pivot_row, len(rows)):
-        if rows[r][num_unknowns] != 0:
+        if lead == n:
             return None
+        scale = row[lead]
+        pivots[lead] = {k: v / scale for k, v in row.items()}
 
-    values = [Fraction(0)] * num_unknowns
-    for r, col in enumerate(pivot_cols):
-        values[col] = rows[r][num_unknowns]
-    rank = len(pivot_cols)
-    return LinearSolution(tuple(values), nullity=num_unknowns - rank, rank=rank)
+    values = [Fraction(0)] * n
+    for col in sorted(pivots, reverse=True):
+        pivot_row = pivots[col]
+        values[col] = pivot_row.get(n, Fraction(0)) - sum(
+            v * values[k] for k, v in pivot_row.items() if col < k < n)
+    rank = len(pivots)
+    return LinearSolution(tuple(values), nullity=n - rank, rank=rank)
+
+
+def match_coefficients(
+    blocks: Iterable[tuple[LocalFunction, Sequence[LocalFunction]]],
+) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """The equations of sum_j x_j columns[j] = target in every block.
+
+    Each block is a (target, columns) pair, column j standing for the
+    unknown x_j.  A block contributes one equation per monomial that
+    occurs in its target or in any of its columns, in the canonical
+    monomial order.  Every column's terms are walked once.  Returns the
+    (equations, rhs) pair that ``solve_linear_system`` takes.
+    """
+    equations: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    for target, columns in blocks:
+        rows: dict[Factors, dict[int, Fraction]] = {fac: {} for fac, _ in target.terms()}
+        for j, col in enumerate(columns):
+            for fac, coeff in col.terms():
+                rows.setdefault(fac, {})[j] = coeff
+        for fac in sorted(rows, key=lambda fac: Monomial(Fraction(1), fac).sort_key):
+            equations.append(rows[fac])
+            rhs.append(target.coefficient(fac))
+    return equations, rhs

@@ -23,11 +23,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import (
-    Factors,
     Generator,
     GeneratorKind,
     LocalFunction,
-    Monomial,
     antifield,
     antighost,
     base,
@@ -46,7 +44,7 @@ from .jet import (
     total_derivative_multi,
     variational_derivative,
 )
-from .linsolve import solve_linear_system
+from .linsolve import match_coefficients, solve_linear_system
 
 
 class MissingStructureFunctions(ValueError):
@@ -232,27 +230,7 @@ def _solve_lift(
                       for z in families]
         block_rhs = [variational_derivative(target, z, "left") for z in families]
 
-    # coefficient matching over every monomial appearing in any block
-    equations: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
-    for cols, block_target in zip(block_cols, block_rhs):
-        keys: list[Factors] = []
-        seen: set[Factors] = set()
-        for src in [block_target] + cols:
-            for mono in src.monomials():
-                if mono.factors not in seen:
-                    seen.add(mono.factors)
-                    keys.append(mono.factors)
-        keys.sort(key=lambda fac: Monomial(Fraction(1), fac).sort_key)
-        for fac in keys:
-            row: dict[int, Fraction] = {}
-            for j, col in enumerate(cols):
-                coeff = col.coefficient(fac)
-                if coeff:
-                    row[j] = coeff
-            equations.append(row)
-            rhs.append(block_target.coefficient(fac))
-
+    equations, rhs = match_coefficients(zip(block_rhs, block_cols))
     solution = solve_linear_system(equations, rhs, len(candidates))
     if solution is None:
         return None, len(candidates), 0

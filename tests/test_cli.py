@@ -60,6 +60,11 @@ def test_noether_passes_on_the_rotation_model():
     assert run_command(["noether", fx("so3_full.bv")]) == (0, "PASS\n")
 
 
+def test_noether_passes_on_su2_yang_mills_on_the_plane():
+    # the derivative terms of the gauge operator enter through its adjoint
+    assert run_command(["noether", fx("su2_plane.bv")]) == (0, "PASS\n")
+
+
 def test_solve_rotation_ghost_model_is_exact():
     status, out = run_command(["solve", fx("so3_ghost.bv"), "-K", "3"])
     assert (status, out) == (0, "PASS\n")
@@ -157,6 +162,14 @@ def test_parse_errors_carry_positions(tmp_path):
     status, out = run_command(["el", str(bad)])
     assert status == 2
     assert "line 3" in out
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.bv"
+    deep.write_text("dimension 0\nfields 1\nlagrangian " + "(" * 3000 + "u[1]" + ")" * 3000 + "\n")
+    status, out = run_command(["el", str(deep)])
+    assert status == 2
+    assert out.startswith("error: line 3, column ")
 
 
 def test_jet_models_cannot_be_extracted():

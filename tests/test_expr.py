@@ -15,6 +15,7 @@ from bvforge.algebra import (
     ghost,
 )
 from bvforge.expr import (
+    MAX_NESTING,
     ExpressionSyntaxError,
     SemanticError,
     format_local_function,
@@ -132,6 +133,14 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression("u[1] u[2]")
     assert "expected end of input" in str(err.value)
+
+
+def test_nesting_is_bounded_with_a_position():
+    assert parse_expression("(" * MAX_NESTING + "u[1]" + ")" * MAX_NESTING) == lf(field("1"))
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression("u[2] * " + "(" * 3000 + "u[1]" + ")" * 3000)
+    assert (err.value.line, err.value.column) == (1, 8 + MAX_NESTING)
+    assert "nested deeper" in str(err.value)
 
 
 # ------------------------------------------------------------- printing

@@ -1,0 +1,240 @@
+"""Exact linear solves: the sparse solver against the dense reference.
+
+``dense_solve`` is the straightforward Fraction row reduction the
+package used before the sparse solver.  It is kept here as the oracle:
+both must agree on the solution vector, the rank and the nullity, or
+both must report an inconsistent system.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import bvforge.master
+from bvforge.algebra import LocalFunction, Monomial, antifield, field, ghost
+from bvforge.linsolve import LinearSolution, match_coefficients, solve_linear_system
+from bvforge.master import solve_master
+from bvforge.modelfile import parse_document
+
+
+def dense_solve(equations, rhs, num_unknowns):
+    """Reference: dense Gauss-Jordan elimination, pivots in column order."""
+    if len(equations) != len(rhs):
+        raise ValueError("one right-hand side per equation required")
+    rows = [
+        [Fraction(eq.get(j, 0)) for j in range(num_unknowns)] + [Fraction(b)]
+        for eq, b in zip(equations, rhs)
+    ]
+    pivot_cols: list[int] = []
+    pivot_row = 0
+    for col in range(num_unknowns):
+        chosen = None
+        for r in range(pivot_row, len(rows)):
+            if rows[r][col] != 0:
+                chosen = r
+                break
+        if chosen is None:
+            continue
+        rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
+        pivot = rows[pivot_row][col]
+        rows[pivot_row] = [v / pivot for v in rows[pivot_row]]
+        for r in range(len(rows)):
+            if r != pivot_row and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        pivot_cols.append(col)
+        pivot_row += 1
+        if pivot_row == len(rows):
+            break
+    for r in range(pivot_row, len(rows)):
+        if rows[r][num_unknowns] != 0:
+            return None
+    values = [Fraction(0)] * num_unknowns
+    for r, col in enumerate(pivot_cols):
+        values[col] = rows[r][num_unknowns]
+    rank = len(pivot_cols)
+    return LinearSolution(tuple(values), nullity=num_unknowns - rank, rank=rank)
+
+
+def random_system(rng: random.Random):
+    """A small sparse system, often rank deficient, sometimes inconsistent."""
+    n = rng.randint(0, 7)
+    integral = rng.random() < 0.3
+
+    def coefficient():
+        if integral:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        row = {j: coefficient() for j in range(n) if rng.random() < 0.4}
+        rows.append({j: c for j, c in row.items() if c})
+    for _ in range(rng.randint(0, 3)):
+        if not rows:
+            break
+        a, b = rng.choice(rows), rng.choice(rows)
+        if rng.random() < 0.4:
+            rows.append(dict(a))  # a duplicate row
+            continue
+        s, t = rng.randint(-2, 2), Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        combo = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in set(a) | set(b)}
+        rows.append({j: c for j, c in combo.items() if c})
+    if rng.random() < 0.2:
+        rows.append({})
+    rng.shuffle(rows)
+    if rng.random() < 0.6:
+        x0 = [coefficient() for _ in range(n)]
+        rhs = [sum(c * x0[j] for j, c in row.items()) for row in rows]
+    else:
+        rhs = [coefficient() for _ in rows]
+    return rows, rhs, n
+
+
+def check_solution(equations, rhs, solution):
+    assert all(isinstance(v, Fraction) for v in solution.values)
+    for eq, b in zip(equations, rhs):
+        assert sum(c * solution.values[j] for j, c in eq.items()) == b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparse_solver_agrees_with_the_dense_oracle(seed):
+    rng = random.Random(seed)
+    outcomes = {"inconsistent": 0, "deficient": 0, "full": 0}
+    for _ in range(300):
+        equations, rhs, n = random_system(rng)
+        got = solve_linear_system(equations, rhs, n)
+        assert got == dense_solve(equations, rhs, n)
+        if got is None:
+            outcomes["inconsistent"] += 1
+            continue
+        check_solution(equations, rhs, got)
+        outcomes["deficient" if got.rank < min(len(equations), n) else "full"] += 1
+    # the generator must exercise every outcome, not only the easy one
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_row_order_does_not_change_the_solution():
+    rng = random.Random(7)
+    for _ in range(100):
+        equations, rhs, n = random_system(rng)
+        order = list(range(len(equations)))
+        rng.shuffle(order)
+        shuffled = solve_linear_system([equations[i] for i in order], [rhs[i] for i in order], n)
+        assert shuffled == solve_linear_system(equations, rhs, n)
+
+
+def test_free_variables_are_zero_and_pivots_are_leftmost():
+    # x0 + x1 = 2 and 2 x0 + 2 x1 + x2 = 7: pivots 0 and 2, x1 free
+    solution = solve_linear_system([{0: 1, 1: 1}, {0: 2, 1: 2, 2: 1}], [2, 7], 3)
+    assert solution == LinearSolution((Fraction(2), Fraction(0), Fraction(3)), nullity=1, rank=2)
+
+
+def test_duplicate_and_dependent_rows_lower_the_rank():
+    equations = [{0: Fraction(1, 2), 1: 3}, {0: Fraction(1, 2), 1: 3}, {0: 1, 1: 6}]
+    solution = solve_linear_system(equations, [1, 1, 2], 2)
+    assert solution == LinearSolution((Fraction(2), Fraction(0)), nullity=1, rank=1)
+    assert solve_linear_system(equations, [1, 1, 3], 2) is None
+
+
+def test_zero_row_with_a_nonzero_right_hand_side_is_inconsistent():
+    assert solve_linear_system([{0: 1}, {}], [1, Fraction(1, 3)], 1) is None
+    assert solve_linear_system([{0: 1}, {0: 0}], [1, 0], 1) == LinearSolution(
+        (Fraction(1),), nullity=0, rank=1)
+
+
+def test_empty_systems():
+    assert solve_linear_system([], [], 3) == LinearSolution((Fraction(0),) * 3, nullity=3, rank=0)
+    assert solve_linear_system([], [], 0) == LinearSolution((), nullity=0, rank=0)
+    assert solve_linear_system([{}, {}], [0, 0], 0) == LinearSolution((), nullity=0, rank=0)
+    assert solve_linear_system([{}], [2], 0) is None
+
+
+def test_integer_coefficients_give_exact_fractions():
+    solution = solve_linear_system([{0: 3, 1: 1}, {1: 2}], [1, 1], 2)
+    assert solution.values == (Fraction(1, 6), Fraction(1, 2))
+    assert all(isinstance(v, Fraction) for v in solution.values)
+
+
+def test_malformed_systems_are_rejected():
+    with pytest.raises(ValueError):
+        solve_linear_system([{0: 1}], [], 1)
+    with pytest.raises(ValueError):
+        solve_linear_system([{1: 1}], [0], 1)
+
+
+# ------------------------------------------------- coefficient matching
+
+POOL = [field("1"), field("2", (1,)), antifield("1"), ghost("1"), ghost("2")]
+
+
+def random_local_function(rng: random.Random) -> LocalFunction:
+    monomials = []
+    for _ in range(rng.randint(0, 4)):
+        factors = tuple((rng.choice(POOL), 1) for _ in range(rng.randint(0, 3)))
+        monomials.append(Monomial(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), factors))
+    return LocalFunction.from_monomials(monomials)
+
+
+def lookup_assembly(blocks):
+    """Reference: one row per monomial key, one coefficient lookup per column."""
+    equations, rhs = [], []
+    for target, columns in blocks:
+        keys = {mono.factors for src in [target, *columns] for mono in src.monomials()}
+        for fac in sorted(keys, key=lambda fac: Monomial(Fraction(1), fac).sort_key):
+            row = {j: col.coefficient(fac) for j, col in enumerate(columns) if col.coefficient(fac)}
+            equations.append(row)
+            rhs.append(target.coefficient(fac))
+    return equations, rhs
+
+
+def test_match_coefficients_builds_the_lookup_system():
+    rng = random.Random(11)
+    for _ in range(100):
+        n = rng.randint(0, 5)
+        blocks = [(random_local_function(rng), [random_local_function(rng) for _ in range(n)])
+                  for _ in range(rng.randint(1, 3))]
+        equations, rhs = match_coefficients(blocks)
+        assert (equations, rhs) == lookup_assembly(blocks)
+        assert [list(row) for row in equations] == [sorted(row) for row in equations]
+
+
+def test_match_coefficients_finds_the_combination():
+    a, b = LocalFunction.from_generator(field("1")), LocalFunction.from_generator(field("2", (1,)))
+    target = Fraction(3) * a - Fraction(1, 2) * b
+    solution = solve_linear_system(*match_coefficients([(target, [a, b, a + b])]), 3)
+    assert solution.values == (Fraction(3), Fraction(-1, 2), Fraction(0))
+    assert solution.nullity == 1
+    assert solve_linear_system(*match_coefficients([(target, [a, a])]), 2) is None
+
+
+OPEN_ALGEBRA_ON_A_LINE = """\
+dimension 1
+fields 1 2 3
+gauge 1 2
+bounds jet=1 deg=4
+lagrangian 1/2*u[3]^2
+generators
+  r[1, 1] = u[3]
+  r[2, 2] = u[1]
+"""
+
+
+def test_open_algebra_on_a_line_keeps_its_system(monkeypatch):
+    sizes = []
+
+    def spy(equations, rhs, num_unknowns):
+        solution = solve_linear_system(equations, rhs, num_unknowns)
+        sizes.append((len(equations), num_unknowns, sum(map(len, equations)),
+                      solution.rank, solution.nullity))
+        return solution
+
+    monkeypatch.setattr(bvforge.master, "solve_linear_system", spy)
+    m = parse_document(OPEN_ALGEBRA_ON_A_LINE).spec
+    final, records = solve_master(m, 3)
+    assert [record.ansatz_dimensions for record in records] == [(282, 59)]
+    assert sizes == [(1750, 282, 2648, 223, 59)]
+    assert final.residual_report == {}
