@@ -87,6 +87,15 @@ def _digest(doc: ModelDocument) -> str:
 
 # ------------------------------------------------------------ plumbing
 
+def _model_jet_order(m: ModelSpec) -> int:
+    """The highest jet order the model data uses, as a document's bounds check it."""
+    functions = [m.lagrangian, *m.gauge_coefficients.values(),
+                 *(m.structure_functions or {}).values(),
+                 *(m.closure_functions or {}).values()]
+    return max([f.max_jet_order() for f in functions]
+               + [len(jet) for (_, _, jet) in m.gauge_coefficients])
+
+
 def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
     if text is None:
         return m
@@ -98,6 +107,10 @@ def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
             raise ValueError(
                 f"bad bounds {text!r} (expected jet=<int>,deg=<int>)")
         overrides[key] = int(value)
+    if "jet" in overrides:
+        used = _model_jet_order(m)
+        if used > overrides["jet"]:
+            raise ValueError(f"jet order {used} exceeds bound {overrides['jet']}")
     return replace(
         m,
         max_jet_order=overrides.get("jet", m.max_jet_order),

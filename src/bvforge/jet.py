@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
+    Factors,
     Generator,
     GeneratorKind,
     LocalFunction,
-    Monomial,
     base,
     field,
     gen,
@@ -168,22 +168,56 @@ def all_multi_indices(spatial_dim: int, max_order: int) -> list[tuple[int, ...]]
 
 
 def enumerate_basis_monomials(
-    pool: Sequence[Generator], max_degree: int
+    pool: Sequence[Generator],
+    max_degree: int,
+    bidegree: tuple[int, int] | None = None,
 ) -> list[LocalFunction]:
     """Canonical monomials of total degree <= max_degree over a generator pool.
 
-    Odd generators never repeat within a monomial; the listing order is
-    fixed by the generator total order and ascending degree.
+    With ``bidegree`` = (ghost degree, antighost degree) only the
+    monomials of exactly that bidegree are produced.  The monomials are
+    the non-decreasing index sequences over the sorted pool, walked
+    depth first; an odd generator is never repeated, and a prefix whose
+    partial bidegree already exceeds the target in either component is
+    pruned, since every generator's bidegree is nonnegative.  Each
+    sequence lists its factors in the generator total order, its odd
+    generators included, so it is already in canonical form with Koszul
+    sign +1 and is built without ``normalize``.
+
+    The order is ascending degree, then lexicographic in the sorted pool
+    within a degree: the order of
+    ``itertools.combinations_with_replacement``.  Callers rely on it,
+    since it fixes the pivot columns of every coefficient-matching
+    system built over the list.
     """
     ordered = sorted(set(pool))
-    out: list[LocalFunction] = [LocalFunction.one()]
-    for d in range(1, max_degree + 1):
-        for combo in itertools.combinations_with_replacement(ordered, d):
-            m = LocalFunction.from_monomials(
-                [Monomial(Fraction(1), tuple((g, 1) for g in combo))])
-            if not m.is_zero:
-                out.append(m)
-    return out
+    gens = [(g, g.is_odd, g.bidegree) for g in ordered]
+    by_degree: list[list[Factors]] = [[] for _ in range(max_degree + 1)]
+    one = Fraction(1)
+    # depth-first preorder with children in index order visits the
+    # sequences of each length lexicographically
+    stack: list[tuple[int, Factors, int, int, int]] = [(0, (), 0, 0, 0)]
+    while stack:
+        start, factors, degree, p, q = stack.pop()
+        if bidegree is None or (p, q) == bidegree:
+            by_degree[degree].append(factors)
+        if degree == max_degree:
+            continue
+        children = []
+        for i in range(start, len(gens)):
+            g, odd, (gp, gq) = gens[i]
+            if bidegree is not None and (p + gp > bidegree[0] or q + gq > bidegree[1]):
+                continue
+            if factors and i == start:  # the last factor again
+                if odd:
+                    continue
+                child = factors[:-1] + ((g, factors[-1][1] + 1),)
+            else:
+                child = factors + ((g, 1),)
+            children.append((i, child, degree + 1, p + gp, q + gq))
+        stack.extend(reversed(children))
+    return [LocalFunction({factors: one}, _internal=True)
+            for level in by_degree for factors in level]
 
 
 # ------------------------------------------------------------------ models

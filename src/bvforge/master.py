@@ -28,9 +28,7 @@ from .algebra import (
     LocalFunction,
     antifield,
     antighost,
-    base,
     decompose_by_antifield_number,
-    field,
     gen,
     ghost,
 )
@@ -167,28 +165,26 @@ def master_residual(S: BVAction) -> dict[int, LocalFunction]:
 
 
 def _correction_pool(m: ModelSpec) -> list[Generator]:
-    pool: list[Generator] = [base(i) for i in range(1, m.spatial_dim + 1)]
+    pool = m.field_jet_pool()
     jets = all_multi_indices(m.spatial_dim, m.max_jet_order)
     for a in m.fields:
-        for jet in jets:
-            pool.append(field(a, jet))
-            pool.append(antifield(a, jet))
+        pool.extend(antifield(a, jet) for jet in jets)
     for alpha in m.gauge_indices:
         for jet in jets:
-            pool.append(ghost(alpha, jet))
-            pool.append(antighost(alpha, jet))
+            pool += [ghost(alpha, jet), antighost(alpha, jet)]
     return pool
 
 
 def correction_candidates(m: ModelSpec, antifield_number: int) -> list[LocalFunction]:
     """Monomials of the given antifield number and ghost number zero,
-    within the model's jet-order and polynomial-degree bounds."""
-    out = []
-    for cand in enumerate_basis_monomials(_correction_pool(m), m.max_poly_degree):
-        deg = cand.bidegree()
-        if deg is not None and deg.antighost == antifield_number and deg.total == 0:
-            out.append(cand)
-    return out
+    within the model's jet-order and polynomial-degree bounds.
+
+    Ghost number zero at antighost degree k means ghost degree k, so the
+    candidates are exactly the monomials of bidegree (k, k), generated
+    directly in the fixed order of ``enumerate_basis_monomials``.
+    """
+    return enumerate_basis_monomials(
+        _correction_pool(m), m.max_poly_degree, bidegree=(antifield_number, antifield_number))
 
 
 def _families_in(fs: Iterable[LocalFunction]) -> list[Generator]:

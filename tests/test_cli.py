@@ -214,6 +214,25 @@ def test_bad_bounds_flag_is_an_error():
     assert status == 2
 
 
+def test_bounds_flag_cannot_drop_below_the_models_jet_order(tmp_path):
+    # the same refusal as a document whose own bounds line is too small
+    assert run_command(["noether", fx("su2_plane.bv"), "--bounds", "jet=0,deg=3"]) \
+        == (2, "error: jet order 1 exceeds bound 0\n")
+    assert run_command(["noether", fx("su2_plane.bv"), "--bounds", "jet=1,deg=3"]) \
+        == (0, "PASS\n")
+    # a gauge multi-index and a gauge-coefficient value carry jet orders too
+    shift = tmp_path / "shift.bv"
+    shift.write_text("dimension 1\nfields 1 2\ngauge 1\nlagrangian u[1]^2\n"
+                     "generators\n  r[1, 1; 1 1] = 1\n  r[2, 1] = u[2; 1]\n")
+    assert run_command(["noether", str(shift), "--bounds", "jet=1"]) \
+        == (2, "error: jet order 2 exceeds bound 1\n")
+    shift.write_text("dimension 1\nfields 1 2\ngauge 1\nlagrangian u[1]^2\n"
+                     "generators\n  r[2, 1] = u[2; 1]\n")
+    assert run_command(["el", str(shift), "--bounds", "jet=0"]) \
+        == (2, "error: jet order 1 exceeds bound 0\n")
+    assert run_command(["el", str(shift), "--bounds", "deg=0"])[0] == 0
+
+
 ALL_COMMANDS = [
     ["el", fx("scalar.bv"), "--field", "1"],
     ["divergence", fx("divergence.bv")],

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,12 +15,13 @@ from bvforge.algebra import (
     Monomial,
     antifield,
     antighost,
+    base,
     field,
     gen,
     ghost,
 )
 from bvforge.bracket import JetModelUnsupported, antibracket
-from bvforge.jet import ModelSpec, all_multi_indices, functional_vanishes
+from bvforge.jet import ModelSpec, all_multi_indices, enumerate_basis_monomials, functional_vanishes
 from bvforge.master import (
     BVAction,
     MissingStructureFunctions,
@@ -30,6 +34,7 @@ from bvforge.master import (
     quantum_master_check,
     solve_master,
 )
+from bvforge.modelfile import parse_document
 
 HALF = LocalFunction.constant(Fraction(1, 2))
 
@@ -362,6 +367,119 @@ def test_correction_candidates_filter_degrees():
     # the pure ghost sector has no odd antifield numbers to draw on
     ghost_m = ghost_so3_model()
     assert correction_candidates(ghost_m, 3) == []
+
+
+def oracle_basis(pool, max_degree):
+    """Every monomial up to max_degree, canonicalised through normalize."""
+    ordered = sorted(set(pool))
+    out = [LocalFunction.one()]
+    for d in range(1, max_degree + 1):
+        for combo in itertools.combinations_with_replacement(ordered, d):
+            m = LocalFunction.from_monomials(
+                [Monomial(Fraction(1), tuple((g, 1) for g in combo))])
+            if not m.is_zero:
+                out.append(m)
+    return out
+
+
+def oracle_pool(m):
+    pool = [base(i) for i in range(1, m.spatial_dim + 1)]
+    jets = all_multi_indices(m.spatial_dim, m.max_jet_order)
+    for a in m.fields:
+        for jet in jets:
+            pool.append(field(a, jet))
+            pool.append(antifield(a, jet))
+    for alpha in m.gauge_indices:
+        for jet in jets:
+            pool.append(ghost(alpha, jet))
+            pool.append(antighost(alpha, jet))
+    return pool
+
+
+def filter_candidates(basis, antifield_number):
+    """The monomials of antifield number k and ghost number 0."""
+    out = []
+    for cand in basis:
+        deg = cand.bidegree()
+        if deg is not None and deg.antighost == antifield_number and deg.total == 0:
+            out.append(cand)
+    return out
+
+
+def oracle_candidates(m, antifield_number):
+    return filter_candidates(oracle_basis(oracle_pool(m), m.max_poly_degree), antifield_number)
+
+
+def random_candidate_model(rng):
+    dim = rng.randint(0, 2)
+    m = ModelSpec(
+        spatial_dim=dim,
+        fields=tuple(str(a) for a in range(1, rng.randint(0, 2) + 1)),
+        gauge_indices=tuple(str(al) for al in range(1, rng.randint(0, 2) + 1)),
+        lagrangian=LocalFunction.zero(),
+        max_jet_order=rng.randint(0, 2),
+        max_poly_degree=rng.randint(0, 4),
+    )
+    # keep the oracle's full enumeration small
+    n = len(oracle_pool(m))
+    while math.comb(n + m.max_poly_degree, n) > 3000:
+        m.max_poly_degree -= 1
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_direct_candidates_match_the_filtered_enumeration(seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        m = random_candidate_model(rng)
+        basis = oracle_basis(oracle_pool(m), m.max_poly_degree)
+        for k in range(4):
+            assert correction_candidates(m, k) == filter_candidates(basis, k)
+        # the pool's order and repeats do not matter
+        pool = oracle_pool(m)
+        rng.shuffle(pool)
+        assert enumerate_basis_monomials(pool + pool[:3], m.max_poly_degree) == basis
+
+
+def test_direct_candidates_edge_cases():
+    # degree bound 0: only the constant, which has antifield number 0
+    m = replace(open_algebra_model(), max_poly_degree=0)
+    assert correction_candidates(m, 0) == [LocalFunction.one()] == oracle_candidates(m, 0)
+    assert correction_candidates(m, 1) == []
+    # antifield number 0: the constant and the field monomials
+    m = replace(open_algebra_model(), max_poly_degree=2)
+    cands = correction_candidates(m, 0)
+    assert cands[0] == LocalFunction.one()
+    assert cands == oracle_candidates(m, 0)
+    assert len(cands) == 1 + 3 + 6
+    # no gauge indices: no ghosts, so no candidate of positive antifield number
+    bare = ModelSpec(spatial_dim=1, fields=("1", "2"), gauge_indices=(),
+                     lagrangian=LocalFunction.zero(), max_jet_order=1, max_poly_degree=3)
+    assert correction_candidates(bare, 0) == oracle_candidates(bare, 0)
+    assert correction_candidates(bare, 1) == []
+    # a bidegree beyond every monomial of the degree bound
+    assert correction_candidates(open_algebra_model(), 3) == oracle_candidates(open_algebra_model(), 3)
+    assert correction_candidates(replace(open_algebra_model(), max_poly_degree=2), 2) == []
+    assert enumerate_basis_monomials([ghost("1"), antifield("1")], 4, bidegree=(2, 2)) == []
+
+
+OPEN_ALGEBRA_ON_A_LINE = """\
+dimension 1
+fields 1 2 3
+gauge 1 2
+bounds jet=1 deg=4
+lagrangian 1/2*u[3]^2
+generators
+  r[1, 1] = u[3]
+  r[2, 2] = u[1]
+"""
+
+
+def test_benchmark_lifts_keep_their_candidate_counts():
+    finite = replace(open_algebra_model(), max_poly_degree=9)
+    assert len(correction_candidates(finite, 2)) == 336
+    on_a_line = parse_document(OPEN_ALGEBRA_ON_A_LINE).spec
+    assert len(correction_candidates(on_a_line, 2)) == 282
 
 
 # ---------------------------------------------------------------- quantum check
