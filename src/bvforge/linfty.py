@@ -16,15 +16,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Generator, LocalFunction, gen, graded_partial
+from .algebra import Generator, LocalFunction, _coerce_coefficient, gen, graded_partial
 from .bracket import JetModelUnsupported, antibracket
 from .master import BVAction
 
 PHYSICS = "physics"
 MATH = "math"
+
+# Most input tuples ``check_linfty`` evaluates in one call.  gl(3) has 18
+# basis elements: arity 7 is 480699 tuples, arity 8 is 1562274.
+MAX_IDENTITY_TUPLES = 1_000_000
 
 
 class InsufficientStrata(ValueError):
@@ -55,20 +59,32 @@ def _clean(coeffs: Mapping[BasisElement, Fraction]) -> dict:
 
 
 class Element:
-    """A finite rational linear combination of basis vectors."""
+    """A finite rational linear combination of basis vectors.
+
+    Coefficients must be exact: ints or Fractions.  Anything else, a float
+    or a string included, raises ``TypeError``, as it does for
+    ``LocalFunction``.
+    """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[BasisElement, Fraction] | None = None):
-        self._coeffs = _clean({b: Fraction(c) for b, c in (coeffs or {}).items()})
+    def __init__(self, coeffs: Mapping[BasisElement, Fraction] | None = None, *,
+                 _internal: bool = False):
+        if _internal:
+            # the caller hands over a fresh dict of nonzero Fractions
+            self._coeffs = coeffs
+        else:
+            self._coeffs = _clean({b: _coerce_coefficient(c)
+                                   for b, c in (coeffs or {}).items()})
 
     @classmethod
     def zero(cls) -> "Element":
-        return cls()
+        return cls({}, _internal=True)
 
     @classmethod
     def from_basis(cls, b: BasisElement, coefficient=1) -> "Element":
-        return cls({b: Fraction(coefficient)})
+        c = _coerce_coefficient(coefficient)
+        return cls({b: c} if c else {}, _internal=True)
 
     @property
     def is_zero(self) -> bool:
@@ -94,18 +110,23 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         out = dict(self._coeffs)
         for b, c in other._coeffs.items():
-            out[b] = out.get(b, Fraction(0)) + c
-        return Element(out)
+            total = out.get(b, 0) + c
+            if total:
+                out[b] = total
+            else:
+                del out[b]
+        return Element(out, _internal=True)
 
     def __neg__(self) -> "Element":
-        return Element({b: -c for b, c in self._coeffs.items()})
+        return Element({b: -c for b, c in self._coeffs.items()}, _internal=True)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __mul__(self, scalar) -> "Element":
-        s = Fraction(scalar)
-        return Element({b: s * c for b, c in self._coeffs.items()})
+        s = _coerce_coefficient(scalar)
+        return Element({b: s * c for b, c in self._coeffs.items()} if s else {},
+                       _internal=True)
 
     __rmul__ = __mul__
 
@@ -247,23 +268,28 @@ class LInftyStructure:
         """Evaluate the arity-n bracket multilinearly on elements."""
         if len(args) != n:
             raise ValueError(f"arity {n} bracket applied to {len(args)} inputs")
-        out = Element.zero()
-        supports = [arg.items() for arg in args]
-        for combo in itertools.product(*supports):
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
+        out: dict[BasisElement, Fraction] = {}
+        for combo in itertools.product(*(arg._coeffs.items() for arg in args)):
             key, sign = self._canonical(tuple(b for b, _ in combo))
             value = self._tensor(n, key)
-            if value is not None:
-                out = out + (coeff * sign) * value
-        return out
+            if value is None:
+                continue
+            coeff = Fraction(sign)
+            for _, c in combo:
+                coeff *= c
+            for b, c in value._coeffs.items():
+                out[b] = out.get(b, 0) + coeff * c
+        return Element(_clean(out), _internal=True)
 
     def apply_differential(self, x: Element) -> Element:
         return self.apply(1, [x])
 
     def arities(self) -> tuple[int, ...]:
         return tuple(sorted(self.brackets))
+
+    def has_arity(self, n: int) -> bool:
+        """Whether the arity-n tensor has an entry; arity 1 is the differential."""
+        return bool(self.differential) if n == 1 else n in self.brackets
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LInftyStructure)
@@ -378,20 +404,37 @@ def identity_residual(L: LInftyStructure, inputs: Sequence[BasisElement]) -> Ele
     the block followed by the complement, each splitting weighted by its
     Koszul sign.  k = 1 and k = n reproduce the derivation property of
     the differential; middle values interleave the higher brackets.
+
+    Only the compositions the structure can make nonzero are evaluated.
+    The k-blocks are visited only when arity k and arity n - k + 1 both
+    carry a tensor, and a block whose canonical key has no entry in the
+    arity-k tensor is passed over.  Every term left out is a bracket taken
+    where the structure has no entry, so it is exactly zero and the
+    residual is the same as the sum over every splitting.  On basis
+    inputs the inner bracket is the tensor entry of the block's canonical
+    key times its reordering sign, read off without calling ``apply``.
     """
     n = len(inputs)
-    parities = [b.parity for b in inputs]
     residual = Element.zero()
     for k in range(1, n + 1):
-        for left, right, sign in unshuffles(parities, k):
-            inner = L.apply(k, [Element.from_basis(inputs[i]) for i in left])
-            if inner.is_zero:
+        if not (L.has_arity(k) and L.has_arity(n - k + 1)):
+            continue
+        for left, right, sign in unshuffles([b.parity for b in inputs], k):
+            key, key_sign = L._canonical(tuple(inputs[i] for i in left))
+            inner = L._tensor(k, key)
+            if inner is None:
                 continue
-            outer_args = [inner] + [Element.from_basis(inputs[j]) for j in right]
+            outer_args = ([inner if key_sign == 1 else -inner]
+                          + [Element.from_basis(inputs[j]) for j in right])
             term = L.apply(n - k + 1, outer_args)
             if not term.is_zero:
                 residual = residual + sign * term
     return residual
+
+
+def identity_tuple_count(dim: int, n_max: int) -> int:
+    """How many input tuples ``check_linfty`` visits: sum of C(dim+n-1, n), n <= n_max."""
+    return comb(dim + n_max, n_max) - 1
 
 
 def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
@@ -399,9 +442,22 @@ def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
 
     Structures in the mathematics convention are converted to the physics
     grading first; the report then refers to the converted tensors.
+
+    Every multiset of basis inputs of size n <= n_max is one call of
+    ``identity_residual``, which evaluates only the bracket compositions
+    that have tensor entries; the others vanish identically, so the
+    report is that of the full sweep.  The tuple count is
+    ``identity_tuple_count(len(L.basis), n_max)``; above
+    ``MAX_IDENTITY_TUPLES`` the check raises ``ValueError`` before any
+    tuple is evaluated.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    count = identity_tuple_count(len(L.basis), n_max)
+    if count > MAX_IDENTITY_TUPLES:
+        raise ValueError(
+            f"checking through arity {n_max} on {len(L.basis)} basis elements "
+            f"needs {count} identity tuples, more than {MAX_IDENTITY_TUPLES}")
     if L.convention == MATH:
         L = convert_conventions(L)
     failures = []

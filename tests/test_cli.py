@@ -130,6 +130,33 @@ def test_check_linfty_counts_every_basis_tuple():
     assert out == "identities checked = 454\nPASS\n"
 
 
+def test_check_linfty_on_gl3_through_arity_four():
+    assert run_command(["check-linfty", fx("gl3.bv"), "-n", "4"]) == \
+        (0, "identities checked = 7314\nPASS\n")
+
+
+def test_check_linfty_on_gl3_through_arity_five():
+    assert run_command(["check-linfty", fx("gl3.bv"), "-n", "5"]) == \
+        (0, "identities checked = 33648\nPASS\n")
+
+
+def test_check_linfty_on_gl3_structured_reports_a_pass():
+    status, out = run_command(
+        ["check-linfty", fx("gl3.bv"), "-n", "4", "--format", "structured"])
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["residuals"] == {}
+    assert payload["results"] == {"identities checked": "7314"}
+
+
+def test_check_linfty_refuses_an_oversized_sweep():
+    status, out = run_command(["check-linfty", fx("gl3.bv"), "-n", "8"])
+    assert status == 2
+    assert out.startswith("error: ")
+    assert "1562274 identity tuples" in out
+
+
 def test_mc_flat_directions_pass():
     status, out = run_command(["mc", fx("rotation.bv")])
     assert status == 0

@@ -13,6 +13,7 @@ from bvforge.bracket import JetModelUnsupported
 from bvforge.jet import ModelSpec
 from bvforge.linfty import (
     MATH,
+    MAX_IDENTITY_TUPLES,
     PHYSICS,
     BasisElement,
     DegreeMismatch,
@@ -24,6 +25,7 @@ from bvforge.linfty import (
     convert_conventions,
     extract_brackets,
     identity_residual,
+    identity_tuple_count,
     mc_residual,
     unshuffles,
 )
@@ -402,6 +404,165 @@ def test_triple_bracket_identity_has_content_only_at_arity_five():
     assert not check_linfty(failing, 4).failures
 
 
+# ------------------------------------------------ unpruned identity oracle
+
+def unpruned_identity_residual(L, inputs):
+    """The identity sweep over every splitting: the oracle for the pruned one.
+
+    Every k from 1 to n, every unshuffle, the inner bracket through
+    ``apply`` on ``Element`` inputs, whether or not the structure has
+    tensors of the two arities.
+    """
+    n = len(inputs)
+    parities = [b.parity for b in inputs]
+    residual = Element.zero()
+    for k in range(1, n + 1):
+        for left, right, sign in unshuffles(parities, k):
+            inner = L.apply(k, [Element.from_basis(inputs[i]) for i in left])
+            if inner.is_zero:
+                continue
+            outer_args = [inner] + [Element.from_basis(inputs[j]) for j in right]
+            term = L.apply(n - k + 1, outer_args)
+            if not term.is_zero:
+                residual = residual + sign * term
+    return residual
+
+
+def unpruned_report(L, n_max):
+    """``check_linfty`` over the unpruned sweep, with every tuple's residual."""
+    if L.convention == MATH:
+        L = convert_conventions(L)
+    residuals = [(n, tup, unpruned_identity_residual(L, tup))
+                 for n in range(1, n_max + 1)
+                 for tup in itertools.combinations_with_replacement(L.basis, n)]
+    failures = tuple(entry for entry in residuals if not entry[2].is_zero)
+    report = IdentityCheckReport(
+        n_max=n_max,
+        checked=len(residuals),
+        failures=failures,
+        jacobi_checked=sum(1 for n, _, _ in residuals if n == 3),
+        jacobi_failures=tuple((tup, res) for n, tup, res in failures if n == 3),
+    )
+    return L, residuals, report
+
+
+def random_oracle_structure(rng, convention):
+    """A small structure with a differential and brackets of arity 2 to 4.
+
+    The first basis element is odd in the physics grading, so the sweep
+    meets repeated odd inputs.  Tensor entries are drawn at random, so
+    most structures fail some identity.
+    """
+    math = convention == MATH
+    dim = rng.randint(2, 4)
+    degrees = [rng.randint(-1, 2) for _ in range(dim)]
+    degrees[0] = 0 if math else 1
+    basis = tuple(BasisElement(f"e{i}", d) for i, d in enumerate(degrees, 1))
+    by_degree = {}
+    for b in basis:
+        by_degree.setdefault(b.degree, []).append(b)
+
+    def element_in_degree(d):
+        coeffs = {b: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+                  for b in by_degree.get(d, []) if rng.random() < 0.7}
+        return Element(coeffs)
+
+    # a repeated input survives the symmetry only when swapping it is +1
+    repeatable = {b for b in basis if b.parity == (1 if math else 0)}
+    differential = {}
+    for b in basis:
+        if rng.random() < 0.5:
+            differential[b] = element_in_degree(b.degree + (1 if math else -1))
+    brackets = {}
+    for n in (2, 3, 4):
+        shift = 2 - n if math else -1
+        keys = [key for key in itertools.combinations_with_replacement(basis, n)
+                if not any(a == b and a not in repeatable for a, b in zip(key, key[1:]))]
+        rng.shuffle(keys)
+        brackets[n] = {key: element_in_degree(sum(b.degree for b in key) + shift)
+                       for key in keys[:rng.randint(0, 4)]}
+    return LInftyStructure(basis, differential, brackets, convention=convention)
+
+
+def test_pruned_identity_sweep_matches_the_unpruned_oracle():
+    rng = random.Random(20261018)
+    structures = [random_oracle_structure(rng, rng.choice((PHYSICS, PHYSICS, MATH)))
+                  for _ in range(100)]
+    structures += [so3_structure(), sl2_structure(), broken_jacobi_structure(),
+                   convert_conventions(so3_structure()),
+                   triple_bracket_structure((1, 2)), triple_bracket_structure((4, 5))]
+    seen = {"differential": 0, "math": 0, "failing": 0, "passing": 0,
+            "repeated odd": 0, 2: 0, 3: 0, 4: 0}
+    for L in structures:
+        n_max = 5
+        physics, residuals, expected = unpruned_report(L, n_max)
+        for _, tup, residual in residuals:
+            assert identity_residual(physics, tup) == residual, (L, tup)
+            # inputs out of basis order reach the reordering signs
+            if rng.random() > 0.3:
+                continue
+            shuffled = tuple(rng.sample(tup, len(tup)))
+            assert (identity_residual(physics, shuffled)
+                    == unpruned_identity_residual(physics, shuffled)), (L, shuffled)
+        report = check_linfty(L, n_max)
+        assert report == expected
+        assert report.checked == identity_tuple_count(len(L.basis), n_max)
+        seen["differential"] += bool(L.differential)
+        seen["math"] += L.convention == MATH
+        seen["failing"] += not report.passed
+        seen["passing"] += report.passed
+        seen["repeated odd"] += any(b.parity and tup.count(b) > 1
+                                    for _, tup, _ in residuals for b in tup)
+        for n in L.arities():
+            seen[n] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_pruned_sweep_skips_compositions_without_tensors():
+    L = so3_structure()
+    calls = []
+
+    class Counting(LInftyStructure):
+        def apply(self, n, args):
+            calls.append(n)
+            return super().apply(n, args)
+
+    counting = Counting(L.basis, L.differential, L.brackets)
+    a, b, c = L.basis
+    assert identity_residual(counting, (a, b, c)).is_zero
+    assert calls == [2, 2, 2]
+    calls.clear()
+    assert identity_residual(counting, (a, b, c, a)).is_zero
+    assert calls == []
+
+
+def test_sweep_bound_refuses_before_enumerating(monkeypatch):
+    basis = tuple(BasisElement(f"e{i}", 1) for i in range(18))
+    L = LInftyStructure(basis=basis)
+    assert identity_tuple_count(18, 7) == 480699 <= MAX_IDENTITY_TUPLES
+    assert identity_tuple_count(18, 8) == 1562274 > MAX_IDENTITY_TUPLES
+
+    def refuse(*args):
+        raise AssertionError("a tuple was enumerated")
+
+    monkeypatch.setattr("bvforge.linfty.identity_residual", refuse)
+    monkeypatch.setattr("bvforge.linfty.itertools.combinations_with_replacement", refuse)
+    with pytest.raises(ValueError, match="1562274"):
+        check_linfty(L, 8)
+    with pytest.raises(ValueError, match="1562274"):
+        check_linfty(convert_conventions(L), 8)
+
+
+def test_identity_tuple_count_matches_the_enumeration():
+    for dim in range(0, 5):
+        basis = tuple(BasisElement(f"e{i}", 0) for i in range(dim))
+        for n_max in range(1, 5):
+            enumerated = sum(
+                1 for n in range(1, n_max + 1)
+                for _ in itertools.combinations_with_replacement(basis, n))
+            assert identity_tuple_count(dim, n_max) == enumerated
+
+
 # ---------------------------------------------------------------- conversion
 
 def test_conversion_reflects_degrees_and_bracket_degree():
@@ -522,6 +683,34 @@ def test_element_arithmetic():
     assert x.homogeneous_degree() is None
     assert y.homogeneous_degree() == 0
     assert Element.zero().is_zero
+
+
+def test_element_refuses_floats_and_strings():
+    b = BasisElement("b", 0)
+    with pytest.raises(TypeError):
+        Element.from_basis(b, 0.1)
+    with pytest.raises(TypeError):
+        Element({b: "1/3"})
+    with pytest.raises(TypeError):
+        Element({b: 1.0})
+
+
+def test_element_scalar_multiplication_is_exact():
+    b = BasisElement("b", 0)
+    x = Element.from_basis(b)
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(TypeError):
+        0.5 * x
+    with pytest.raises(TypeError):
+        x * "2"
+    assert (x * Fraction(1, 2)).coefficient(b) == Fraction(1, 2)
+    assert (3 * x).coefficient(b) == 3
+    assert (0 * x).is_zero
+    assert Element.from_basis(b, 0).is_zero
+    assert Element({b: 0}).is_zero
+    assert (x + -x).is_zero
+    assert isinstance(Element({b: 2}).coefficient(b), Fraction)
 
 
 def test_report_is_deterministic():
