@@ -20,7 +20,9 @@ into the rational coefficient.
 
 All coefficients are exact ``fractions.Fraction`` values.  Explicit
 dependence on the base coordinates is polynomial, so base coordinates
-are ordinary even generators here.
+are ordinary even generators here.  Every sparse sum in the package,
+of local functions, of bracket values and of solver rows, goes through
+the one helper ``add_terms``.
 """
 
 from __future__ import annotations
@@ -258,6 +260,29 @@ def normalize(m: Monomial) -> Monomial:
     return Monomial(m.coefficient * sign, factors)
 
 
+def add_terms(data: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
+    """Add (key, coefficient) pairs into ``data`` in place and return it.
+
+    A zero coefficient never enters and a key whose coefficient sums to
+    zero is dropped, so ``data`` holds exactly the nonzero sums.
+    """
+    get = data.get
+    for key, c in pairs:
+        old = get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            data[key] = c
+        elif old is not None:
+            del data[key]
+    return data
+
+
+def _canonical_terms(monomials: Iterable[Monomial]) -> dict[Factors, Fraction]:
+    """The terms of the sum of ``monomials``, each brought to canonical form."""
+    return add_terms({}, ((m.factors, m.coefficient) for m in map(normalize, monomials)))
+
+
 def _coerce_coefficient(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -277,27 +302,18 @@ class LocalFunction:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Factors, Fraction] | None = None, *, _internal: bool = False):
-        data: dict[Factors, Fraction] = {}
-        if terms:
-            if _internal:
-                data = dict(terms)
-            else:
-                for factors, coeff in terms.items():
-                    mono = normalize(Monomial(_coerce_coefficient(coeff), tuple(factors)))
-                    if mono.is_zero:
-                        continue
-                    acc = data.get(mono.factors, Fraction(0)) + mono.coefficient
-                    if acc:
-                        data[mono.factors] = acc
-                    else:
-                        data.pop(mono.factors, None)
-        self._terms = data
+        if _internal:
+            # the caller hands over a fresh dict of canonical nonzero terms
+            self._terms = terms or {}
+        else:
+            self._terms = _canonical_terms(
+                Monomial(_coerce_coefficient(c), tuple(f)) for f, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LocalFunction":
-        return cls()
+        return cls({}, _internal=True)
 
     @classmethod
     def constant(cls, value) -> "LocalFunction":
@@ -314,17 +330,7 @@ class LocalFunction:
 
     @classmethod
     def from_monomials(cls, monomials: Iterable[Monomial]) -> "LocalFunction":
-        data: dict[Factors, Fraction] = {}
-        for m in monomials:
-            mono = normalize(m)
-            if mono.is_zero:
-                continue
-            acc = data.get(mono.factors, Fraction(0)) + mono.coefficient
-            if acc:
-                data[mono.factors] = acc
-            else:
-                data.pop(mono.factors, None)
-        return cls(data, _internal=True)
+        return cls(_canonical_terms(monomials), _internal=True)
 
     # -- inspection ----------------------------------------------------
 
@@ -350,38 +356,29 @@ class LocalFunction:
         return self._terms.get((), Fraction(0))
 
     def generators(self) -> set[Generator]:
-        out: set[Generator] = set()
-        for factors in self._terms:
-            for g, _ in factors:
-                out.add(g)
-        return out
+        return {g for factors in self._terms for g, _ in factors}
 
     def max_jet_order(self) -> int:
         orders = [len(g.jet) for f in self._terms for g, _ in f]
         return max(orders, default=0)
 
+    def _common(self, attr: str):
+        """The value of a Monomial attribute shared by all terms, or None if mixed or zero."""
+        values = {getattr(Monomial(c, f), attr) for f, c in self._terms.items()}
+        return values.pop() if len(values) == 1 else None
+
     def is_homogeneous(self) -> bool:
-        degs = {Monomial(c, f).bidegree for f, c in self._terms.items()}
-        return len(degs) <= 1
+        return self.is_zero or self._common("bidegree") is not None
 
     def bidegree(self) -> Bidegree | None:
         """The common bidegree of all terms, or None if mixed or zero."""
-        degs = {Monomial(c, f).bidegree for f, c in self._terms.items()}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        return self._common("bidegree")
 
     def parity(self) -> int | None:
-        pars = {Monomial(c, f).parity for f, c in self._terms.items()}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
+        return self._common("parity")
 
     def ghost_number(self) -> int | None:
-        ghs = {Monomial(c, f).ghost_number for f, c in self._terms.items()}
-        if len(ghs) == 1:
-            return ghs.pop()
-        return None
+        return self._common("ghost_number")
 
     # -- arithmetic ----------------------------------------------------
 
@@ -389,14 +386,7 @@ class LocalFunction:
         other = _as_local_function(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._terms)
-        for factors, coeff in other._terms.items():
-            acc = data.get(factors, Fraction(0)) + coeff
-            if acc:
-                data[factors] = acc
-            else:
-                data.pop(factors, None)
-        return LocalFunction(data, _internal=True)
+        return sum_of((self, other))
 
     __radd__ = __add__
 
@@ -423,18 +413,9 @@ class LocalFunction:
             return LocalFunction({f: k * c for f, k in self._terms.items()}, _internal=True)
         if not isinstance(other, LocalFunction):
             return NotImplemented
-        data: dict[Factors, Fraction] = {}
-        for f1, c1 in self._terms.items():
-            for f2, c2 in other._terms.items():
-                mono = normalize(Monomial(c1 * c2, f1 + f2))
-                if mono.is_zero:
-                    continue
-                acc = data.get(mono.factors, Fraction(0)) + mono.coefficient
-                if acc:
-                    data[mono.factors] = acc
-                else:
-                    data.pop(mono.factors, None)
-        return LocalFunction(data, _internal=True)
+        right = other._terms.items()
+        return LocalFunction.from_monomials(
+            Monomial(c1 * c2, f1 + f2) for f1, c1 in self._terms.items() for f2, c2 in right)
 
     def __rmul__(self, other) -> "LocalFunction":
         if isinstance(other, (int, Fraction)):
@@ -476,6 +457,17 @@ def _as_local_function(value) -> "LocalFunction":
     return NotImplemented
 
 
+def sum_of(fs: Iterable[LocalFunction]) -> LocalFunction:
+    """The sum of local functions, accumulated into one dict."""
+    data: dict[Factors, Fraction] = {}
+    for f in fs:
+        if data:
+            add_terms(data, f._terms.items())
+        else:
+            data = dict(f._terms)
+    return LocalFunction(data, _internal=True)
+
+
 def gen(g: Generator) -> LocalFunction:
     """Shorthand used throughout: the local function consisting of one generator."""
     return LocalFunction.from_generator(g)
@@ -512,34 +504,30 @@ def graded_partial(f: LocalFunction, z: Generator, side: str = "left") -> LocalF
                             h.parity * k for h, k in factors[pos + 1:])) % 2
                         if (mono_parity + zp) % 2:
                             c = -c
-                acc = data.get(new, Fraction(0)) + c
-                if acc:
-                    data[new] = acc
-                else:
-                    data.pop(new, None)
+                # stripping one z is injective on canonical monomials, so
+                # no two terms meet and every c is nonzero
+                data[new] = c
                 break
             prefix_parity += g.parity * e
     return LocalFunction(data, _internal=True)
 
 
+def _decompose(f: LocalFunction, attr: str) -> dict:
+    """Split ``f`` by the value of a Monomial attribute, in ascending order."""
+    buckets: dict[object, dict[Factors, Fraction]] = {}
+    for factors, coeff in f._terms.items():
+        buckets.setdefault(getattr(Monomial(coeff, factors), attr), {})[factors] = coeff
+    return {key: LocalFunction(terms, _internal=True) for key, terms in sorted(buckets.items())}
+
+
 def bidegree_decompose(f: LocalFunction) -> dict[Bidegree, LocalFunction]:
     """Split ``f`` into its homogeneous bidegree components."""
-    buckets: dict[Bidegree, dict[Factors, Fraction]] = {}
-    for factors, coeff in f._terms.items():
-        deg = Monomial(coeff, factors).bidegree
-        buckets.setdefault(deg, {})[factors] = coeff
-    return {deg: LocalFunction(terms, _internal=True)
-            for deg, terms in sorted(buckets.items())}
+    return _decompose(f, "bidegree")
 
 
 def decompose_by_antifield_number(f: LocalFunction) -> dict[int, LocalFunction]:
     """Split ``f`` into strata of fixed total antighost degree."""
-    buckets: dict[int, dict[Factors, Fraction]] = {}
-    for factors, coeff in f._terms.items():
-        k = Monomial(coeff, factors).antifield_number
-        buckets.setdefault(k, {})[factors] = coeff
-    return {k: LocalFunction(terms, _internal=True)
-            for k, terms in sorted(buckets.items())}
+    return _decompose(f, "antifield_number")
 
 
 def substitute(f: LocalFunction, bindings: Mapping[Generator, object]) -> Fraction:

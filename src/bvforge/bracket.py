@@ -34,8 +34,9 @@ from .algebra import (
     field,
     ghost,
     graded_partial,
+    sum_of,
 )
-from .jet import variational_derivative
+from .jet import families, variational_derivative
 
 
 class JetModelRequiresVariationalBracket(ValueError):
@@ -58,28 +59,32 @@ def conjugate_pair_table(*fs: LocalFunction) -> dict[Generator, Generator]:
     return table
 
 
+_FIELD_CLASS = (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD)
+
+
 def _family_pairs(*fs: LocalFunction) -> list[tuple[Generator, Generator]]:
-    """Unprolonged (z, z*) representatives for each family appearing."""
-    seen: set[tuple[int, str]] = set()
-    for f in fs:
-        for g in f.generators():
-            if g.kind is GeneratorKind.BASE:
-                continue
-            cls = 0 if g.kind in (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD) else 1
-            seen.add((cls, g.family))
-    pairs = []
-    for cls, fam in sorted(seen):
-        if cls == 0:
-            pairs.append((field(fam), antifield(fam)))
-        else:
-            pairs.append((ghost(fam), antighost(fam)))
-    return pairs
+    """Unprolonged (z, z*) representatives for each family appearing:
+    the field pairs by family, then the ghost pairs by family."""
+    reps = families(*fs)
+    fields = sorted({z.family for z in reps if z.kind in _FIELD_CLASS})
+    ghosts = sorted({z.family for z in reps if z.kind not in _FIELD_CLASS})
+    return [(field(a), antifield(a)) for a in fields] + [(ghost(a), antighost(a)) for a in ghosts]
 
 
 def _require_finite(f: LocalFunction, err: type[ValueError], what: str) -> None:
     for g in f.generators():
         if g.jet:
             raise err(f"{what} requires an unprolonged model; found {g}")
+
+
+def _antibracket(f: LocalFunction, g: LocalFunction, derivative) -> LocalFunction:
+    """sum over pairs (z, z*) of dR f/dz * dL g/dz* - dR f/dz* * dL g/dz,
+    with ``derivative(f, z, side)`` the graded partial or Euler operator."""
+    terms = []
+    for z, zs in _family_pairs(f, g):
+        terms.append(derivative(f, z, "right") * derivative(g, zs, "left"))
+        terms.append(-(derivative(f, zs, "right") * derivative(g, z, "left")))
+    return sum_of(terms)
 
 
 def antibracket_pointwise(f: LocalFunction, g: LocalFunction) -> LocalFunction:
@@ -90,11 +95,7 @@ def antibracket_pointwise(f: LocalFunction, g: LocalFunction) -> LocalFunction:
     """
     _require_finite(f, JetModelRequiresVariationalBracket, "the pointwise bracket")
     _require_finite(g, JetModelRequiresVariationalBracket, "the pointwise bracket")
-    out = LocalFunction.zero()
-    for z, zs in _family_pairs(f, g):
-        out = out + graded_partial(f, z, "right") * graded_partial(g, zs, "left")
-        out = out - graded_partial(f, zs, "right") * graded_partial(g, z, "left")
-    return out
+    return _antibracket(f, g, graded_partial)
 
 
 def antibracket_variational(f: LocalFunction, g: LocalFunction) -> LocalFunction:
@@ -105,11 +106,7 @@ def antibracket_variational(f: LocalFunction, g: LocalFunction) -> LocalFunction
     Every term carries a variational derivative of each argument, so any
     argument that is itself a total divergence yields zero exactly.
     """
-    out = LocalFunction.zero()
-    for z, zs in _family_pairs(f, g):
-        out = out + variational_derivative(f, z, "right") * variational_derivative(g, zs, "left")
-        out = out - variational_derivative(f, zs, "right") * variational_derivative(g, z, "left")
-    return out
+    return _antibracket(f, g, variational_derivative)
 
 
 def antibracket(f: LocalFunction, g: LocalFunction, spatial_dim: int) -> LocalFunction:
@@ -125,13 +122,8 @@ def bv_laplacian(f: LocalFunction) -> LocalFunction:
     D f = sum over pairs (z, z*) of (-1)^{|z|} dL/dz (dL f/dz*).
     """
     _require_finite(f, JetModelUnsupported, "the Laplacian")
-    out = LocalFunction.zero()
-    for z, zs in _family_pairs(f):
-        term = graded_partial(graded_partial(f, zs, "left"), z, "left")
-        if z.parity:
-            term = -term
-        out = out + term
-    return out
+    return sum_of((-1) ** z.parity * graded_partial(graded_partial(f, zs, "left"), z, "left")
+                  for z, zs in _family_pairs(f))
 
 
 # ------------------------------------------------------------- harnesses

@@ -20,8 +20,10 @@ from .algebra import LocalFunction
 from .bracket import antibracket, bv_laplacian
 from .expr import ExpressionError, format_local_function
 from .jet import ModelSpec, check_noether, euler_lagrange
-from .linfty import Element, LInftyStructure, check_linfty, extract_brackets, mc_residual
-from .master import BVAction, build_stage_action, master_residual, quantum_master_check, solve_master
+from .linfty import (Element, LInftyStructure, _generator_name, check_linfty, extract_brackets,
+                     mc_residual)
+from .master import (BVAction, build_stage_action, default_stage, master_residual,
+                     quantum_master_check, solve_master)
 from .modelfile import ModelDocument, parse_document, print_model
 
 __all__ = ["main", "run_command"]
@@ -118,14 +120,6 @@ def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
     )
 
 
-def _default_stage(m: ModelSpec) -> int:
-    if m.structure_functions is not None:
-        return 2
-    if m.gauge_coefficients:
-        return 1
-    return 0
-
-
 def _solved_action(m: ModelSpec, K: int | None) -> BVAction:
     final, _records = solve_master(m, DEFAULT_MAX_ANTIFIELD_NUMBER if K is None else K)
     return final
@@ -141,8 +135,7 @@ def _theta_elements(L: LInftyStructure, deformation: dict[int, LocalFunction]) -
     for power, f in deformation.items():
         acc = Element.zero()
         for mono in f.monomials():
-            g = mono.factors[0][0]
-            name = f"{g.kind.value}[{g.family}]"
+            name = _generator_name(mono.factors[0][0])
             slot = by_name.get(name)
             if slot is None:
                 raise ValueError(
@@ -211,7 +204,7 @@ def _cmd_delta(doc: ModelDocument, args) -> Report:
 def _cmd_build(doc: ModelDocument, args) -> Report:
     m = doc.spec
     report = Report("build", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=False)
-    stage = _default_stage(m) if args.max_antifield_number is None else args.max_antifield_number
+    stage = default_stage(m) if args.max_antifield_number is None else args.max_antifield_number
     S = build_stage_action(m, stage)
     for k in sorted(S.by_antifield_number):
         report.results.append(
@@ -242,7 +235,7 @@ def _cmd_solve(doc: ModelDocument, args) -> Report:
 def _cmd_residual(doc: ModelDocument, args) -> Report:
     m = doc.spec
     report = Report("residual", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
-    S = build_stage_action(m, _default_stage(m))
+    S = build_stage_action(m, default_stage(m))
     strata = master_residual(S)
     K = args.max_antifield_number
     for k in sorted(strata):
@@ -365,6 +358,8 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     """Run one command line; returns (exit status, report text)."""
     args = _build_parser().parse_args(argv)
     try:
+        if args.max_antifield_number is not None and args.max_antifield_number < 0:
+            raise ValueError(f"-K must be at least 0, got {args.max_antifield_number}")
         text = Path(args.model).read_text(encoding="utf-8")
         doc = parse_document(text)
         doc = ModelDocument(spec=_apply_bounds(doc.spec, args.bounds),

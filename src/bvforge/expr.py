@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 from .algebra import Generator, GeneratorKind, LocalFunction
@@ -137,6 +138,17 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
 # inside the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# Largest exponent ``^`` accepts, and most terms its expansion may have by
+# the multinomial bound C(e + t - 1, t - 1) for a base of t terms raised to
+# the power e.  The power is expanded by repeated multiplication, so both
+# bound its cost.
+MAX_EXPONENT = 100
+MAX_POWER_TERMS = 1000
+
+# Highest order of a deformation entry ``t^K``: the deformation residual
+# sums over every composition of each order up to it.
+MAX_DEFORMATION_ORDER = 12
+
 
 class TokenStream:
     """Cursor over a token list with uniform error reporting."""
@@ -212,6 +224,21 @@ def parse_atom(stream: TokenStream) -> Generator:
     return Generator(kind, family, jet)
 
 
+def _power(base: LocalFunction, exp_tok: Token) -> LocalFunction:
+    """``base`` to the exponent ``exp_tok``, refused when the expansion may be too large."""
+    exponent = int(exp_tok.text)
+    if exponent > MAX_EXPONENT:
+        raise SemanticError(
+            f"exponent {exponent} exceeds {MAX_EXPONENT}", exp_tok.line, exp_tok.column)
+    t = max(len(base.terms()), 1)
+    bound = comb(exponent + t - 1, t - 1)
+    if bound > MAX_POWER_TERMS:
+        raise SemanticError(
+            f"a {t}-term expression to the power {exponent} may expand to"
+            f" {bound} terms, more than {MAX_POWER_TERMS}", exp_tok.line, exp_tok.column)
+    return base ** exponent
+
+
 def _parse_primary(stream: TokenStream) -> LocalFunction:
     tok = stream.current
     if tok.kind == "INT":
@@ -233,7 +260,7 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
                 raise SemanticError(
                     f"odd generator {format_generator(g)} cannot carry power {exponent}",
                     exp_tok.line, exp_tok.column)
-            return LocalFunction.from_generator(g) ** exponent
+            return _power(LocalFunction.from_generator(g), exp_tok)
         return LocalFunction.from_generator(g)
     if tok.kind == "LPAREN":
         if stream.depth == MAX_NESTING:
@@ -246,7 +273,7 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
         stream.expect("RPAREN", "')'")
         if stream.accept("CARET"):
             exp_tok = stream.expect("INT", "a nonnegative integer exponent")
-            return inner ** int(exp_tok.text)
+            return _power(inner, exp_tok)
         return inner
     got = tok.text or "end of input"
     raise ExpressionSyntaxError(

@@ -24,6 +24,7 @@ from .algebra import (
     field,
     gen,
     graded_partial,
+    sum_of,
 )
 from .linsolve import match_coefficients, solve_linear_system
 
@@ -68,12 +69,9 @@ def total_derivative(f: LocalFunction, i: int, spatial_dim: int | None = None) -
     preserves parity.
     """
     _check_direction(i, spatial_dim)
-    out = graded_partial(f, base(i), "left")
-    for z in sorted(f.generators()):
-        if z.kind is GeneratorKind.BASE:
-            continue
-        out = out + gen(prolong(z, i)) * graded_partial(f, z, "left")
-    return out
+    return sum_of([graded_partial(f, base(i), "left")] + [
+        gen(prolong(z, i)) * graded_partial(f, z, "left")
+        for z in sorted(f.generators()) if z.kind is not GeneratorKind.BASE])
 
 
 def total_derivative_multi(
@@ -96,15 +94,12 @@ def variational_derivative(
     """
     if z.jet:
         raise ValueError("variational derivatives are taken per family; pass the unprolonged generator")
-    out = LocalFunction.zero()
+    terms = []
     for g in sorted(f.generators()):
-        if g.kind is not z.kind or g.family != z.family:
-            continue
-        term = total_derivative_multi(graded_partial(f, g, side), g.jet)
-        if len(g.jet) % 2:
-            term = -term
-        out = out + term
-    return out
+        if g.kind is z.kind and g.family == z.family:
+            term = total_derivative_multi(graded_partial(f, g, side), g.jet)
+            terms.append(-term if len(g.jet) % 2 else term)
+    return sum_of(terms)
 
 
 def euler_lagrange(f: LocalFunction, a: str) -> LocalFunction:
@@ -126,8 +121,7 @@ def is_total_divergence(f: LocalFunction) -> bool:
     divergences, so no witness current is needed.
     """
     _field_sector_only(f, "the divergence test")
-    families = sorted({g.family for g in f.generators() if g.kind is GeneratorKind.FIELD})
-    return all(euler_lagrange(f, a).is_zero for a in families)
+    return all(euler_lagrange(f, z.family).is_zero for z in families(f))
 
 
 def functionals_equivalent(L: LocalFunction, K: LocalFunction) -> bool:
@@ -146,17 +140,15 @@ def functional_vanishes(f: LocalFunction, spatial_dim: int) -> bool:
     """
     if spatial_dim == 0:
         return f.is_zero
-    seen: set[tuple[GeneratorKind, str]] = set()
-    for g in sorted(f.generators()):
-        if g.kind is GeneratorKind.BASE:
-            continue
-        key = (g.kind, g.family)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not variational_derivative(f, Generator(g.kind, g.family), "left").is_zero:
-            return False
-    return True
+    return all(variational_derivative(f, z, "left").is_zero for z in families(f))
+
+
+def families(*fs: LocalFunction) -> list[Generator]:
+    """One unprolonged generator per (kind, family) present in the fs,
+    base coordinates excluded, in the generator order."""
+    reps = {(g.kind.rank, g.family): g
+            for f in fs for g in f.generators() if g.kind is not GeneratorKind.BASE}
+    return [g.with_jet(()) if g.jet else g for _, g in sorted(reps.items())]
 
 
 def all_multi_indices(spatial_dim: int, max_order: int) -> list[tuple[int, ...]]:
@@ -370,13 +362,10 @@ def check_noether(m: ModelSpec) -> NoetherReport:
     el = {a: euler_lagrange(m.lagrangian, a) for a in m.fields}
     residuals: dict[str, LocalFunction] = {}
     for alpha in m.gauge_indices:
-        total = LocalFunction.zero()
-        for a in m.fields:
-            for jet in m.gauge_multi_indices(a, alpha):
-                term = total_derivative_multi(
-                    m.gauge_coefficient(a, alpha, jet) * el[a], jet, m.spatial_dim)
-                total = total - term if len(jet) % 2 else total + term
-        residuals[alpha] = total
+        residuals[alpha] = sum_of(
+            (-1) ** len(jet) * total_derivative_multi(
+                m.gauge_coefficient(a, alpha, jet) * el[a], jet, m.spatial_dim)
+            for a in m.fields for jet in m.gauge_multi_indices(a, alpha))
     return NoetherReport(per_identity_residual=residuals, euler_lagrange_by_field=el)
 
 
@@ -400,12 +389,10 @@ def verify_trivial_identity(
             raise AntisymmetryViolation(
                 f"entries {(b, J, a, I)} and {(a, I, b, J)} are not antisymmetric")
     el = {a: euler_lagrange(m.lagrangian, a) for a in m.fields}
-    total = LocalFunction.zero()
-    for (b, J, a, I), value in sorted(mu.items()):
-        left = total_derivative_multi(el[b], J, m.spatial_dim)
-        right = total_derivative_multi(el[a], I, m.spatial_dim)
-        total = total + left * value * right
-    return total.is_zero
+    return sum_of(
+        total_derivative_multi(el[b], J, m.spatial_dim) * value
+        * total_derivative_multi(el[a], I, m.spatial_dim)
+        for (b, J, a, I), value in sorted(mu.items())).is_zero
 
 
 # -------------------------------------------------- gauge transformations
@@ -419,15 +406,11 @@ def apply_evolutionary(
     characteristic of the family and ignores every other generator kind,
     so it commutes with total derivatives by construction.
     """
-    out = LocalFunction.zero()
-    for g in sorted(f.generators()):
-        if g.kind is not GeneratorKind.FIELD:
-            continue
-        q = characteristics.get(g.family)
-        if q is None or q.is_zero:
-            continue
-        out = out + total_derivative_multi(q, g.jet, m.spatial_dim) * graded_partial(f, g, "left")
-    return out
+    return sum_of(
+        total_derivative_multi(characteristics[g.family], g.jet, m.spatial_dim)
+        * graded_partial(f, g, "left")
+        for g in sorted(f.generators())
+        if g.kind is GeneratorKind.FIELD and characteristics.get(g.family))
 
 
 _PARAMETER_PREFIX = "@"
@@ -440,14 +423,10 @@ def gauge_parameter(alpha: str) -> Generator:
 
 def gauge_characteristic(m: ModelSpec, alpha: str, parameter: LocalFunction) -> dict[str, LocalFunction]:
     """Characteristics Q^a = sum_I r^{aI}_alpha D_I(parameter)."""
-    out: dict[str, LocalFunction] = {}
-    for a in m.fields:
-        q = LocalFunction.zero()
-        for jet in m.gauge_multi_indices(a, alpha):
-            q = q + m.gauge_coefficient(a, alpha, jet) * total_derivative_multi(
-                parameter, jet, m.spatial_dim)
-        out[a] = q
-    return out
+    return {a: sum_of(m.gauge_coefficient(a, alpha, jet)
+                      * total_derivative_multi(parameter, jet, m.spatial_dim)
+                      for jet in m.gauge_multi_indices(a, alpha))
+            for a in m.fields}
 
 
 @dataclass(frozen=True)
@@ -508,16 +487,8 @@ def gauge_commutator(m: ModelSpec, alpha: str, beta: str) -> GaugeCommutatorRepo
     candidates: list[tuple[str, object, dict[str, LocalFunction]]] = []
     for gamma in m.gauge_indices:
         for w in basis:
-            action: dict[str, LocalFunction] = {}
-            nonzero = False
-            for a in m.fields:
-                piece = LocalFunction.zero()
-                for jet in m.gauge_multi_indices(a, gamma):
-                    piece = piece + m.gauge_coefficient(a, gamma, jet) * total_derivative_multi(
-                        w * product_parameter, jet, m.spatial_dim)
-                action[a] = piece
-                nonzero = nonzero or not piece.is_zero
-            if nonzero:
+            action = gauge_characteristic(m, gamma, w * product_parameter)
+            if any(action.values()):
                 candidates.append(("c", (gamma, w), action))
     for ia, a in enumerate(m.fields):
         for b in m.fields[ia + 1:]:

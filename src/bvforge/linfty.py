@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Generator, LocalFunction, _coerce_coefficient, gen, graded_partial
+from .algebra import Generator, LocalFunction, _coerce_coefficient, add_terms, gen, graded_partial
 from .bracket import JetModelUnsupported, antibracket
 from .master import BVAction
 
@@ -54,10 +54,6 @@ class BasisElement:
         return f"{self.name}:{self.degree}"
 
 
-def _clean(coeffs: Mapping[BasisElement, Fraction]) -> dict:
-    return {b: c for b, c in coeffs.items() if c != 0}
-
-
 class Element:
     """A finite rational linear combination of basis vectors.
 
@@ -74,8 +70,8 @@ class Element:
             # the caller hands over a fresh dict of nonzero Fractions
             self._coeffs = coeffs
         else:
-            self._coeffs = _clean({b: _coerce_coefficient(c)
-                                   for b, c in (coeffs or {}).items()})
+            self._coeffs = add_terms({}, ((b, _coerce_coefficient(c))
+                                         for b, c in (coeffs or {}).items()))
 
     @classmethod
     def zero(cls) -> "Element":
@@ -108,14 +104,7 @@ class Element:
         return next(iter(ds)) if len(ds) == 1 else None
 
     def __add__(self, other: "Element") -> "Element":
-        out = dict(self._coeffs)
-        for b, c in other._coeffs.items():
-            total = out.get(b, 0) + c
-            if total:
-                out[b] = total
-            else:
-                del out[b]
-        return Element(out, _internal=True)
+        return Element(add_terms(dict(self._coeffs), other._coeffs.items()), _internal=True)
 
     def __neg__(self) -> "Element":
         return Element({b: -c for b, c in self._coeffs.items()}, _internal=True)
@@ -277,9 +266,8 @@ class LInftyStructure:
             coeff = Fraction(sign)
             for _, c in combo:
                 coeff *= c
-            for b, c in value._coeffs.items():
-                out[b] = out.get(b, 0) + coeff * c
-        return Element(_clean(out), _internal=True)
+            add_terms(out, ((b, coeff * c) for b, c in value._coeffs.items()))
+        return Element(out, _internal=True)
 
     def apply_differential(self, x: Element) -> Element:
         return self.apply(1, [x])

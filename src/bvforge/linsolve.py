@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Factors, LocalFunction, Monomial
+from .algebra import Factors, LocalFunction, Monomial, add_terms
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,8 @@ def solve_linear_system(
             pivot_row = pivots.get(lead)
             if pivot_row is None:
                 break
-            factor = row[lead]
-            for k, v in pivot_row.items():
-                value = row.get(k, 0) - factor * v
-                if value:
-                    row[k] = value
-                else:
-                    del row[k]
+            factor = -row[lead]
+            add_terms(row, ((k, factor * v) for k, v in pivot_row.items()))
         if not row:
             continue
         if lead == n:

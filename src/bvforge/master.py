@@ -20,17 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable
 
 from .algebra import (
     Generator,
-    GeneratorKind,
     LocalFunction,
     antifield,
     antighost,
     decompose_by_antifield_number,
     gen,
     ghost,
+    sum_of,
 )
 from .bracket import JetModelUnsupported, antibracket, bv_laplacian
 from .jet import (
@@ -38,6 +37,7 @@ from .jet import (
     all_multi_indices,
     check_noether,
     enumerate_basis_monomials,
+    families,
     functional_vanishes,
     total_derivative_multi,
     variational_derivative,
@@ -142,13 +142,22 @@ def build_stage_action(m: ModelSpec, stage: int) -> BVAction:
     return BVAction.from_total(total, m.spatial_dim, solved_up_to=stage)
 
 
+def default_stage(m: ModelSpec) -> int:
+    """The highest stage the model data permits: 2 with structure
+    functions, 1 with gauge coefficients only, else 0."""
+    if m.structure_functions is not None:
+        return 2
+    if m.gauge_coefficients:
+        return 1
+    return 0
+
+
 def kt_differential(S: BVAction, f: LocalFunction) -> LocalFunction:
     """The component of (S, f) lowering antifield number by exactly one."""
-    out = LocalFunction.zero()
-    for k, part in decompose_by_antifield_number(f).items():
-        br = antibracket(S.total, part, S.spatial_dim)
-        out = out + decompose_by_antifield_number(br).get(k - 1, LocalFunction.zero())
-    return out
+    return sum_of(
+        decompose_by_antifield_number(antibracket(S.total, part, S.spatial_dim)).get(
+            k - 1, LocalFunction.zero())
+        for k, part in decompose_by_antifield_number(f).items())
 
 
 def master_residual(S: BVAction) -> dict[int, LocalFunction]:
@@ -187,20 +196,6 @@ def correction_candidates(m: ModelSpec, antifield_number: int) -> list[LocalFunc
         _correction_pool(m), m.max_poly_degree, bidegree=(antifield_number, antifield_number))
 
 
-def _families_in(fs: Iterable[LocalFunction]) -> list[Generator]:
-    seen: set[tuple[int, str]] = set()
-    reps: dict[tuple[int, str], Generator] = {}
-    for f in fs:
-        for g in f.generators():
-            if g.kind is GeneratorKind.BASE:
-                continue
-            key = (g.kind.rank, g.family)
-            if key not in seen:
-                seen.add(key)
-                reps[key] = Generator(g.kind, g.family)
-    return [reps[k] for k in sorted(reps)]
-
-
 def _solve_lift(
     m: ModelSpec, S: BVAction, R: LocalFunction, stratum: int
 ) -> tuple[LocalFunction | None, int, int]:
@@ -221,19 +216,16 @@ def _solve_lift(
         block_cols = [kt_cols]
         block_rhs = [target]
     else:
-        families = _families_in(kt_cols + [target])
+        reps = families(*kt_cols, target)
         block_cols = [[variational_derivative(col, z, "left") for col in kt_cols]
-                      for z in families]
-        block_rhs = [variational_derivative(target, z, "left") for z in families]
+                      for z in reps]
+        block_rhs = [variational_derivative(target, z, "left") for z in reps]
 
     equations, rhs = match_coefficients(zip(block_rhs, block_cols))
     solution = solve_linear_system(equations, rhs, len(candidates))
     if solution is None:
         return None, len(candidates), 0
-    correction = LocalFunction.zero()
-    for value, cand in zip(solution.values, candidates):
-        if value:
-            correction = correction + value * cand
+    correction = sum_of(value * cand for value, cand in zip(solution.values, candidates) if value)
     return correction, len(candidates), solution.nullity
 
 
@@ -249,12 +241,7 @@ def solve_master(m: ModelSpec, K: int) -> tuple[BVAction, list[ObstructionRecord
     """
     if not check_noether(m).all_pass:
         raise NoetherPreconditionFailed("the gauge identities do not hold; fix the model first")
-    if m.structure_functions is not None:
-        S = build_stage_action(m, 2)
-    elif m.gauge_coefficients:
-        S = build_stage_action(m, 1)
-    else:
-        S = build_stage_action(m, 0)
+    S = build_stage_action(m, default_stage(m))
 
     records: list[ObstructionRecord] = []
     while True:

@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from .algebra import GeneratorKind, LocalFunction
 from .expr import (
+    MAX_DEFORMATION_ORDER,
     ExpressionSyntaxError,
     SemanticError,
     Token,
@@ -351,6 +352,10 @@ def parse_document(text: str) -> ModelDocument:
             if power < 1:
                 raise SemanticError(
                     "deformation powers start at 1", power_tok.line, power_tok.column)
+            if power > MAX_DEFORMATION_ORDER:
+                raise SemanticError(
+                    f"deformation power {power} exceeds {MAX_DEFORMATION_ORDER}",
+                    power_tok.line, power_tok.column)
             if power in deformation:
                 raise SemanticError(
                     f"duplicate deformation entry t^{power}",

@@ -15,6 +15,7 @@ from bvforge.algebra import (
     Monomial,
     OddGeneratorPresent,
     UnboundGenerator,
+    add_terms,
     antifield,
     antighost,
     base,
@@ -26,6 +27,7 @@ from bvforge.algebra import (
     graded_partial,
     normalize,
     substitute,
+    sum_of,
 )
 
 
@@ -452,3 +454,49 @@ def test_rejects_inexact_coefficients():
         LocalFunction.constant(0.5)
     with pytest.raises(TypeError):
         gen(field("1")) * 0.5
+
+
+# ------------------------------------------------------------ sparse sums
+
+def old_two_term_add(a: LocalFunction, b: LocalFunction) -> LocalFunction:
+    """The accumulation loop ``__add__`` ran before ``sum_of``: the oracle."""
+    data = dict(a.terms())
+    for factors, coeff in b.terms():
+        acc = data.get(factors, Fraction(0)) + coeff
+        if acc:
+            data[factors] = acc
+        else:
+            data.pop(factors, None)
+    return LocalFunction(data, _internal=True)
+
+
+def test_add_terms_keeps_exactly_the_nonzero_sums():
+    data = add_terms({}, [("a", Fraction(1)), ("b", Fraction(0)), ("c", Fraction(2)),
+                          ("a", Fraction(-1)), ("c", Fraction(1, 2)), ("d", Fraction(-3))])
+    assert data == {"c": Fraction(5, 2), "d": Fraction(-3)}
+    assert add_terms(data, [("d", Fraction(3)), ("c", Fraction(-5, 2))]) is data
+    assert data == {}
+
+
+def test_sum_of_agrees_with_a_fold_of_the_two_term_add():
+    rng = random.Random(20261018)
+    cancelled = 0
+    for trial in range(300):
+        fs = [random_local_function(rng, terms=rng.randint(0, 4)) for _ in range(rng.randint(0, 5))]
+        # feed back negated and rescaled copies so that terms cancel, wholly or in part
+        for _ in range(rng.randint(0, 3)):
+            if fs:
+                fs.insert(rng.randint(0, len(fs)), rng.choice([-1, -1, 2]) * rng.choice(fs))
+        expected = LocalFunction.zero()
+        for f in fs:
+            expected = old_two_term_add(expected, f)
+        total = sum_of(fs)
+        assert total == expected
+        assert all(c != 0 for _, c in total.terms())
+        assert sum_of(iter(fs)) == expected
+        if fs:
+            assert fs[0] + LocalFunction.zero() == fs[0]
+            assert sum(fs[1:], fs[0]) == expected
+        cancelled += sum(len(f.terms()) for f in fs) > len(total.terms())
+    assert cancelled > 100
+    assert sum_of([]) == LocalFunction.zero()

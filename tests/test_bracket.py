@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from bvforge.algebra import (
+    Generator,
+    GeneratorKind,
     LocalFunction,
     Monomial,
     antifield,
@@ -25,11 +27,12 @@ from bvforge.bracket import (
     antibracket_pointwise,
     antibracket_variational,
     bv_identity_harness,
+    _family_pairs,
     bv_laplacian,
     conjugate_pair_table,
     gerstenhaber_harness,
 )
-from bvforge.jet import total_derivative
+from bvforge.jet import families, total_derivative
 
 U, US = field("1"), antifield("1")
 V, VS = field("2"), antifield("2")
@@ -268,3 +271,69 @@ def test_bv_identity_explicit_pairs():
     a, b = gen(U), gen(V) * gen(V)
     assert antibracket_pointwise(a, b).is_zero
     assert bv_laplacian(a * b).is_zero
+
+
+# ------------------------------------------------------- family walks
+
+def old_families_in(fs):
+    """The family walk ``master`` ran before ``jet.families``: the oracle."""
+    seen: set[tuple[int, str]] = set()
+    reps: dict[tuple[int, str], Generator] = {}
+    for f in fs:
+        for g in f.generators():
+            if g.kind is GeneratorKind.BASE:
+                continue
+            key = (g.kind.rank, g.family)
+            if key not in seen:
+                seen.add(key)
+                reps[key] = Generator(g.kind, g.family)
+    return [reps[k] for k in sorted(reps)]
+
+
+def old_family_pairs(*fs):
+    """The pair walk ``_family_pairs`` ran before ``jet.families``: the oracle."""
+    seen: set[tuple[int, str]] = set()
+    for f in fs:
+        for g in f.generators():
+            if g.kind is GeneratorKind.BASE:
+                continue
+            cls = 0 if g.kind in (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD) else 1
+            seen.add((cls, g.family))
+    pairs = []
+    for cls, fam in sorted(seen):
+        if cls == 0:
+            pairs.append((field(fam), antifield(fam)))
+        else:
+            pairs.append((ghost(fam), antighost(fam)))
+    return pairs
+
+
+def random_jet_function(rng):
+    """A local function over all five generator kinds, prolonged up to order 2."""
+    monos = []
+    for _ in range(rng.randint(0, 4)):
+        flat = []
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice(list(GeneratorKind))
+            if kind is GeneratorKind.BASE:
+                flat.append(Generator(kind, rng.choice("12")))
+            else:
+                jet = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 2)))
+                flat.append(Generator(kind, rng.choice(("1", "2", "a", "b10")), jet))
+        coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        monos.append(Monomial(coeff, tuple((g, 1) for g in flat)))
+    return LocalFunction.from_monomials(monos)
+
+
+def test_families_and_pairs_agree_with_the_old_walks():
+    rng = random.Random(20261019)
+    kinds_seen = set()
+    for _ in range(200):
+        fs = [random_jet_function(rng) for _ in range(rng.randint(1, 3))]
+        reps = families(*fs)
+        assert reps == old_families_in(fs)
+        assert all(not z.jet for z in reps)
+        assert _family_pairs(*fs) == old_family_pairs(*fs)
+        kinds_seen.update(g.kind for f in fs for g in f.generators() if g.jet)
+    assert kinds_seen == set(GeneratorKind) - {GeneratorKind.BASE}
+    assert families() == [] == _family_pairs(LocalFunction.one())

@@ -83,6 +83,15 @@ def test_solve_requires_the_gauge_identities():
     assert "gauge identities" in out
 
 
+def test_negative_antifield_bound_is_refused():
+    # without the refusal, -K -1 skipped every stratum and turned FAIL into PASS
+    assert run_command(["solve", fx("open_algebra.bv"), "--bounds", "deg=2"])[0] == 1
+    for command in ("solve", "residual"):
+        assert run_command([command, fx("open_algebra.bv"), "--bounds", "deg=2", "-K", "-1"]) \
+            == (2, "error: -K must be at least 0, got -1\n")
+    assert run_command(["residual", fx("open_algebra.bv"), "-K", "0"])[0] == 0
+
+
 def test_residual_reports_the_unlifted_staged_stratum():
     status, out = run_command(["residual", fx("open_algebra.bv")])
     assert status == 1
@@ -197,6 +206,17 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
     status, out = run_command(["el", str(deep)])
     assert status == 2
     assert out.startswith("error: line 3, column ")
+
+
+def test_unbounded_exponents_are_refused(tmp_path):
+    power = tmp_path / "power.bv"
+    power.write_text("dimension 0\nfields 1\nlagrangian u[1]^100000000\n")
+    assert run_command(["el", str(power)]) == \
+        (2, "error: line 3, column 17: exponent 100000000 exceeds 100\n")
+    order = tmp_path / "order.bv"
+    order.write_text(Path(fx("rotation.bv")).read_text() + "  t^100000 = u[1]\n")
+    assert run_command(["mc", str(order)]) == \
+        (2, "error: line 22, column 5: deformation power 100000 exceeds 12\n")
 
 
 def test_jet_models_cannot_be_extracted():

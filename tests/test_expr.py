@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -15,7 +16,9 @@ from bvforge.algebra import (
     ghost,
 )
 from bvforge.expr import (
+    MAX_EXPONENT,
     MAX_NESTING,
+    MAX_POWER_TERMS,
     ExpressionSyntaxError,
     SemanticError,
     format_local_function,
@@ -202,3 +205,25 @@ def test_print_parse_round_trip_on_500_random_functions():
         assert parse_expression(text) == f
         # canonical forms are fixed points of print(parse(.))
         assert format_local_function(parse_expression(text)) == text
+
+
+def test_powers_are_bounded_before_expansion(monkeypatch):
+    u1 = lf(field("1"))
+    assert parse_expression(f"u[1]^{MAX_EXPONENT}") == u1 ** MAX_EXPONENT
+    assert parse_expression("(u[1] - u[1])^5").is_zero
+
+    def refuse(self, n):
+        raise AssertionError("a refused power was expanded")
+
+    monkeypatch.setattr(LocalFunction, "__pow__", refuse)
+    with pytest.raises(SemanticError, match=f"exponent 100000000 exceeds {MAX_EXPONENT}") as err:
+        parse_expression("2*u[1]^100000000")
+    assert (err.value.line, err.value.column) == (1, 8)
+    with pytest.raises(SemanticError, match=f"exponent {MAX_EXPONENT + 1} exceeds") as err:
+        parse_expression(f"(u[1])^{MAX_EXPONENT + 1}")
+    # a trinomial to the power e has at most C(e + 2, 2) terms
+    e = next(e for e in range(MAX_EXPONENT) if comb(e + 2, 2) > MAX_POWER_TERMS)
+    with pytest.raises(SemanticError, match=f"3-term expression to the power {e} may expand"
+                                            f" to {comb(e + 2, 2)} terms") as err:
+        parse_expression(f"(u[1] + u[2] + u[3])^{e}")
+    assert (err.value.line, err.value.column) == (1, 22)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bvforge.algebra import LocalFunction, antighost, field, ghost
-from bvforge.expr import ExpressionSyntaxError, SemanticError
+from bvforge.expr import MAX_DEFORMATION_ORDER, ExpressionSyntaxError, SemanticError
 from bvforge.jet import ModelSpec
 from bvforge.modelfile import parse_document, parse_model, print_model
 
@@ -240,3 +240,12 @@ def test_print_model_includes_deformation():
     again = parse_document(text)
     assert again.spec == doc.spec
     assert again.deformation == doc.deformation
+
+
+def test_deformation_order_is_bounded():
+    text = "dimension 0\nfields 1\ndeformation\n  t^{} = u[1]\n"
+    assert parse_document(text.format(MAX_DEFORMATION_ORDER)).deformation == {
+        MAX_DEFORMATION_ORDER: LocalFunction.from_generator(field("1"))}
+    with pytest.raises(SemanticError, match=f"power 100000 exceeds {MAX_DEFORMATION_ORDER}") as err:
+        parse_document(text.format(100000))
+    assert (err.value.line, err.value.column) == (4, 5)
