@@ -33,14 +33,6 @@ from fractions import Fraction
 from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple
 
 
-class OddGeneratorPresent(ValueError):
-    """An operation that requires purely even input met an odd generator."""
-
-
-class UnboundGenerator(KeyError):
-    """A substitution left some even generator without a value."""
-
-
 class GeneratorKind(Enum):
     BASE = "x"
     FIELD = "u"
@@ -367,9 +359,6 @@ class LocalFunction:
         values = {getattr(Monomial(c, f), attr) for f, c in self._terms.items()}
         return values.pop() if len(values) == 1 else None
 
-    def is_homogeneous(self) -> bool:
-        return self.is_zero or self._common("bidegree") is not None
-
     def bidegree(self) -> Bidegree | None:
         """The common bidegree of all terms, or None if mixed or zero."""
         return self._common("bidegree")
@@ -512,39 +501,9 @@ def graded_partial(f: LocalFunction, z: Generator, side: str = "left") -> LocalF
     return LocalFunction(data, _internal=True)
 
 
-def _decompose(f: LocalFunction, attr: str) -> dict:
-    """Split ``f`` by the value of a Monomial attribute, in ascending order."""
-    buckets: dict[object, dict[Factors, Fraction]] = {}
-    for factors, coeff in f._terms.items():
-        buckets.setdefault(getattr(Monomial(coeff, factors), attr), {})[factors] = coeff
-    return {key: LocalFunction(terms, _internal=True) for key, terms in sorted(buckets.items())}
-
-
-def bidegree_decompose(f: LocalFunction) -> dict[Bidegree, LocalFunction]:
-    """Split ``f`` into its homogeneous bidegree components."""
-    return _decompose(f, "bidegree")
-
-
 def decompose_by_antifield_number(f: LocalFunction) -> dict[int, LocalFunction]:
-    """Split ``f`` into strata of fixed total antighost degree."""
-    return _decompose(f, "antifield_number")
-
-
-def substitute(f: LocalFunction, bindings: Mapping[Generator, object]) -> Fraction:
-    """Evaluate a purely even local function at a rational point.
-
-    Raises OddGeneratorPresent if ``f`` involves any odd generator and
-    UnboundGenerator if some even generator of ``f`` has no binding.
-    """
-    values = {g: _coerce_coefficient(v) for g, v in bindings.items()}
-    total = Fraction(0)
+    """Split ``f`` into strata of fixed total antighost degree, in ascending order."""
+    buckets: dict[int, dict[Factors, Fraction]] = {}
     for factors, coeff in f._terms.items():
-        term = coeff
-        for g, e in factors:
-            if g.is_odd:
-                raise OddGeneratorPresent(f"cannot evaluate odd generator {g}")
-            if g not in values:
-                raise UnboundGenerator(f"no value bound for generator {g}")
-            term *= values[g] ** e
-        total += term
-    return total
+        buckets.setdefault(Monomial(coeff, factors).antifield_number, {})[factors] = coeff
+    return {k: LocalFunction(terms, _internal=True) for k, terms in sorted(buckets.items())}

@@ -36,6 +36,7 @@ from .algebra import (
     graded_partial,
     sum_of,
 )
+from .expr import format_generator
 from .jet import families, variational_derivative
 
 
@@ -45,18 +46,6 @@ class JetModelRequiresVariationalBracket(ValueError):
 
 class JetModelUnsupported(ValueError):
     """The Laplacian is defined on finite models only."""
-
-
-def conjugate_pair_table(*fs: LocalFunction) -> dict[Generator, Generator]:
-    """The involutive conjugation map on every non-base generator present."""
-    table: dict[Generator, Generator] = {}
-    for f in fs:
-        for g in f.generators():
-            if g.kind is GeneratorKind.BASE or g in table:
-                continue
-            table[g] = g.conjugate()
-            table[g.conjugate()] = g
-    return table
 
 
 _FIELD_CLASS = (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD)
@@ -72,9 +61,9 @@ def _family_pairs(*fs: LocalFunction) -> list[tuple[Generator, Generator]]:
 
 
 def _require_finite(f: LocalFunction, err: type[ValueError], what: str) -> None:
-    for g in f.generators():
-        if g.jet:
-            raise err(f"{what} requires an unprolonged model; found {g}")
+    prolonged = [g for g in f.generators() if g.jet]
+    if prolonged:
+        raise err(f"{what} requires an unprolonged model; found {format_generator(min(prolonged))}")
 
 
 def _antibracket(f: LocalFunction, g: LocalFunction, derivative) -> LocalFunction:

@@ -18,10 +18,9 @@ from pathlib import Path
 
 from .algebra import LocalFunction
 from .bracket import antibracket, bv_laplacian
-from .expr import ExpressionError, format_local_function
+from .expr import format_generator, format_local_function
 from .jet import ModelSpec, check_noether, euler_lagrange
-from .linfty import (Element, LInftyStructure, _generator_name, check_linfty, extract_brackets,
-                     mc_residual)
+from .linfty import Element, LInftyStructure, check_linfty, extract_brackets, mc_residual
 from .master import (BVAction, build_stage_action, default_stage, master_residual,
                      quantum_master_check, solve_master)
 from .modelfile import ModelDocument, parse_document, print_model
@@ -135,7 +134,7 @@ def _theta_elements(L: LInftyStructure, deformation: dict[int, LocalFunction]) -
     for power, f in deformation.items():
         acc = Element.zero()
         for mono in f.monomials():
-            name = _generator_name(mono.factors[0][0])
+            name = format_generator(mono.factors[0][0])
             slot = by_name.get(name)
             if slot is None:
                 raise ValueError(

@@ -3,9 +3,8 @@
 This module provides the jet-space differential operators (prolongation,
 total derivatives, Euler-Lagrange derivatives), the divergence test that
 implements equality of local functionals, and the model-level checks:
-Noether identity verification, the antisymmetric-pairing identity on
-equations of motion, and the decomposition of a commutator of gauge
-transformations into structure-function and on-shell parts.
+Noether identity verification and the decomposition of a commutator of
+gauge transformations into structure-function and on-shell parts.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .algebra import (
     graded_partial,
     sum_of,
 )
+from .expr import format_generator
 from .linsolve import match_coefficients, solve_linear_system
 
 
@@ -39,10 +39,6 @@ class IndexOutOfRange(ValueError):
 
 class NonFieldGeneratorPresent(ValueError):
     """The divergence test is defined on the field sector only."""
-
-
-class AntisymmetryViolation(ValueError):
-    """A pairing required to be antisymmetric was not."""
 
 
 def _check_direction(i: int, spatial_dim: int | None) -> None:
@@ -71,7 +67,7 @@ def total_derivative(f: LocalFunction, i: int, spatial_dim: int | None = None) -
     _check_direction(i, spatial_dim)
     return sum_of([graded_partial(f, base(i), "left")] + [
         gen(prolong(z, i)) * graded_partial(f, z, "left")
-        for z in sorted(f.generators()) if z.kind is not GeneratorKind.BASE])
+        for z in f.generators() if z.kind is not GeneratorKind.BASE])
 
 
 def total_derivative_multi(
@@ -95,7 +91,7 @@ def variational_derivative(
     if z.jet:
         raise ValueError("variational derivatives are taken per family; pass the unprolonged generator")
     terms = []
-    for g in sorted(f.generators()):
+    for g in f.generators():
         if g.kind is z.kind and g.family == z.family:
             term = total_derivative_multi(graded_partial(f, g, side), g.jet)
             terms.append(-term if len(g.jet) % 2 else term)
@@ -108,9 +104,10 @@ def euler_lagrange(f: LocalFunction, a: str) -> LocalFunction:
 
 
 def _field_sector_only(f: LocalFunction, what: str) -> None:
-    for g in f.generators():
-        if g.kind not in (GeneratorKind.BASE, GeneratorKind.FIELD):
-            raise NonFieldGeneratorPresent(f"{what} is defined on the field sector; found {g}")
+    outside = [g for g in f.generators() if g.kind not in (GeneratorKind.BASE, GeneratorKind.FIELD)]
+    if outside:
+        raise NonFieldGeneratorPresent(
+            f"{what} is defined on the field sector; found {format_generator(min(outside))}")
 
 
 def is_total_divergence(f: LocalFunction) -> bool:
@@ -122,13 +119,6 @@ def is_total_divergence(f: LocalFunction) -> bool:
     """
     _field_sector_only(f, "the divergence test")
     return all(euler_lagrange(f, z.family).is_zero for z in families(f))
-
-
-def functionals_equivalent(L: LocalFunction, K: LocalFunction) -> bool:
-    """Equality of the local functionals: integrands agree up to a divergence."""
-    _field_sector_only(L, "functional comparison")
-    _field_sector_only(K, "functional comparison")
-    return is_total_divergence(L - K)
 
 
 def functional_vanishes(f: LocalFunction, spatial_dim: int) -> bool:
@@ -276,7 +266,7 @@ class ModelSpec:
                 self.closure_functions, slots=(2, 3), what="closure functions")
 
     def _check_field_sector(self, f: LocalFunction, what: str) -> None:
-        for g in f.generators():
+        for g in sorted(f.generators()):
             if g.kind is GeneratorKind.BASE:
                 if int(g.family) > self.spatial_dim:
                     raise ValueError(f"{what} uses base coordinate beyond dimension {self.spatial_dim}")
@@ -369,32 +359,6 @@ def check_noether(m: ModelSpec) -> NoetherReport:
     return NoetherReport(per_identity_residual=residuals, euler_lagrange_by_field=el)
 
 
-def verify_trivial_identity(
-    m: ModelSpec, mu: Mapping[tuple[str, tuple[int, ...], str, tuple[int, ...]], LocalFunction]
-) -> bool:
-    """Check that an antisymmetric pairing of the equations of motion vanishes.
-
-    ``mu`` maps (b, J, a, I) to a coefficient function and must satisfy
-    mu[b,J,a,I] = -mu[a,I,b,J]; the contraction sum of
-    D_J E_b(L) * mu * D_I E_a(L) is then zero by commutativity, and this
-    harness verifies that explicitly.
-    """
-    for (b, J, a, I), value in mu.items():
-        if (b, J) == (a, I):
-            if not value.is_zero:
-                raise AntisymmetryViolation(f"diagonal entry {(b, J, a, I)} must vanish")
-            continue
-        partner = mu.get((a, I, b, J), LocalFunction.zero())
-        if partner != -value:
-            raise AntisymmetryViolation(
-                f"entries {(b, J, a, I)} and {(a, I, b, J)} are not antisymmetric")
-    el = {a: euler_lagrange(m.lagrangian, a) for a in m.fields}
-    return sum_of(
-        total_derivative_multi(el[b], J, m.spatial_dim) * value
-        * total_derivative_multi(el[a], I, m.spatial_dim)
-        for (b, J, a, I), value in sorted(mu.items())).is_zero
-
-
 # -------------------------------------------------- gauge transformations
 
 def apply_evolutionary(
@@ -409,7 +373,7 @@ def apply_evolutionary(
     return sum_of(
         total_derivative_multi(characteristics[g.family], g.jet, m.spatial_dim)
         * graded_partial(f, g, "left")
-        for g in sorted(f.generators())
+        for g in f.generators()
         if g.kind is GeneratorKind.FIELD and characteristics.get(g.family))
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import Generator, LocalFunction, _coerce_coefficient, add_terms, gen, graded_partial
-from .bracket import JetModelUnsupported, antibracket
+from .algebra import _coerce_coefficient, add_terms, graded_partial
+from .bracket import JetModelUnsupported
+from .expr import format_generator
 from .master import BVAction
 
 PHYSICS = "physics"
@@ -293,18 +294,17 @@ class LInftyStructure:
 
 # ------------------------------------------------------------ extraction
 
-def _generator_name(g: Generator) -> str:
-    return f"{g.kind.value}[{g.family}]"
-
-
 def extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
     """Read the multi-brackets off a finite-model action.
 
-    For each generator z the expansion of (S, z) in monomials is polarized
-    by iterated left derivatives at the origin; the arity-n coefficients,
-    weighted by (-1)^(n+1), form the arity-n bracket.  That weight makes
-    the binary bracket of a ghost-cubic action reproduce the structure
-    constants with their textbook orientation.
+    The image (S, g) of a generator g is -dR S/dg* for a field or ghost
+    and +dR S/dg* for an antifield or antighost, one right partial of S.
+    Polarizing a canonical term c z_1^e_1 ... z_k^e_k of degree n at the
+    origin gives c times the product of the e_i!, so each term is one
+    entry of the arity-n bracket on the key (z_1 repeated e_1 times, ...),
+    weighted by (-1)^(n+1).  That weight makes the binary bracket of a
+    ghost-cubic action reproduce the structure constants with their
+    textbook orientation.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -316,49 +316,28 @@ def extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
             f"arity {n_max} needs strata solved through antifield number "
             f"{needed}, have {S.solved_up_to}")
 
-    generators: set[Generator] = set()
-    for g in S.total.generators():
-        generators.add(g)
-        generators.add(g.conjugate())
-    basis_gens = sorted(generators)
-    to_basis = {g: BasisElement(_generator_name(g), g.ghost_number)
-                for g in basis_gens}
+    basis_gens = sorted({h for g in S.total.generators() for h in (g, g.conjugate())})
+    to_basis = {g: BasisElement(format_generator(g), g.ghost_number) for g in basis_gens}
 
-    differential: dict[BasisElement, Element] = {}
-    brackets: dict[int, dict[tuple[BasisElement, ...], Element]] = {}
+    # entries[n][key] holds the coefficients of the output basis elements
+    entries: dict[int, dict] = {}
     for g in basis_gens:
-        image = antibracket(S.total, gen(g), 0)
-        by_degree: dict[int, list] = {}
-        for mono in image.monomials():
-            if 1 <= mono.degree <= n_max:
-                by_degree.setdefault(mono.degree, []).append(mono)
-        for n, monos in sorted(by_degree.items()):
-            part = LocalFunction.from_monomials(monos)
-            weight = 1 if n % 2 else -1
-            keys = sorted({
-                tuple(z for z, e in m.factors for _ in range(e))
-                for m in monos
-            })
-            for key in keys:
-                probe = part
-                for z in key:
-                    probe = graded_partial(probe, z, "left")
-                coefficient = weight * probe.constant_term()
-                if coefficient == 0:
-                    continue
-                contribution = Element.from_basis(to_basis[g], coefficient)
-                if n == 1:
-                    slot = to_basis[key[0]]
-                    differential[slot] = differential.get(slot, Element.zero()) + contribution
-                else:
-                    table = brackets.setdefault(n, {})
-                    bkey = tuple(to_basis[z] for z in key)
-                    table[bkey] = table.get(bkey, Element.zero()) + contribution
+        side_sign = 1 if g.antifield_number else -1
+        for factors, c in graded_partial(S.total, g.conjugate(), "right").terms():
+            n = sum(e for _, e in factors)
+            if not 1 <= n <= n_max:
+                continue
+            weight = side_sign if n % 2 else -side_sign
+            key = tuple(to_basis[z] for z, e in factors for _ in range(e))
+            entries.setdefault(n, {}).setdefault(key, {})[to_basis[g]] = (
+                weight * c * prod(factorial(e) for _, e in factors))
 
+    tensors = {n: {key: Element(value, _internal=True) for key, value in table.items()}
+               for n, table in entries.items()}
     return LInftyStructure(
         basis=tuple(to_basis[g] for g in basis_gens),
-        differential=differential,
-        brackets=brackets,
+        differential={key[0]: value for key, value in tensors.pop(1, {}).items()},
+        brackets=tensors,
         convention=PHYSICS,
     )
 

@@ -189,7 +189,7 @@ class _Checker:
 
     def field_sector_expression(self, f: LocalFunction, line: int) -> None:
         """Only base coordinates and fields, within bounds."""
-        for g in f.generators():
+        for g in sorted(f.generators()):
             if g.kind is GeneratorKind.BASE:
                 self.direction(int(g.family), line, 1)
             elif g.kind is GeneratorKind.FIELD:

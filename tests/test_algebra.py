@@ -1,4 +1,4 @@
-"""Core graded algebra: canonical forms, signs, derivatives, evaluation."""
+"""Core graded algebra: canonical forms, signs, derivatives, decomposition."""
 
 from __future__ import annotations
 
@@ -13,20 +13,16 @@ from bvforge.algebra import (
     GeneratorKind,
     LocalFunction,
     Monomial,
-    OddGeneratorPresent,
-    UnboundGenerator,
     add_terms,
     antifield,
     antighost,
     base,
-    bidegree_decompose,
     decompose_by_antifield_number,
     field,
     gen,
     ghost,
     graded_partial,
     normalize,
-    substitute,
     sum_of,
 )
 
@@ -148,6 +144,7 @@ def test_conjugation_is_an_involution():
         assert g.conjugate().conjugate() == g
         assert g.conjugate().family == g.family
         assert g.conjugate().jet == g.jet
+        assert g.ghost_number + g.conjugate().ghost_number == -1
     with pytest.raises(ValueError):
         base(1).conjugate()
 
@@ -352,21 +349,24 @@ def test_mixed_second_partials_anticommute_for_odd_generators():
 
 # ---------------------------------------------------------------- decomposition
 
-def test_bidegree_decompose_single_stratum():
+def test_decompose_by_antifield_number_single_stratum():
     f = gen(antighost("1")) * gen(ghost("1")) * gen(ghost("2"))
-    parts = bidegree_decompose(f)
-    assert set(parts) == {Bidegree(2, 2)}
-    assert parts[Bidegree(2, 2)] == f
+    parts = decompose_by_antifield_number(f)
+    assert set(parts) == {2}
+    assert parts[2] == f
+    assert f.bidegree() == Bidegree(2, 2)
 
 
-def test_bidegree_decompose_splits_and_reassembles():
+def test_decompose_by_antifield_number_splits_and_reassembles():
     rng = random.Random(90)
     for _ in range(30):
         f = random_local_function(rng, terms=5, max_len=4)
-        parts = bidegree_decompose(f)
+        parts = decompose_by_antifield_number(f)
+        assert list(parts) == sorted(parts)
         total = LocalFunction.zero()
-        for deg, part in parts.items():
-            assert part.bidegree() == deg
+        for k, part in parts.items():
+            assert not part.is_zero
+            assert {m.antifield_number for m in part.monomials()} == {k}
             total = total + part
         assert total == f
 
@@ -382,34 +382,18 @@ def test_antifield_number_strata():
     assert strata[2] == cs
 
 
-# ---------------------------------------------------------------- evaluation
+# ---------------------------------------------------------------- expansion
 
-def test_substitute_on_even_function():
-    u = field("1")
-    u1 = field("1", (1,))
-    f = gen(u) * gen(u1)
-    assert substitute(f, {u: 2, u1: -1}) == -2
-
-
-def test_substitute_requires_even_input():
-    f = gen(ghost("1"))
-    with pytest.raises(OddGeneratorPresent):
-        substitute(f, {})
-
-
-def test_substitute_requires_all_bindings():
-    f = gen(field("1")) + gen(field("2"))
-    with pytest.raises(UnboundGenerator):
-        substitute(f, {field("1"): 1})
-
-
-def test_substitute_polynomial_identity():
+def test_even_binomial_square_has_exact_coefficients():
     x = base(1)
     u = field("1")
-    f = (gen(x) + gen(u)) ** 2
-    for a, b in [(0, 0), (1, 2), (Fraction(1, 3), Fraction(-2, 5))]:
-        expected = (Fraction(a) + Fraction(b)) ** 2
-        assert substitute(f, {x: a, u: b}) == expected
+    for a, b in [(1, 1), (1, 2), (Fraction(1, 3), Fraction(-2, 5))]:
+        f = (a * gen(x) + b * gen(u)) ** 2
+        assert dict(f.terms()) == {
+            ((x, 2),): Fraction(a) ** 2,
+            ((x, 1), (u, 1)): 2 * Fraction(a) * b,
+            ((u, 2),): Fraction(b) ** 2,
+        }
 
 
 # ---------------------------------------------------------------- housekeeping
@@ -441,7 +425,7 @@ def test_coefficient_lookup():
 def test_homogeneity_queries():
     u = gen(field("1"))
     C = gen(ghost("1"))
-    assert (u * u).is_homogeneous()
+    assert (u * u).bidegree() == Bidegree(0, 0)
     assert (u + C).bidegree() is None
     assert (u + C).parity() is None
     assert C.ghost_number() == 1

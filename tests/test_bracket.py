@@ -29,7 +29,6 @@ from bvforge.bracket import (
     bv_identity_harness,
     _family_pairs,
     bv_laplacian,
-    conjugate_pair_table,
     gerstenhaber_harness,
 )
 from bvforge.jet import families, total_derivative
@@ -219,17 +218,6 @@ def test_laplacian_raises_ghost_number_by_one():
         found += 1
         assert out.ghost_number() == f.ghost_number() + 1
     assert found > 20
-
-
-# ---------------------------------------------------------------- pair table
-
-def test_conjugate_pair_table_is_involutive():
-    f = gen(field("1", (1, 2))) * gen(ghost("1")) + gen(antighost("2"))
-    table = conjugate_pair_table(f)
-    assert table
-    for g, gs in table.items():
-        assert table[gs] == g
-        assert g.bidegree.total + gs.bidegree.total == -1
 
 
 # ---------------------------------------------------------------- harnesses

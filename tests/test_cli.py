@@ -1,6 +1,7 @@
 """Command line driver: dispatch, reports, exit statuses, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -312,6 +313,27 @@ def test_main_writes_to_stdout_and_returns_status(capsys):
     status = main(["solve", fx("scalar_gauge.bv")])
     assert status == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    model = tmp_path / "undeclared.bv"
+    model.write_text("dimension 1\nfields 1\nlagrangian u[7]*u[8]*u[9]*x[1]\n",
+                     encoding="utf-8")
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    cases = [
+        (["delta", fx("su2_plane.bv")],
+         "error: the Laplacian requires an unprolonged model; found u[11; 2]\n"),
+        (["el", str(model)], "error: line 3, column 1: unknown field family '7'\n"),
+    ]
+    for argv, expected in cases:
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-m", "bvforge.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 2
+            assert proc.stderr == expected
+            assert "Generator(" not in proc.stderr
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -15,9 +15,9 @@ from bvforge.algebra import (
     field,
     gen,
     ghost,
+    sum_of,
 )
 from bvforge.jet import (
-    AntisymmetryViolation,
     BaseCoordinateProlongation,
     IndexOutOfRange,
     ModelSpec,
@@ -28,13 +28,11 @@ from bvforge.jet import (
     enumerate_basis_monomials,
     euler_lagrange,
     functional_vanishes,
-    functionals_equivalent,
     gauge_commutator,
     is_total_divergence,
     prolong,
     total_derivative,
     total_derivative_multi,
-    verify_trivial_identity,
 )
 
 U = field("1")
@@ -175,15 +173,17 @@ def test_is_total_divergence_examples():
 def test_is_total_divergence_gate():
     with pytest.raises(NonFieldGeneratorPresent):
         is_total_divergence(gen(ghost("g")))
-    with pytest.raises(NonFieldGeneratorPresent):
-        functionals_equivalent(gen(antifield("1")), LocalFunction.zero())
+    with pytest.raises(NonFieldGeneratorPresent, match=r"found ustar\[1\]$"):
+        is_total_divergence(gen(ghost("g")) * gen(antifield("1")) + gen(U))
 
 
 def test_functionals_equivalent_examples():
-    assert functionals_equivalent(gen(U) * gen(U11), -(gen(U1) ** 2))
-    assert not functionals_equivalent(gen(U), LocalFunction.zero())
+    # two integrands define the same functional iff they differ by a divergence
+    L, K = gen(U) * gen(U11), -(gen(U1) ** 2)
+    assert is_total_divergence(L - K)
+    assert not is_total_divergence(gen(U) - LocalFunction.zero())
     f = gen(U) ** 2 * gen(X1)
-    assert functionals_equivalent(f, f)
+    assert is_total_divergence(f - f)
 
 
 def test_functional_vanishes_spans_all_sectors():
@@ -322,28 +322,35 @@ def test_noether_passes_on_rotation_model():
 
 # ---------------------------------------------------------------- pairing identity
 
+def pairing_contraction(m, mu):
+    """sum of D_J E_b(L) * mu[b, J, a, I] * D_I E_a(L) over the pairing."""
+    el = {a: euler_lagrange(m.lagrangian, a) for a in m.fields}
+    return sum_of(
+        total_derivative_multi(el[b], J, m.spatial_dim) * value
+        * total_derivative_multi(el[a], I, m.spatial_dim)
+        for (b, J, a, I), value in sorted(mu.items()))
+
+
 def test_trivial_identity_holds_for_antisymmetric_pairing():
     m = scalar_model()
     mu = {
         ("1", (1,), "1", ()): gen(U),
         ("1", (), "1", (1,)): -gen(U),
     }
-    assert verify_trivial_identity(m, mu)
+    assert pairing_contraction(m, mu).is_zero
 
 
 def test_trivial_identity_rejects_symmetric_pairing():
     m = scalar_model()
-    with pytest.raises(AntisymmetryViolation):
-        verify_trivial_identity(m, {
-            ("1", (1,), "1", ()): gen(U),
-            ("1", (), "1", (1,)): gen(U),
-        })
-    with pytest.raises(AntisymmetryViolation):
-        verify_trivial_identity(m, {("1", (), "1", ()): gen(U)})
+    assert not pairing_contraction(m, {
+        ("1", (1,), "1", ()): gen(U),
+        ("1", (), "1", (1,)): gen(U),
+    }).is_zero
+    assert not pairing_contraction(m, {("1", (), "1", ()): gen(U)}).is_zero
 
 
 def test_trivial_identity_empty_pairing():
-    assert verify_trivial_identity(scalar_model(), {})
+    assert pairing_contraction(scalar_model(), {}).is_zero
 
 
 # ---------------------------------------------------------------- evolutionary fields

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from bvforge.algebra import LocalFunction, field, gen, ghost
-from bvforge.bracket import JetModelUnsupported
+from bvforge import cli, linfty
+from bvforge.algebra import (Generator, LocalFunction, Monomial, antifield, antighost, field, gen,
+                             ghost, graded_partial)
+from bvforge.bracket import JetModelUnsupported, antibracket
+from bvforge.cli import run_command
+from bvforge.expr import format_generator
 from bvforge.jet import ModelSpec
 from bvforge.linfty import (
     MATH,
@@ -30,6 +36,7 @@ from bvforge.linfty import (
     unshuffles,
 )
 from bvforge.master import BVAction, build_stage_action, solve_master
+from bvforge.modelfile import parse_document, print_model
 
 HALF = LocalFunction.constant(Fraction(1, 2))
 
@@ -342,6 +349,182 @@ def test_extraction_rejects_jet_models():
     S, _ = solve_master(m, 2)
     with pytest.raises(JetModelUnsupported):
         extract_brackets(S, 2)
+
+
+# The oracle for ``extract_brackets``: the earlier extraction, one full
+# antibracket per generator polarized by iterated left derivatives.
+def polarized_extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
+    """Read the multi-brackets off a finite-model action.
+
+    For each generator z the expansion of (S, z) in monomials is polarized
+    by iterated left derivatives at the origin; the arity-n coefficients,
+    weighted by (-1)^(n+1), form the arity-n bracket.  That weight makes
+    the binary bracket of a ghost-cubic action reproduce the structure
+    constants with their textbook orientation.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if S.spatial_dim != 0:
+        raise JetModelUnsupported("extraction needs a finite model")
+    needed = 1 if n_max == 1 else 2
+    if S.solved_up_to < needed:
+        raise InsufficientStrata(
+            f"arity {n_max} needs strata solved through antifield number "
+            f"{needed}, have {S.solved_up_to}")
+
+    generators: set[Generator] = set()
+    for g in S.total.generators():
+        generators.add(g)
+        generators.add(g.conjugate())
+    basis_gens = sorted(generators)
+    to_basis = {g: BasisElement(format_generator(g), g.ghost_number)
+                for g in basis_gens}
+
+    differential: dict[BasisElement, Element] = {}
+    brackets: dict[int, dict[tuple[BasisElement, ...], Element]] = {}
+    for g in basis_gens:
+        image = antibracket(S.total, gen(g), 0)
+        by_degree: dict[int, list] = {}
+        for mono in image.monomials():
+            if 1 <= mono.degree <= n_max:
+                by_degree.setdefault(mono.degree, []).append(mono)
+        for n, monos in sorted(by_degree.items()):
+            part = LocalFunction.from_monomials(monos)
+            weight = 1 if n % 2 else -1
+            keys = sorted({
+                tuple(z for z, e in m.factors for _ in range(e))
+                for m in monos
+            })
+            for key in keys:
+                probe = part
+                for z in key:
+                    probe = graded_partial(probe, z, "left")
+                coefficient = weight * probe.constant_term()
+                if coefficient == 0:
+                    continue
+                contribution = Element.from_basis(to_basis[g], coefficient)
+                if n == 1:
+                    slot = to_basis[key[0]]
+                    differential[slot] = differential.get(slot, Element.zero()) + contribution
+                else:
+                    table = brackets.setdefault(n, {})
+                    bkey = tuple(to_basis[z] for z in key)
+                    table[bkey] = table.get(bkey, Element.zero()) + contribution
+
+    return LInftyStructure(
+        basis=tuple(to_basis[g] for g in basis_gens),
+        differential=differential,
+        brackets=brackets,
+        convention=PHYSICS,
+    )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FINITE_FIXTURES = ("gl3", "mc_fail", "open_algebra", "rotation", "so3_full",
+                   "so3_ghost", "zero")
+RANDOM_POOL = (field("1"), field("2"), antifield("1"), antifield("2"),
+               ghost("1"), ghost("2"), ghost("3"), antighost("1"), antighost("2"))
+
+
+@functools.lru_cache(maxsize=None)
+def fixture_action(name: str) -> BVAction:
+    spec = parse_document((FIXTURES / f"{name}.bv").read_text(encoding="utf-8")).spec
+    return solve_master(spec, 3)[0]
+
+
+def random_ghost_number_zero_action(rng: random.Random) -> BVAction:
+    """A finite action of ghost number zero with a few terms of degree 1 to 6.
+
+    Even generators may repeat up to the cube, so keys with repeated
+    inputs occur; odd generators enter at most once per term.
+    """
+    data: dict = {}
+    while len(data) < rng.randint(2, 6):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            z = rng.choice(RANDOM_POOL)
+            factors.append((z, 1 if z.is_odd else rng.randint(1, 3)))
+        mono = Monomial(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
+                        tuple(factors))
+        if mono.ghost_number == 0 and 1 <= mono.degree <= 6:
+            data.update(LocalFunction.from_monomials([mono]).terms())
+    return BVAction.from_total(LocalFunction(data), 0, solved_up_to=2)
+
+
+def random_actions() -> list[BVAction]:
+    rng = random.Random(20261018)
+    return [random_ghost_number_zero_action(rng) for _ in range(120)]
+
+
+def extraction_mismatches(stop_at_first: bool = False) -> list[tuple[str, int]]:
+    """Cases where ``extract_brackets`` differs from the polarized oracle."""
+    cases = [(name, fixture_action(name)) for name in FINITE_FIXTURES]
+    cases += [(f"random {i}", S) for i, S in enumerate(random_actions())]
+    out = []
+    for label, S in cases:
+        for n in range(1, 6):
+            if extract_brackets(S, n) != polarized_extract_brackets(S, n):
+                out.append((label, n))
+                if stop_at_first:
+                    return out
+    return out
+
+
+def test_extraction_matches_the_polarized_oracle():
+    assert extraction_mismatches() == []
+
+
+def test_random_actions_exercise_repeated_inputs_and_odd_generators():
+    repeated = odd = 0
+    for S in random_actions():
+        L = extract_brackets(S, 5)
+        keys = [key for table in L.brackets.values() for key in table]
+        repeated += any(len(set(key)) < len(key) for key in keys)
+        odd += any(b.parity for key in keys for b in key)
+    assert repeated >= 50
+    assert odd >= 50
+
+
+def _sign_dropping_partial(f, z, side):
+    # a field or ghost g is read off -dR S/dg*; this mutant reads +dR S/dg*
+    value = graded_partial(f, z, side)
+    return -value if z.antifield_number else value
+
+
+@pytest.mark.parametrize("attr, mutant", [
+    ("graded_partial", _sign_dropping_partial),
+    ("factorial", lambda e: 1),
+])
+def test_extraction_mutants_are_caught(monkeypatch, attr, mutant):
+    monkeypatch.setattr(linfty, attr, mutant)
+    assert extraction_mismatches(stop_at_first=True)
+
+
+def memoized(function):
+    cache = {}
+
+    def wrapper(m, K):
+        key = (print_model(m), m.max_jet_order, m.max_poly_degree, K)
+        if key not in cache:
+            cache[key] = function(m, K)
+        return cache[key]
+    return wrapper
+
+
+def test_reports_are_byte_identical_with_the_polarized_oracle(monkeypatch):
+    # both extractions read the same solved actions; only the extraction differs
+    monkeypatch.setattr(cli, "_solved_action", memoized(cli._solved_action))
+    argvs = []
+    for path in sorted(FIXTURES.glob("*.bv")):
+        for fmt in ("text", "structured"):
+            argvs += [["extract", str(path), "-n", str(n), "--format", fmt] for n in (1, 2, 3, 4)]
+            argvs += [[command, str(path), "--format", fmt] for command in ("check-linfty", "mc")]
+    current = [run_command(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "extract_brackets", polarized_extract_brackets)
+    oracle = [run_command(argv) for argv in argvs]
+    assert current == oracle
+    statuses = {status for status, _ in current}
+    assert statuses == {0, 1, 2}
 
 
 # ---------------------------------------------------------------- identities
