@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ItemsView, Iterable, Iterator, Mapping, NamedTuple
+from typing import ItemsView, Iterable, Mapping, NamedTuple
 
 
 class GeneratorKind(Enum):

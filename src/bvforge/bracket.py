@@ -22,11 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from .algebra import (
     Generator,
-    GeneratorKind,
     LocalFunction,
     Monomial,
     antifield,
@@ -48,16 +47,11 @@ class JetModelUnsupported(ValueError):
     """The Laplacian is defined on finite models only."""
 
 
-_FIELD_CLASS = (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD)
-
-
 def _family_pairs(*fs: LocalFunction) -> list[tuple[Generator, Generator]]:
     """Unprolonged (z, z*) representatives for each family appearing:
     the field pairs by family, then the ghost pairs by family."""
-    reps = families(*fs)
-    fields = sorted({z.family for z in reps if z.kind in _FIELD_CLASS})
-    ghosts = sorted({z.family for z in reps if z.kind not in _FIELD_CLASS})
-    return [(field(a), antifield(a)) for a in fields] + [(ghost(a), antighost(a)) for a in ghosts]
+    sides = sorted({z if z.antifield_number == 0 else z.conjugate() for z in families(*fs)})
+    return [(z, z.conjugate()) for z in sides]
 
 
 def _require_finite(f: LocalFunction, err: type[ValueError], what: str) -> None:

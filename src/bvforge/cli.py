@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
 from .algebra import LocalFunction
-from .bracket import antibracket, bv_laplacian
-from .expr import format_generator, format_local_function
+from .bracket import JetModelUnsupported, antibracket, bv_laplacian
+from .expr import format_generator, format_local_function, format_signed_sum
 from .jet import ModelSpec, check_noether, euler_lagrange
 from .linfty import Element, LInftyStructure, check_linfty, extract_brackets, mc_residual
 from .master import (BVAction, build_stage_action, default_stage, master_residual,
@@ -69,16 +69,7 @@ class Report:
 
 
 def _format_element(e: Element) -> str:
-    if e.is_zero:
-        return "0"
-    pieces: list[str] = []
-    for b, c in e.items():
-        body = b.name if abs(c) == 1 else f"{abs(c)}*{b.name}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    return format_signed_sum((c, b.name) for b, c in e.items())
 
 
 def _digest(doc: ModelDocument) -> str:
@@ -124,8 +115,23 @@ def _solved_action(m: ModelSpec, K: int | None) -> BVAction:
     return final
 
 
+def _finite_action(m: ModelSpec, K: int | None, refusal: str) -> BVAction:
+    """The solved action, for a command that takes finite models only.
+
+    A jet model whose gauge identities hold is refused with ``refusal``
+    before any lifting.  When they fail, ``solve_master`` runs and raises
+    its own precondition error, which comes first.
+    """
+    if m.spatial_dim and check_noether(m).all_pass:
+        raise JetModelUnsupported(refusal)
+    return _solved_action(m, K)
+
+
 def _extracted(m: ModelSpec, K: int | None, n_max: int) -> LInftyStructure:
-    return extract_brackets(_solved_action(m, K), n_max)
+    # extract_brackets names a bad arity before a jet model; that order keeps the solve first
+    S = (_finite_action(m, K, "extraction needs a finite model") if n_max >= 1
+         else _solved_action(m, K))
+    return extract_brackets(S, n_max)
 
 
 def _theta_elements(L: LInftyStructure, deformation: dict[int, LocalFunction]) -> dict[int, Element]:
@@ -147,75 +153,57 @@ def _theta_elements(L: LInftyStructure, deformation: dict[int, LocalFunction]) -
 
 # ------------------------------------------------------------- commands
 
-def _cmd_el(doc: ModelDocument, args) -> Report:
+def _cmd_el(doc: ModelDocument, args, report: Report) -> None:
     m = doc.spec
-    report = Report("el", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=False)
     if args.field is not None:
         if args.field not in m.fields:
             raise ValueError(f"unknown field family {args.field!r}")
         report.results.append(
             ("", format_local_function(euler_lagrange(m.lagrangian, args.field))))
-        return report
+        return
     for a in m.fields:
         report.results.append(
             (f"E[{a}]", format_local_function(euler_lagrange(m.lagrangian, a))))
-    return report
 
 
-def _cmd_divergence(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("divergence", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
-    for a in m.fields:
-        e = euler_lagrange(m.lagrangian, a)
+def _cmd_divergence(doc: ModelDocument, args, report: Report) -> None:
+    for a in doc.spec.fields:
+        e = euler_lagrange(doc.spec.lagrangian, a)
         if not e.is_zero:
             report.residuals.append((f"E[{a}]", format_local_function(e)))
-    return report
 
 
-def _cmd_noether(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("noether", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
-    noether = check_noether(m)
-    for alpha in m.gauge_indices:
+def _cmd_noether(doc: ModelDocument, args, report: Report) -> None:
+    noether = check_noether(doc.spec)
+    for alpha in doc.spec.gauge_indices:
         residual = noether.per_identity_residual[alpha]
         if not residual.is_zero:
             report.residuals.append((alpha, format_local_function(residual)))
-    return report
 
 
-def _cmd_bracket(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("bracket", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=False)
-    S = _solved_action(m, args.max_antifield_number)
-    value = antibracket(S.total, S.total, m.spatial_dim)
+def _cmd_bracket(doc: ModelDocument, args, report: Report) -> None:
+    S = _solved_action(doc.spec, args.max_antifield_number)
+    value = antibracket(S.total, S.total, doc.spec.spatial_dim)
     report.results.append(("(S, S)", format_local_function(value)))
-    return report
 
 
-def _cmd_delta(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("delta", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=False)
-    S = _solved_action(m, args.max_antifield_number)
+def _cmd_delta(doc: ModelDocument, args, report: Report) -> None:
+    S = _solved_action(doc.spec, args.max_antifield_number)
     report.results.append(("delta(S)", format_local_function(bv_laplacian(S.total))))
-    return report
 
 
-def _cmd_build(doc: ModelDocument, args) -> Report:
+def _cmd_build(doc: ModelDocument, args, report: Report) -> None:
     m = doc.spec
-    report = Report("build", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=False)
     stage = default_stage(m) if args.max_antifield_number is None else args.max_antifield_number
     S = build_stage_action(m, stage)
     for k in sorted(S.by_antifield_number):
         report.results.append(
             (f"S[{k}]", format_local_function(S.stratum(k))))
-    return report
 
 
-def _cmd_solve(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("solve", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
+def _cmd_solve(doc: ModelDocument, args, report: Report) -> None:
     K = DEFAULT_MAX_ANTIFIELD_NUMBER if args.max_antifield_number is None else args.max_antifield_number
-    final, records = solve_master(m, K)
+    final, records = solve_master(doc.spec, K)
     for record in records:
         if record.lifted:
             report.results.append(
@@ -228,40 +216,31 @@ def _cmd_solve(doc: ModelDocument, args) -> Report:
     for k in sorted(final.residual_report or {}):
         report.residuals.append(
             (f"stratum {k}", format_local_function(final.residual_report[k])))
-    return report
 
 
-def _cmd_residual(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("residual", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
-    S = build_stage_action(m, default_stage(m))
+def _cmd_residual(doc: ModelDocument, args, report: Report) -> None:
+    S = build_stage_action(doc.spec, default_stage(doc.spec))
     strata = master_residual(S)
     K = args.max_antifield_number
     for k in sorted(strata):
         if K is not None and k > K:
             continue
         report.residuals.append((f"stratum {k}", format_local_function(strata[k])))
-    return report
 
 
-def _cmd_qme(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("qme", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
-    S = _solved_action(m, args.max_antifield_number)
+def _cmd_qme(doc: ModelDocument, args, report: Report) -> None:
+    S = _finite_action(doc.spec, args.max_antifield_number, "the quantum check needs a finite model")
     outcome = quantum_master_check(S)
     report.results.append(("(S, S)", format_local_function(outcome.classical)))
     report.results.append(("delta(S)", format_local_function(outcome.delta)))
     if not outcome.quantum_residual.is_zero:
         report.residuals.append(
             ("quantum", format_local_function(outcome.quantum_residual)))
-    return report
 
 
-def _cmd_extract(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("extract", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=False)
+def _cmd_extract(doc: ModelDocument, args, report: Report) -> None:
     n_max = 2 if args.arity is None else args.arity
-    L = _extracted(m, args.max_antifield_number, n_max)
+    L = _extracted(doc.spec, args.max_antifield_number, n_max)
     for b in L.basis:
         report.results.append((f"degree[{b.name}]", str(b.degree)))
     for b in L.basis:
@@ -277,31 +256,25 @@ def _cmd_extract(doc: ModelDocument, args) -> Report:
                 continue
             names = ", ".join(b.name for b in key)
             report.results.append((f"l{n}({names})", _format_element(value)))
-    return report
 
 
-def _cmd_check_linfty(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("check-linfty", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
+def _cmd_check_linfty(doc: ModelDocument, args, report: Report) -> None:
     n_max = 3 if args.arity is None else args.arity
-    L = _extracted(m, args.max_antifield_number, n_max)
+    L = _extracted(doc.spec, args.max_antifield_number, n_max)
     outcome = check_linfty(L, n_max)
     report.results.append(("identities checked", str(outcome.checked)))
     for n, key, residual in outcome.failures:
         names = ", ".join(b.name for b in key)
         report.residuals.append(
             (f"identity[n={n}; {names}]", _format_element(residual)))
-    return report
 
 
-def _cmd_mc(doc: ModelDocument, args) -> Report:
-    m = doc.spec
-    report = Report("mc", _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check=True)
+def _cmd_mc(doc: ModelDocument, args, report: Report) -> None:
     if not doc.deformation:
         raise ValueError("the document has no deformation section")
     order = max(doc.deformation)
     n_max = max(2, order) if args.arity is None else args.arity
-    L = _extracted(m, args.max_antifield_number, n_max)
+    L = _extracted(doc.spec, args.max_antifield_number, n_max)
     theta = _theta_elements(L, doc.deformation)
     residuals = mc_residual(L, theta, order)
     for power in sorted(residuals):
@@ -310,22 +283,22 @@ def _cmd_mc(doc: ModelDocument, args) -> Report:
             report.results.append((f"order {power}", "0"))
         else:
             report.residuals.append((f"order {power}", _format_element(value)))
-    return report
 
 
+# name -> (handler, whether the report is a check that can fail)
 _COMMANDS = {
-    "el": _cmd_el,
-    "divergence": _cmd_divergence,
-    "noether": _cmd_noether,
-    "bracket": _cmd_bracket,
-    "delta": _cmd_delta,
-    "build": _cmd_build,
-    "solve": _cmd_solve,
-    "residual": _cmd_residual,
-    "qme": _cmd_qme,
-    "extract": _cmd_extract,
-    "check-linfty": _cmd_check_linfty,
-    "mc": _cmd_mc,
+    "el": (_cmd_el, False),
+    "divergence": (_cmd_divergence, True),
+    "noether": (_cmd_noether, True),
+    "bracket": (_cmd_bracket, False),
+    "delta": (_cmd_delta, False),
+    "build": (_cmd_build, False),
+    "solve": (_cmd_solve, True),
+    "residual": (_cmd_residual, True),
+    "qme": (_cmd_qme, True),
+    "extract": (_cmd_extract, False),
+    "check-linfty": (_cmd_check_linfty, True),
+    "mc": (_cmd_mc, True),
 }
 
 
@@ -336,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bvforge",
         description="Exact antifield computations on small gauge models.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, handler in _COMMANDS.items():
+    for name, (handler, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("model", help="path to a .bv model document")
         p.add_argument("-K", dest="max_antifield_number", type=int, default=None,
@@ -361,9 +334,11 @@ def run_command(argv: list[str]) -> tuple[int, str]:
             raise ValueError(f"-K must be at least 0, got {args.max_antifield_number}")
         text = Path(args.model).read_text(encoding="utf-8")
         doc = parse_document(text)
-        doc = ModelDocument(spec=_apply_bounds(doc.spec, args.bounds),
-                            deformation=doc.deformation)
-        report = _COMMANDS[args.command](doc, args)
+        m = _apply_bounds(doc.spec, args.bounds)
+        doc = ModelDocument(spec=m, deformation=doc.deformation)
+        handler, is_check = _COMMANDS[args.command]
+        report = Report(args.command, _digest(doc), (m.max_jet_order, m.max_poly_degree), is_check)
+        handler(doc, args, report)
     except (OSError, ValueError) as err:
         return 2, f"error: {err}\n"
     return (0 if report.passed else 1), report.render(args.format)

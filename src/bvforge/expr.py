@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import Iterable
 
 from .algebra import Generator, GeneratorKind, LocalFunction
 
@@ -27,6 +27,7 @@ __all__ = [
     "parse_remaining_expression",
     "format_generator",
     "format_local_function",
+    "format_signed_sum",
 ]
 
 
@@ -326,30 +327,31 @@ def format_generator(g: Generator) -> str:
     return f"{g.kind.value}[{g.family}]"
 
 
-def _format_factors(factors) -> Iterator[str]:
-    for g, e in factors:
-        if e == 1:
-            yield format_generator(g)
+def format_signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, body) terms as ``c*body + ... - body``; an empty
+    body stands for the bare coefficient, and no terms for ``0``."""
+    pieces: list[str] = []
+    for c, body in terms:
+        magnitude = abs(c)
+        if not body:
+            text = str(magnitude)
+        elif magnitude == 1:
+            text = body
         else:
-            yield f"{format_generator(g)}^{e}"
+            text = f"{magnitude}*{body}"
+        if not pieces:
+            pieces.append(text if c > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
+    return " ".join(pieces) if pieces else "0"
+
+
+def _format_factor(g: Generator, e: int) -> str:
+    return format_generator(g) if e == 1 else f"{format_generator(g)}^{e}"
 
 
 def format_local_function(f: LocalFunction) -> str:
     """Render in the canonical order; the output re-parses to ``f``."""
-    if f.is_zero:
-        return "0"
-    pieces: list[str] = []
-    for m in f.monomials():
-        magnitude = abs(m.coefficient)
-        atoms = list(_format_factors(m.factors))
-        if not atoms:
-            body = str(magnitude)
-        elif magnitude == 1:
-            body = "*".join(atoms)
-        else:
-            body = f"{magnitude}*" + "*".join(atoms)
-        if not pieces:
-            pieces.append(body if m.coefficient > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if m.coefficient > 0 else f"- {body}")
-    return " ".join(pieces)
+    return format_signed_sum(
+        (m.coefficient, "*".join(_format_factor(g, e) for g, e in m.factors))
+        for m in f.monomials())

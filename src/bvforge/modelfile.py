@@ -29,7 +29,7 @@ with the source position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
+from typing import Callable
 
 from .algebra import GeneratorKind, LocalFunction
 from .expr import (
@@ -38,6 +38,7 @@ from .expr import (
     SemanticError,
     Token,
     TokenStream,
+    _parse_jet_indices,
     format_local_function,
     parse_remaining_expression,
     tokenize,
@@ -45,14 +46,6 @@ from .expr import (
 from .jet import ModelSpec
 
 __all__ = ["ModelDocument", "parse_document", "parse_model", "print_model"]
-
-_SECTION_KEYWORDS = (
-    "dimension", "fields", "gauge", "bounds", "lagrangian",
-    "generators", "structure", "closure", "deformation",
-)
-_TABLE_SECTIONS = ("generators", "structure", "closure", "deformation")
-_ENTRY_HEADS = {"generators": "r", "structure": "c", "closure": "nu", "deformation": "t"}
-
 
 @dataclass
 class ModelDocument:
@@ -129,39 +122,27 @@ def _family_token(stream: TokenStream) -> Token:
     return stream.advance()
 
 
-def _parse_key(stream: TokenStream, section: str, n_families: int,
-               allow_jet: bool) -> tuple[tuple[Token, ...], tuple[int, ...]]:
-    _expect_head(stream, _ENTRY_HEADS[section], section)
+def _parse_key(stream: TokenStream, table: _Table) -> tuple[tuple[Token, ...], tuple[int, ...]]:
+    _expect_head(stream, table.head, table.name)
     stream.expect("LBRACKET", "'['")
     families = [_family_token(stream)]
     while stream.accept("COMMA"):
         families.append(_family_token(stream))
-    if len(families) != n_families:
+    if len(families) != len(table.slots):
         tok = stream.current
         raise SemanticError(
-            f"section {section!r} keys take {n_families} family labels,"
+            f"section {table.name!r} keys take {len(table.slots)} family labels,"
             f" got {len(families)}", tok.line, tok.column)
     jet: tuple[int, ...] = ()
     if stream.accept("SEMI"):
-        if not allow_jet:
+        if not table.jet:
             tok = stream.current
             raise SemanticError(
-                f"section {section!r} keys carry no jet index", tok.line, tok.column)
-        indices = []
-        while stream.current.kind == "INT":
-            indices.append(int(stream.advance().text))
-        if not indices:
-            tok = stream.current
-            raise ExpressionSyntaxError(
-                "expected at least one jet index after ';'", tok.line, tok.column)
-        jet = tuple(sorted(indices))
+                f"section {table.name!r} keys carry no jet index", tok.line, tok.column)
+        jet = _parse_jet_indices(stream)
     stream.expect("RBRACKET", "']'")
     stream.expect("EQUALS", "'='")
     return tuple(families), jet
-
-
-def _parse_entry_value(stream: TokenStream) -> LocalFunction:
-    return parse_remaining_expression(stream)
 
 
 class _Checker:
@@ -187,6 +168,13 @@ class _Checker:
         if name not in self.gauge:
             raise SemanticError(f"unknown gauge index {name!r}", line, column)
 
+    def jet(self, jet: tuple[int, ...], line: int) -> None:
+        for i in jet:
+            self.direction(i, line, 1)
+        if len(jet) > self.max_jet_order:
+            raise SemanticError(
+                f"jet order {len(jet)} exceeds bound {self.max_jet_order}", line, 1)
+
     def field_sector_expression(self, f: LocalFunction, line: int) -> None:
         """Only base coordinates and fields, within bounds."""
         for g in sorted(f.generators()):
@@ -194,12 +182,7 @@ class _Checker:
                 self.direction(int(g.family), line, 1)
             elif g.kind is GeneratorKind.FIELD:
                 self.field_family(g.family, line, 1)
-                for i in g.jet:
-                    self.direction(i, line, 1)
-                if len(g.jet) > self.max_jet_order:
-                    raise SemanticError(
-                        f"jet order {len(g.jet)} exceeds bound {self.max_jet_order}",
-                        line, 1)
+                self.jet(g.jet, line)
             else:
                 raise SemanticError(
                     f"{g.kind.value} atoms do not belong in the field sector",
@@ -225,6 +208,38 @@ class _Checker:
             else:
                 raise SemanticError(
                     "base coordinates do not belong in a deformation entry", line, 1)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A section of keyed entries ``head[k1, k2, ...; jet] = value``.
+
+    ``slots`` checks each key family in turn.  ``jet`` says whether a key
+    may carry a jet suffix; the suffix then ends the dictionary key.
+    ``attr`` names the ModelSpec attribute the entries fill.  An empty
+    table prints when ``print_empty`` is set: an empty ``structure`` or
+    ``closure`` section declares a closed algebra, while an empty
+    ``generators`` section declares nothing.
+    """
+
+    name: str
+    head: str
+    noun: str
+    slots: tuple[Callable[[_Checker, str, int, int], None], ...]
+    jet: bool
+    attr: str
+    print_empty: bool
+
+
+_FIELD, _GAUGE = _Checker.field_family, _Checker.gauge_family
+_TABLES = (
+    _Table("generators", "r", "generator", (_FIELD, _GAUGE), True, "gauge_coefficients", False),
+    _Table("structure", "c", "structure", (_GAUGE,) * 3, False, "structure_functions", True),
+    _Table("closure", "nu", "closure", (_FIELD, _FIELD, _GAUGE, _GAUGE), False,
+           "closure_functions", True),
+)
+_TABLE_SECTIONS = (*(t.name for t in _TABLES), "deformation")
+_SECTION_KEYWORDS = ("dimension", "fields", "gauge", "bounds", "lagrangian", *_TABLE_SECTIONS)
 
 
 def _parse_families(stream: TokenStream, lineno: int, what: str) -> tuple[str, ...]:
@@ -287,59 +302,27 @@ def parse_document(text: str) -> ModelDocument:
     lagrangian = LocalFunction.zero()
     if "lagrangian" in sections:
         lineno = sections["lagrangian"][0]
-        lagrangian = _parse_entry_value(_scalar_stream(sections["lagrangian"]))
+        lagrangian = parse_remaining_expression(_scalar_stream(sections["lagrangian"]))
         checker.field_sector_expression(lagrangian, lineno)
 
-    gauge_coefficients: dict[tuple[str, str, tuple[int, ...]], LocalFunction] = {}
-    if "generators" in sections:
-        for lineno, raw in sections["generators"][2]:
+    tables: dict[str, dict] = {}
+    for table in _TABLES:
+        if table.name not in sections:
+            continue
+        entries: dict[tuple, LocalFunction] = {}
+        for lineno, raw in sections[table.name][2]:
             stream = _entry_stream(raw, lineno)
-            (a_tok, alpha_tok), jet = _parse_key(stream, "generators", 2, allow_jet=True)
-            checker.field_family(a_tok.text, a_tok.line, a_tok.column)
-            checker.gauge_family(alpha_tok.text, alpha_tok.line, alpha_tok.column)
-            for i in jet:
-                checker.direction(i, lineno, 1)
-            if len(jet) > max_jet_order:
-                raise SemanticError(
-                    f"jet order {len(jet)} exceeds bound {max_jet_order}", lineno, 1)
-            key = (a_tok.text, alpha_tok.text, jet)
-            if key in gauge_coefficients:
-                raise SemanticError(f"duplicate generator entry {key}", lineno, 1)
-            value = _parse_entry_value(stream)
+            tokens, jet = _parse_key(stream, table)
+            for check, tok in zip(table.slots, tokens):
+                check(checker, tok.text, tok.line, tok.column)
+            checker.jet(jet, lineno)
+            key = tuple(tok.text for tok in tokens) + ((jet,) if table.jet else ())
+            if key in entries:
+                raise SemanticError(f"duplicate {table.noun} entry {key}", lineno, 1)
+            value = parse_remaining_expression(stream)
             checker.field_sector_expression(value, lineno)
-            gauge_coefficients[key] = value
-
-    structure_functions: dict[tuple[str, str, str], LocalFunction] | None = None
-    if "structure" in sections:
-        structure_functions = {}
-        for lineno, raw in sections["structure"][2]:
-            stream = _entry_stream(raw, lineno)
-            (g_tok, a_tok, b_tok), _ = _parse_key(stream, "structure", 3, allow_jet=False)
-            for tok in (g_tok, a_tok, b_tok):
-                checker.gauge_family(tok.text, tok.line, tok.column)
-            key = (g_tok.text, a_tok.text, b_tok.text)
-            if key in structure_functions:
-                raise SemanticError(f"duplicate structure entry {key}", lineno, 1)
-            value = _parse_entry_value(stream)
-            checker.field_sector_expression(value, lineno)
-            structure_functions[key] = value
-
-    closure_functions: dict[tuple[str, str, str, str], LocalFunction] | None = None
-    if "closure" in sections:
-        closure_functions = {}
-        for lineno, raw in sections["closure"][2]:
-            stream = _entry_stream(raw, lineno)
-            (a_tok, b_tok, al_tok, be_tok), _ = _parse_key(stream, "closure", 4, allow_jet=False)
-            checker.field_family(a_tok.text, a_tok.line, a_tok.column)
-            checker.field_family(b_tok.text, b_tok.line, b_tok.column)
-            checker.gauge_family(al_tok.text, al_tok.line, al_tok.column)
-            checker.gauge_family(be_tok.text, be_tok.line, be_tok.column)
-            key = (a_tok.text, b_tok.text, al_tok.text, be_tok.text)
-            if key in closure_functions:
-                raise SemanticError(f"duplicate closure entry {key}", lineno, 1)
-            value = _parse_entry_value(stream)
-            checker.field_sector_expression(value, lineno)
-            closure_functions[key] = value
+            entries[key] = value
+        tables[table.attr] = entries
 
     deformation: dict[int, LocalFunction] = {}
     if "deformation" in sections:
@@ -361,7 +344,7 @@ def parse_document(text: str) -> ModelDocument:
                     f"duplicate deformation entry t^{power}",
                     power_tok.line, power_tok.column)
             stream.expect("EQUALS", "'='")
-            value = _parse_entry_value(stream)
+            value = parse_remaining_expression(stream)
             checker.linear_complex_expression(value, lineno)
             deformation[power] = value
 
@@ -371,11 +354,9 @@ def parse_document(text: str) -> ModelDocument:
             fields=fields,
             gauge_indices=gauge,
             lagrangian=lagrangian,
-            gauge_coefficients=gauge_coefficients,
-            structure_functions=structure_functions,
-            closure_functions=closure_functions,
             max_jet_order=max_jet_order,
             max_poly_degree=max_poly_degree,
+            **tables,
         )
     except ValueError as err:
         raise SemanticError(str(err), 1, 1) from err
@@ -397,22 +378,16 @@ def print_model(m: ModelSpec, deformation: dict[int, LocalFunction] | None = Non
         lines.append("gauge " + " ".join(m.gauge_indices))
     lines.append(f"bounds jet={m.max_jet_order} deg={m.max_poly_degree}")
     lines.append(f"lagrangian {format_local_function(m.lagrangian)}")
-    if m.gauge_coefficients:
-        lines.append("generators")
-        for (a, alpha, jet) in sorted(m.gauge_coefficients):
+    for table in _TABLES:
+        entries = getattr(m, table.attr)
+        if entries is None or not (entries or table.print_empty):
+            continue
+        lines.append(table.name)
+        for key in sorted(entries):
+            families, jet = (key[:-1], key[-1]) if table.jet else (key, ())
             suffix = f"; {' '.join(str(i) for i in jet)}" if jet else ""
-            value = format_local_function(m.gauge_coefficients[(a, alpha, jet)])
-            lines.append(f"  r[{a}, {alpha}{suffix}] = {value}")
-    if m.structure_functions is not None:
-        lines.append("structure")
-        for (gamma, alpha, beta) in sorted(m.structure_functions):
-            value = format_local_function(m.structure_functions[(gamma, alpha, beta)])
-            lines.append(f"  c[{gamma}, {alpha}, {beta}] = {value}")
-    if m.closure_functions is not None:
-        lines.append("closure")
-        for (a, b, alpha, beta) in sorted(m.closure_functions):
-            value = format_local_function(m.closure_functions[(a, b, alpha, beta)])
-            lines.append(f"  nu[{a}, {b}, {alpha}, {beta}] = {value}")
+            value = format_local_function(entries[key])
+            lines.append(f"  {table.head}[{', '.join(families)}{suffix}] = {value}")
     if deformation:
         lines.append("deformation")
         for power in sorted(deformation):

@@ -6,6 +6,7 @@ corpora use fixed seeds so failures reproduce verbatim.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import random
@@ -481,3 +482,37 @@ def test_reports_are_deterministic_and_printing_round_trips():
     for _ in range(500):
         f = random_local_function(rng, terms=rng.randint(0, 4))
         assert parse_expression(format_local_function(f)) == f
+
+
+def _names_used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, counting string annotations and ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= _names_used(ast.parse(annotation.value))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_the_package_imports_only_what_it_uses():
+    package = Path(__file__).parents[1] / "src" / "bvforge"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        unused += [f"{path.name}: {name}"
+                   for name in sorted(imported - _names_used(tree) - {"annotations"})]
+    assert unused == []

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -224,12 +226,82 @@ def test_jet_models_cannot_be_extracted():
     status, out = run_command(["extract", fx("scalar.bv")])
     assert status == 2
     assert "finite model" in out
+    # failed gauge identities and a bad arity are named before the jet model
+    noether = "error: the gauge identities do not hold; fix the model first\n"
+    for command in ("extract", "check-linfty", "qme"):
+        assert run_command([command, fx("scalar_gauge.bv")]) == (2, noether)
+    assert run_command(["extract", fx("su2_plane.bv"), "-n", "0"]) == \
+        (2, "error: n_max must be at least 1\n")
+
+
+def test_finite_only_commands_refuse_jet_models_before_lifting(monkeypatch, tmp_path):
+    def no_lift(m, K):
+        raise AssertionError("the master equation was solved")
+
+    monkeypatch.setattr("bvforge.cli.solve_master", no_lift)
+    deformed = tmp_path / "su2_deformed.bv"
+    deformed.write_text(Path(fx("su2_plane.bv")).read_text() + "deformation\n  t^1 = C[1]\n")
+    bounds = ["--bounds", "jet=1,deg=3"]
+    extraction = "error: extraction needs a finite model\n"
+    assert run_command(["extract", fx("su2_plane.bv"), *bounds]) == (2, extraction)
+    assert run_command(["check-linfty", fx("su2_plane.bv"), *bounds]) == (2, extraction)
+    assert run_command(["mc", str(deformed), *bounds]) == (2, extraction)
+    assert run_command(["qme", fx("su2_plane.bv"), *bounds]) == \
+        (2, "error: the quantum check needs a finite model\n")
 
 
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit) as err:
         run_command(["frobnicate", fx("scalar.bv")])
     assert err.value.code == 2
+
+
+# ------------------------------------------------------------ mutations
+
+COMMANDS = ["el", "divergence", "noether", "bracket", "delta", "build", "solve",
+            "residual", "qme", "extract", "check-linfty", "mc"]
+PUNCTUATION = "[](),;+-*^/=#"
+ODD_LITERALS = ["0", "00", "-1", "1/0", "99999999999999999999", "2^101", "t^0",
+                "ustar", "Cstar", "x", "nu", "C[1; 1]", "\u00e9", "\t", ""]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One seeded damage: a truncation, two swapped tokens, punctuation
+    inserted or written over a character, or a token replaced by an odd literal."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return text[:rng.randrange(len(text) + 1)]
+    tokens = text.split(" ")
+    pos = rng.randrange(len(text) + 1)
+    if kind == 1:
+        i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif kind == 2:
+        return text[:pos] + rng.choice(PUNCTUATION) + text[pos:]
+    elif kind == 3:
+        return text[:pos] + rng.choice(PUNCTUATION) + text[pos + 1:]
+    else:
+        tokens[rng.randrange(len(tokens))] = rng.choice(ODD_LITERALS)
+    return " ".join(tokens)
+
+
+def test_mutated_documents_end_with_a_status_not_a_traceback(tmp_path):
+    rng = random.Random(20261018)
+    fixtures = sorted(FIXTURES.glob("*.bv"))
+    mutant = tmp_path / "mutant.bv"
+    statuses = Counter()
+    for case in range(200):
+        text = fixtures[case % len(fixtures)].read_text(encoding="utf-8")
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(text, rng)
+        mutant.write_text(text, encoding="utf-8")
+        argv = [COMMANDS[case % len(COMMANDS)], str(mutant),
+                "--format", rng.choice(("text", "structured"))]
+        status, _ = run_command(argv)
+        assert status in (0, 1, 2), (argv, text)
+        statuses[status] += 1
+    # the corpus reaches every outcome, not only parse errors
+    assert set(statuses) == {0, 1, 2}, statuses
 
 
 # -------------------------------------------------------------- formats

@@ -26,7 +26,6 @@ from bvforge.master import (
     BVAction,
     MissingStructureFunctions,
     NoetherPreconditionFailed,
-    ObstructionRecord,
     build_stage_action,
     correction_candidates,
     kt_differential,

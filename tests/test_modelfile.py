@@ -1,10 +1,14 @@
 """Model documents: section parsing, validation, and round trips."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bvforge.algebra import LocalFunction, antighost, field, ghost
+from bvforge.cli import run_command
 from bvforge.expr import MAX_DEFORMATION_ORDER, ExpressionSyntaxError, SemanticError
 from bvforge.jet import ModelSpec
 from bvforge.modelfile import parse_document, parse_model, print_model
@@ -249,3 +253,31 @@ def test_deformation_order_is_bounded():
     with pytest.raises(SemanticError, match=f"power 100000 exceeds {MAX_DEFORMATION_ORDER}") as err:
         parse_document(text.format(100000))
     assert (err.value.line, err.value.column) == (4, 5)
+
+
+# sha256 of print_model for each shipped fixture; every structured report
+# names its model by this digest
+MODEL_DIGESTS = {
+    "divergence.bv": "2ca6b2bf3cf33abc8d063aea8e05bb060c36ce5a631b192418ef7bbc5f6faa0f",
+    "gl3.bv": "8a7e9fc3add49d32f819735745077fe703ecb1c31426788e0635fbef0e595394",
+    "mc_fail.bv": "926d63d0b04fa401e8c137a93a2c43d7c31d3f3cb4bdfba536367d4fc99e554f",
+    "open_algebra.bv": "1b1faa98053ec36a640a1c89ad4b2a0112b95a5bda6fc7297b0543c7f945420a",
+    "rotation.bv": "4e3cdf1239f29af07b2ee5da8181dbc139c46e43b87bfe076d8142bdc5d675fa",
+    "scalar.bv": "6d0d757e2c9bbaadbd4e493609610d4cb9f8e0a151b3c32424890bba9df7fe82",
+    "scalar_gauge.bv": "1655ec70bb48dc8acef208c10c6da807139fbe3ae92d0724e1bbd665becb76ca",
+    "so3_full.bv": "fc063e77a699513cff8458066b9f32fc944e3295f707a7aad877f79634de6593",
+    "so3_ghost.bv": "3716f4ff6781a04f2a3455e89a90c5509d0e9b8d572f10c55dd0512ca2a80288",
+    "su2_plane.bv": "54cfc6677f6dcf4fb28cf749031085442419b899e0bee9f1214832edd17d5345",
+    "zero.bv": "725446bcf7cacc9c8406149da934ef9b6f1c696fb273eb6b585037555878f979",
+}
+
+
+def test_printed_fixtures_match_their_pinned_digests():
+    fixtures = Path(__file__).parent / "fixtures"
+    assert sorted(MODEL_DIGESTS) == sorted(p.name for p in fixtures.glob("*.bv"))
+    for name, digest in MODEL_DIGESTS.items():
+        doc = parse_document((fixtures / name).read_text(encoding="utf-8"))
+        printed = print_model(doc.spec, doc.deformation)
+        assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == digest, name
+        status, out = run_command(["el", str(fixtures / name), "--format", "structured"])
+        assert (status, json.loads(out)["model"]) == (0, digest), name
