@@ -90,6 +90,11 @@ class Generator:
     direction for a base coordinate, as a string).  ``jet`` is kept
     sorted; multi-indices are symmetric because total derivatives
     commute.
+
+    ``bidegree``, ``parity``, ``sort_key`` and the hash are computed once,
+    at construction.  The hash reads the family as the integer of its
+    UTF-8 bytes, so it, and with it the order of every set of
+    generators, is the same under every PYTHONHASHSEED.
     """
 
     kind: GeneratorKind
@@ -104,11 +109,16 @@ class Generator:
             raise ValueError("jet indices must be integers >= 1")
         if self.kind is GeneratorKind.BASE and jet:
             raise ValueError("base coordinates carry no jet index")
-        object.__setattr__(self, "jet", tuple(sorted(jet)))
+        jet = tuple(sorted(jet))
+        bidegree = Bidegree(*_KIND_BIDEGREE[self.kind])
+        key = (self.kind.rank, self.family, len(jet), jet)
+        family = int.from_bytes(self.family.encode(), "little")
+        for name, value in (("jet", jet), ("bidegree", bidegree), ("parity", bidegree.parity),
+                            ("sort_key", key), ("_hash", hash((key[0], family, jet)))):
+            object.__setattr__(self, name, value)
 
-    @property
-    def bidegree(self) -> Bidegree:
-        return Bidegree(*_KIND_BIDEGREE[self.kind])
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def ghost_number(self) -> int:
@@ -119,16 +129,8 @@ class Generator:
         return self.bidegree.antighost
 
     @property
-    def parity(self) -> int:
-        return self.bidegree.parity
-
-    @property
     def is_odd(self) -> bool:
         return self.parity == 1
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.kind.rank, self.family, len(self.jet), self.jet)
 
     def __lt__(self, other: "Generator") -> bool:
         return self.sort_key < other.sort_key
