@@ -23,6 +23,10 @@ dependence on the base coordinates is polynomial, so base coordinates
 are ordinary even generators here.  Every sparse sum in the package,
 of local functions, of bracket values and of solver rows, goes through
 the one helper ``add_terms``.
+
+A term is a (factors, coefficient) pair.  ``term_bidegree`` and
+``term_key`` read its grading and its place in the term order, and
+``inversion_parity`` signs every sort of a term or of bracket inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ItemsView, Iterable, Mapping, NamedTuple
+from typing import ItemsView, Iterable, Mapping, NamedTuple, Sequence
 
 
 class GeneratorKind(Enum):
@@ -167,55 +171,33 @@ def antighost(family: str, jet: Iterable[int] = ()) -> Generator:
 
 
 Factors = tuple[tuple[Generator, int], ...]
+Term = tuple[Factors, Fraction]
+
+_VANISHING: Term = ((), Fraction(0))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A rational coefficient together with a sequence of generator powers.
+def term_bidegree(factors: Factors) -> Bidegree:
+    """The bidegree of a term with these factors."""
+    p = q = 0
+    for g, e in factors:
+        p += g.bidegree.ghost * e
+        q += g.bidegree.antighost * e
+    return Bidegree(p, q)
 
-    The record itself does not insist on canonical form; ``normalize``
-    produces the canonical representative (or the zero monomial).
+
+def term_key(factors: Factors) -> tuple:
+    """The position of a term with these factors in the canonical term order."""
+    return tuple((g.sort_key, e) for g, e in factors)
+
+
+def inversion_parity(keys: Sequence) -> int:
+    """Parity (0 or 1) of the pairs i < j with keys[i] > keys[j].
+
+    Equal keys never count.  The Koszul sign of sorting a sequence is
+    the inversion parity of its odd entries; ``normalize``,
+    ``unshuffles`` and ``LInftyStructure._canonical`` take their signs
+    from here.
     """
-
-    coefficient: Fraction
-    factors: Factors
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coefficient == 0
-
-    @property
-    def bidegree(self) -> Bidegree:
-        p = sum(g.bidegree.ghost * e for g, e in self.factors)
-        q = sum(g.bidegree.antighost * e for g, e in self.factors)
-        return Bidegree(p, q)
-
-    @property
-    def parity(self) -> int:
-        return sum(g.parity * e for g, e in self.factors) % 2
-
-    @property
-    def ghost_number(self) -> int:
-        return self.bidegree.total
-
-    @property
-    def antifield_number(self) -> int:
-        return self.bidegree.antighost
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.factors)
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple((g.sort_key, e) for g, e in self.factors)
-
-
-ZERO_MONOMIAL = Monomial(Fraction(0), ())
-
-
-def _permutation_parity(keys: list) -> int:
-    """Parity (0 or 1) of the permutation sorting ``keys``. Keys must be distinct."""
     inversions = 0
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
@@ -224,34 +206,32 @@ def _permutation_parity(keys: list) -> int:
     return inversions % 2
 
 
-def normalize(m: Monomial) -> Monomial:
+def normalize(term: Term) -> Term:
     """Canonical form: factors sorted, Koszul sign absorbed into the coefficient.
 
-    Returns the zero monomial when an odd generator repeats.  Moving an
-    even generator past anything costs no sign, so the Koszul sign is
-    the parity of the permutation that sorts the subsequence of odd
-    generators.
+    A term in which an odd generator repeats vanishes: it comes back as
+    the empty product with coefficient 0.  Moving an even generator past
+    anything costs no sign, so the Koszul sign is the inversion parity of
+    the subsequence of odd generators.
     """
-    if m.coefficient == 0:
-        return ZERO_MONOMIAL
-    odd_seq: list[Generator] = []
+    factors, coefficient = term
+    if coefficient == 0:
+        return _VANISHING
+    odd_keys = []
     merged: dict[Generator, int] = {}
-    for g, e in m.factors:
+    for g, e in factors:
         if e < 0:
             raise ValueError("negative exponents are not part of the algebra")
         if e == 0:
             continue
-        if g.is_odd:
-            if e > 1:
-                return ZERO_MONOMIAL
-            odd_seq.append(g)
+        if g.parity:
+            if e > 1 or g in merged:
+                return _VANISHING
+            odd_keys.append(g.sort_key)
         merged[g] = merged.get(g, 0) + e
-    keys = [g.sort_key for g in odd_seq]
-    if len(set(keys)) != len(keys):
-        return ZERO_MONOMIAL
-    sign = -1 if _permutation_parity(keys) else 1
-    factors = tuple(sorted(merged.items(), key=lambda ge: ge[0].sort_key))
-    return Monomial(m.coefficient * sign, factors)
+    if inversion_parity(odd_keys):
+        coefficient = -coefficient
+    return tuple(sorted(merged.items(), key=lambda ge: ge[0].sort_key)), coefficient
 
 
 def add_terms(data: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
@@ -272,9 +252,9 @@ def add_terms(data: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
     return data
 
 
-def _canonical_terms(monomials: Iterable[Monomial]) -> dict[Factors, Fraction]:
-    """The terms of the sum of ``monomials``, each brought to canonical form."""
-    return add_terms({}, ((m.factors, m.coefficient) for m in map(normalize, monomials)))
+def _canonical_terms(terms: Iterable[Term]) -> dict[Factors, Fraction]:
+    """The sum of ``terms``, each brought to canonical form."""
+    return add_terms({}, map(normalize, terms))
 
 
 def _coerce_coefficient(value) -> Fraction:
@@ -301,7 +281,7 @@ class LocalFunction:
             self._terms = terms or {}
         else:
             self._terms = _canonical_terms(
-                Monomial(_coerce_coefficient(c), tuple(f)) for f, c in (terms or {}).items())
+                (tuple(f), _coerce_coefficient(c)) for f, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
 
@@ -323,8 +303,9 @@ class LocalFunction:
         return cls({((g, 1),): Fraction(1)}, _internal=True)
 
     @classmethod
-    def from_monomials(cls, monomials: Iterable[Monomial]) -> "LocalFunction":
-        return cls(_canonical_terms(monomials), _internal=True)
+    def from_terms(cls, terms: Iterable[Term]) -> "LocalFunction":
+        """The sum of (factors, coefficient) pairs, in any order and any form."""
+        return cls(_canonical_terms(terms), _internal=True)
 
     # -- inspection ----------------------------------------------------
 
@@ -335,9 +316,9 @@ class LocalFunction:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def monomials(self) -> tuple[Monomial, ...]:
-        items = sorted(self._terms.items(), key=lambda kv: Monomial(kv[1], kv[0]).sort_key)
-        return tuple(Monomial(c, f) for f, c in items)
+    def sorted_terms(self) -> tuple[Term, ...]:
+        """The (factors, coefficient) pairs in the canonical term order."""
+        return tuple(sorted(self._terms.items(), key=lambda t: term_key(t[0])))
 
     def terms(self) -> ItemsView[Factors, Fraction]:
         """The (factors, coefficient) pairs, in no particular order."""
@@ -356,20 +337,15 @@ class LocalFunction:
         orders = [len(g.jet) for f in self._terms for g, _ in f]
         return max(orders, default=0)
 
-    def _common(self, attr: str):
-        """The value of a Monomial attribute shared by all terms, or None if mixed or zero."""
-        values = {getattr(Monomial(c, f), attr) for f, c in self._terms.items()}
-        return values.pop() if len(values) == 1 else None
-
     def bidegree(self) -> Bidegree | None:
         """The common bidegree of all terms, or None if mixed or zero."""
-        return self._common("bidegree")
+        return _only({term_bidegree(f) for f in self._terms})
 
     def parity(self) -> int | None:
-        return self._common("parity")
+        return _only({term_bidegree(f).parity for f in self._terms})
 
     def ghost_number(self) -> int | None:
-        return self._common("ghost_number")
+        return _only({term_bidegree(f).total for f in self._terms})
 
     # -- arithmetic ----------------------------------------------------
 
@@ -405,8 +381,8 @@ class LocalFunction:
         if not isinstance(other, LocalFunction):
             return NotImplemented
         right = other._terms.items()
-        return LocalFunction.from_monomials(
-            Monomial(c1 * c2, f1 + f2) for f1, c1 in self._terms.items() for f2, c2 in right)
+        return LocalFunction.from_terms(
+            (f1 + f2, c1 * c2) for f1, c1 in self._terms.items() for f2, c2 in right)
 
     def __rmul__(self, other) -> "LocalFunction":
         if isinstance(other, (int, Fraction)):
@@ -434,10 +410,15 @@ class LocalFunction:
         if self.is_zero:
             return "LocalFunction(0)"
         parts = []
-        for m in self.monomials()[:4]:
-            parts.append(f"{m.coefficient}*{'*'.join(g.kind.value + str(g.family) + str(list(g.jet)) + ('^' + str(e) if e > 1 else '') for g, e in m.factors) or '1'}")
+        for factors, c in self.sorted_terms()[:4]:
+            parts.append(f"{c}*{'*'.join(g.kind.value + str(g.family) + str(list(g.jet)) + ('^' + str(e) if e > 1 else '') for g, e in factors) or '1'}")
         more = " + ..." if len(self._terms) > 4 else ""
         return f"LocalFunction({' + '.join(parts)}{more})"
+
+
+def _only(values: set):
+    """The one element of ``values``, or None when it has none or several."""
+    return values.pop() if len(values) == 1 else None
 
 
 def _as_local_function(value) -> "LocalFunction":
@@ -489,12 +470,9 @@ def graded_partial(f: LocalFunction, z: Generator, side: str = "left") -> LocalF
                 if zp:
                     if prefix_parity % 2:
                         c = -c
-                    if side == "right":
-                        # monomial parity enters the conversion rule
-                        mono_parity = (prefix_parity + zp * e + sum(
-                            h.parity * k for h, k in factors[pos + 1:])) % 2
-                        if (mono_parity + zp) % 2:
-                            c = -c
+                    if side == "right" and not term_bidegree(factors).parity:
+                        # (|f| + |z|) |z| is odd when the term is even
+                        c = -c
                 # stripping one z is injective on canonical monomials, so
                 # no two terms meet and every c is nonzero
                 data[new] = c
@@ -507,5 +485,5 @@ def decompose_by_antifield_number(f: LocalFunction) -> dict[int, LocalFunction]:
     """Split ``f`` into strata of fixed total antighost degree, in ascending order."""
     buckets: dict[int, dict[Factors, Fraction]] = {}
     for factors, coeff in f._terms.items():
-        buckets.setdefault(Monomial(coeff, factors).antifield_number, {})[factors] = coeff
+        buckets.setdefault(term_bidegree(factors).antighost, {})[factors] = coeff
     return {k: LocalFunction(terms, _internal=True) for k, terms in sorted(buckets.items())}

@@ -27,7 +27,6 @@ from typing import Callable
 from .algebra import (
     Generator,
     LocalFunction,
-    Monomial,
     antifield,
     antighost,
     field,
@@ -145,7 +144,7 @@ def _random_homogeneous(rng: random.Random) -> LocalFunction:
         k = rng.randint(0, 3)
         flat = [rng.choice(_HARNESS_POOL) for _ in range(k)]
         coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-        return LocalFunction.from_monomials([Monomial(coeff, tuple((g, 1) for g in flat))])
+        return LocalFunction.from_terms([(tuple((g, 1) for g in flat), coeff)])
 
     f = mono()
     while f.is_zero:

@@ -95,9 +95,11 @@ def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
     for piece in text.split(","):
         piece = piece.strip()
         key, _, value = piece.partition("=")
-        if key not in ("jet", "deg") or not value.isdigit():
+        if key not in ("jet", "deg") or not (value.isascii() and value.isdigit()):
             raise ValueError(
                 f"bad bounds {text!r} (expected jet=<int>,deg=<int>)")
+        if key in overrides:
+            raise ValueError(f"bad bounds {text!r} (duplicate bound {key!r})")
         overrides[key] = int(value)
     if "jet" in overrides:
         used = _model_jet_order(m)
@@ -139,14 +141,14 @@ def _theta_elements(L: LInftyStructure, deformation: dict[int, LocalFunction]) -
     theta: dict[int, Element] = {}
     for power, f in deformation.items():
         acc = Element.zero()
-        for mono in f.monomials():
-            name = format_generator(mono.factors[0][0])
+        for factors, c in f.sorted_terms():
+            name = format_generator(factors[0][0])
             slot = by_name.get(name)
             if slot is None:
                 raise ValueError(
                     f"deformation entry t^{power} uses {name}, which is not"
                     " part of the extracted complex")
-            acc = acc + Element.from_basis(slot, mono.coefficient)
+            acc = acc + Element.from_basis(slot, c)
         theta[power] = acc
     return theta
 

@@ -108,9 +108,9 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
                 i += 1
             continue
         start_col = column
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(Token("INT", text[i:j], line, start_col))
             column += j - i
@@ -353,5 +353,5 @@ def _format_factor(g: Generator, e: int) -> str:
 def format_local_function(f: LocalFunction) -> str:
     """Render in the canonical order; the output re-parses to ``f``."""
     return format_signed_sum(
-        (m.coefficient, "*".join(_format_factor(g, e) for g, e in m.factors))
-        for m in f.monomials())
+        (c, "*".join(_format_factor(g, e) for g, e in factors))
+        for factors, c in f.sorted_terms())

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import _coerce_coefficient, add_terms, graded_partial
+from .algebra import _coerce_coefficient, add_terms, graded_partial, inversion_parity
 from .bracket import JetModelUnsupported
 from .expr import format_generator
 from .master import BVAction
@@ -136,19 +136,15 @@ class Element:
 def unshuffles(parities: Sequence[int], k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Yield the monotone (k, n-k) splittings of positions with Koszul signs.
 
-    The sign is accumulated from each chosen element passing the unchosen
-    elements that precede it, counting only odd-odd crossings.
+    The sign is that of reordering the positions ``left + right`` back to
+    ascending order: the inversion parity of their odd entries.
     """
     n = len(parities)
+    odd = [i for i in range(n) if parities[i] % 2]
     for left in itertools.combinations(range(n), k):
-        chosen = set(left)
-        right = tuple(i for i in range(n) if i not in chosen)
-        sign = 1
-        for i in left:
-            for j in right:
-                if j < i and parities[i] % 2 and parities[j] % 2:
-                    sign = -sign
-        yield left, right, sign
+        right = tuple(i for i in range(n) if i not in left)
+        flips = len(odd) > 1 and inversion_parity([i for i in left + right if i in odd])
+        yield left, right, -1 if flips else 1
 
 
 class LInftyStructure:
@@ -234,14 +230,16 @@ class LInftyStructure:
         return koszul if self.convention == PHYSICS else -koszul
 
     def _canonical(self, tup: tuple[BasisElement, ...]) -> tuple[tuple[BasisElement, ...], int]:
-        items = list(tup)
-        sign = 1
-        for i in range(len(items)):
-            for j in range(len(items) - 1 - i):
-                if self._index[items[j]] > self._index[items[j + 1]]:
-                    sign *= self._swap_sign(items[j], items[j + 1])
-                    items[j], items[j + 1] = items[j + 1], items[j]
-        return tuple(items), sign
+        """``tup`` in basis order, with its reordering sign: the Koszul sign,
+        times one transposition sign per inversion in the mathematics grading."""
+        keys = list(map(self._index.__getitem__, tup))
+        order = sorted(keys)
+        if keys == order:
+            return tup, 1
+        parity = inversion_parity([k for k, b in zip(keys, tup) if b.parity])
+        if self.convention == MATH:
+            parity += inversion_parity(keys)
+        return tuple(map(self.basis.__getitem__, order)), -1 if parity % 2 else 1
 
     def _forced_zero(self, canon: tuple[BasisElement, ...]) -> bool:
         return any(a == b and self._swap_sign(a, a) == -1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import Factors, LocalFunction, Monomial, add_terms
+from .algebra import Factors, LocalFunction, add_terms, term_key
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def match_coefficients(
         for j, col in enumerate(columns):
             for fac, coeff in col.terms():
                 rows.setdefault(fac, {})[j] = coeff
-        for fac in sorted(rows, key=lambda fac: Monomial(Fraction(1), fac).sort_key):
+        for fac in sorted(rows, key=term_key):
             equations.append(rows[fac])
             rhs.append(target.coefficient(fac))
     return equations, rhs

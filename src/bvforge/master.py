@@ -185,7 +185,7 @@ def _correction_pool(m: ModelSpec) -> list[Generator]:
 
 
 def correction_candidates(m: ModelSpec, antifield_number: int) -> list[LocalFunction]:
-    """Monomials of the given antifield number and ghost number zero,
+    """The monomials of the given antifield number and ghost number zero,
     within the model's jet-order and polynomial-degree bounds.
 
     Ghost number zero at antighost degree k means ghost degree k, so the
@@ -246,40 +246,23 @@ def solve_master(m: ModelSpec, K: int) -> tuple[BVAction, list[ObstructionRecord
     records: list[ObstructionRecord] = []
     while True:
         residual = master_residual(S)
-        pending = sorted(k for k in residual if k < K)
-        if not pending:
-            final = replace(
-                S,
-                solved_up_to=K,
-                residual_report={k: v for k, v in residual.items() if k <= K},
-            )
-            return final, records
-        k = pending[0]
-        R = residual[k]
-        correction, n_candidates, nullity = _solve_lift(m, S, R, k)
-        if correction is None:
-            records.append(ObstructionRecord(
-                antifield_number=k,
-                obstruction=R,
-                lifted=False,
-                correction=None,
-                ansatz_dimensions=(n_candidates, 0),
-            ))
-            final = replace(
-                S,
-                solved_up_to=k,
-                residual_report={kk: vv for kk, vv in residual.items() if kk <= K},
-            )
-            return final, records
+        k = min((j for j in residual if j < K), default=K)
+        if k == K:
+            break
+        correction, n_candidates, nullity = _solve_lift(m, S, residual[k], k)
         records.append(ObstructionRecord(
             antifield_number=k,
-            obstruction=R,
-            lifted=True,
+            obstruction=residual[k],
+            lifted=correction is not None,
             correction=correction,
             ansatz_dimensions=(n_candidates, nullity),
         ))
-        S = BVAction.from_total(
-            S.total + correction, m.spatial_dim, solved_up_to=k + 1)
+        if correction is None:
+            break
+        S = BVAction.from_total(S.total + correction, m.spatial_dim, solved_up_to=k + 1)
+    final = replace(S, solved_up_to=k,
+                    residual_report={j: v for j, v in residual.items() if j <= K})
+    return final, records
 
 
 @dataclass(frozen=True)

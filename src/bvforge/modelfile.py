@@ -193,11 +193,11 @@ class _Checker:
         if f.constant_term() != 0:
             raise SemanticError(
                 "deformation entries have no constant part", line, 1)
-        for m in f.monomials():
-            if len(m.factors) != 1 or m.factors[0][1] != 1:
+        for factors, _ in f.sorted_terms():
+            if len(factors) != 1 or factors[0][1] != 1:
                 raise SemanticError(
                     "deformation entries must be linear in the generators", line, 1)
-            g = m.factors[0][0]
+            g = factors[0][0]
             if g.jet:
                 raise SemanticError(
                     "deformation entries must not carry jet indices", line, 1)

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from bvforge.algebra import (
     LocalFunction,
-    Monomial,
     antifield,
     antighost,
     base,
@@ -25,6 +24,7 @@ from bvforge.algebra import (
     gen,
     ghost,
     graded_partial,
+    term_bidegree,
 )
 from bvforge.bracket import antibracket, bv_identity_harness, bv_laplacian, gerstenhaber_harness
 from bvforge.cli import run_command
@@ -165,30 +165,30 @@ def random_monomial(rng, pool, max_len):
     k = rng.randint(0, max_len)
     flat = [rng.choice(pool) for _ in range(k)]
     coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return Monomial(coeff, tuple((g, 1) for g in flat))
+    return tuple((g, 1) for g in flat), coeff
 
 
 def random_local_function(rng, pool=GRADED_POOL, terms=3, max_len=4):
-    return LocalFunction.from_monomials(
+    return LocalFunction.from_terms(
         random_monomial(rng, pool, max_len) for _ in range(terms))
 
 
 def random_homogeneous(rng, parity, pool=GRADED_POOL):
     """Up to six terms of at most four generators, all sharing one parity."""
-    monos = []
+    terms = []
     want = rng.randint(1, 6)
     attempts = 0
-    while len(monos) < want and attempts < 60:
+    while len(terms) < want and attempts < 60:
         attempts += 1
-        m = random_monomial(rng, pool, 4)
-        if sum(g.parity for g, _ in m.factors) % 2 != parity:
+        term = random_monomial(rng, pool, 4)
+        if term_bidegree(term[0]).parity != parity:
             continue
-        monos.append(m)
-    return LocalFunction.from_monomials(monos)
+        terms.append(term)
+    return LocalFunction.from_terms(terms)
 
 
 def random_field_sector(rng, pool, terms=3, max_len=3):
-    return LocalFunction.from_monomials(
+    return LocalFunction.from_terms(
         random_monomial(rng, pool, max_len) for _ in range(terms))
 
 

@@ -12,7 +12,6 @@ from bvforge.algebra import (
     Generator,
     GeneratorKind,
     LocalFunction,
-    Monomial,
     add_terms,
     antifield,
     antighost,
@@ -24,6 +23,7 @@ from bvforge.algebra import (
     graded_partial,
     normalize,
     sum_of,
+    term_bidegree,
 )
 
 
@@ -50,16 +50,15 @@ def naive_sorted_sign(flat):
     return sign, seq
 
 
-def flat_factors(m: Monomial):
+def flat_factors(factors):
     out = []
-    for g, e in m.factors:
+    for g, e in factors:
         out.extend([g] * e)
     return out
 
 
 def lf_from_flat(coeff, flat):
-    return LocalFunction.from_monomials(
-        [Monomial(Fraction(coeff), tuple((g, 1) for g in flat))])
+    return LocalFunction.from_terms([(tuple((g, 1) for g in flat), Fraction(coeff))])
 
 
 def naive_partial(f: LocalFunction, z: Generator, side: str) -> LocalFunction:
@@ -69,8 +68,8 @@ def naive_partial(f: LocalFunction, z: Generator, side: str) -> LocalFunction:
     jumps over: the prefix for the left derivative, the suffix for the
     right one."""
     out = LocalFunction.zero()
-    for m in f.monomials():
-        flat = flat_factors(m)
+    for factors, c in f.sorted_terms():
+        flat = flat_factors(factors)
         for pos, g in enumerate(flat):
             if g != z:
                 continue
@@ -80,7 +79,7 @@ def naive_partial(f: LocalFunction, z: Generator, side: str) -> LocalFunction:
                 s = (-1) ** sum(h.parity for h in jumped)
             else:
                 s = 1
-            out = out + lf_from_flat(m.coefficient * s, rest)
+            out = out + lf_from_flat(c * s, rest)
     return out
 
 
@@ -94,13 +93,13 @@ POOL = [
 
 
 def random_local_function(rng, terms=3, max_len=4):
-    monos = []
+    pairs = []
     for _ in range(terms):
         k = rng.randint(0, max_len)
         flat = [rng.choice(POOL) for _ in range(k)]
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        monos.append(Monomial(coeff, tuple((g, 1) for g in flat)))
-    return LocalFunction.from_monomials(monos)
+        pairs.append((tuple((g, 1) for g in flat), coeff))
+    return LocalFunction.from_terms(pairs)
 
 
 # ---------------------------------------------------------------- generators
@@ -165,28 +164,23 @@ def test_generator_total_order_groups_by_kind_then_family_then_jet():
 
 def test_normalize_sorts_and_signs():
     C1, C2 = ghost("1"), ghost("2")
-    m = normalize(Monomial(Fraction(1), ((C2, 1), (C1, 1))))
-    assert m.coefficient == -1
-    assert m.factors == ((C1, 1), (C2, 1))
+    assert normalize((((C2, 1), (C1, 1)), Fraction(1))) == (((C1, 1), (C2, 1)), -1)
 
 
 def test_odd_repeats_vanish():
     C = ghost("1")
     us = antifield("1")
-    assert normalize(Monomial(Fraction(1), ((C, 1), (C, 1)))).is_zero
-    assert normalize(Monomial(Fraction(1), ((C, 2),))).is_zero
-    assert normalize(Monomial(Fraction(1), ((us, 1), (us, 1)))).is_zero
+    assert normalize((((C, 1), (C, 1)), Fraction(1)))[1] == 0
+    assert normalize((((C, 2),), Fraction(1)))[1] == 0
+    assert normalize((((us, 1), (us, 1)), Fraction(1)))[1] == 0
     # antighosts are even and may repeat
     cs = antighost("1")
-    m = normalize(Monomial(Fraction(1), ((cs, 1), (cs, 1))))
-    assert m.factors == ((cs, 2),)
+    assert normalize((((cs, 1), (cs, 1)), Fraction(1))) == (((cs, 2),), 1)
 
 
 def test_normalize_merges_even_powers():
     u = field("1")
-    m = normalize(Monomial(Fraction(3), ((u, 2), (u, 1))))
-    assert m.factors == ((u, 3),)
-    assert m.coefficient == 3
+    assert normalize((((u, 2), (u, 1)), Fraction(3))) == (((u, 3),), 3)
 
 
 def test_normalize_agrees_with_naive_sign_oracle():
@@ -194,13 +188,13 @@ def test_normalize_agrees_with_naive_sign_oracle():
     for _ in range(300):
         k = rng.randint(0, 6)
         flat = [rng.choice(POOL) for _ in range(k)]
-        m = normalize(Monomial(Fraction(1), tuple((g, 1) for g in flat)))
+        factors, c = normalize((tuple((g, 1) for g in flat), Fraction(1)))
         sign, srt = naive_sorted_sign(flat)
         if sign is None:
-            assert m.is_zero
+            assert c == 0
         else:
-            assert m.coefficient == sign
-            assert flat_factors(m) == srt
+            assert c == sign
+            assert flat_factors(factors) == srt
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -366,7 +360,7 @@ def test_decompose_by_antifield_number_splits_and_reassembles():
         total = LocalFunction.zero()
         for k, part in parts.items():
             assert not part.is_zero
-            assert {m.antifield_number for m in part.monomials()} == {k}
+            assert {term_bidegree(f).antighost for f, _ in part.terms()} == {k}
             total = total + part
         assert total == f
 
@@ -409,8 +403,8 @@ def test_equality_and_hash_are_structural():
 def test_monomial_iteration_is_deterministic():
     rng = random.Random(91)
     f = random_local_function(rng, terms=6, max_len=4)
-    first = f.monomials()
-    again = LocalFunction.from_monomials(list(first)[::-1]).monomials()
+    first = f.sorted_terms()
+    again = LocalFunction.from_terms(first[::-1]).sorted_terms()
     assert first == again
 
 

@@ -11,7 +11,6 @@ from bvforge.algebra import (
     Generator,
     GeneratorKind,
     LocalFunction,
-    Monomial,
     antifield,
     antighost,
     field,
@@ -44,7 +43,7 @@ def random_monomial_lf(rng, pool=POINT_POOL, max_len=4):
     k = rng.randint(0, max_len)
     flat = [rng.choice(pool) for _ in range(k)]
     coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-    return LocalFunction.from_monomials([Monomial(coeff, tuple((g, 1) for g in flat))])
+    return LocalFunction.from_terms([(tuple((g, 1) for g in flat), coeff)])
 
 
 # ---------------------------------------------------------------- pairings
@@ -298,7 +297,7 @@ def old_family_pairs(*fs):
 
 def random_jet_function(rng):
     """A local function over all five generator kinds, prolonged up to order 2."""
-    monos = []
+    terms = []
     for _ in range(rng.randint(0, 4)):
         flat = []
         for _ in range(rng.randint(0, 4)):
@@ -309,8 +308,8 @@ def random_jet_function(rng):
                 jet = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, 2)))
                 flat.append(Generator(kind, rng.choice(("1", "2", "a", "b10")), jet))
         coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
-        monos.append(Monomial(coeff, tuple((g, 1) for g in flat)))
-    return LocalFunction.from_monomials(monos)
+        terms.append((tuple((g, 1) for g in flat), coeff))
+    return LocalFunction.from_terms(terms)
 
 
 def test_families_and_pairs_agree_with_the_old_walks():

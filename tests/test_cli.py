@@ -1,5 +1,6 @@
 """Command line driver: dispatch, reports, exit statuses, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -334,6 +335,16 @@ def test_bad_bounds_flag_is_an_error():
     assert status == 2
 
 
+def test_bounds_flag_takes_ascii_digits_and_each_key_once():
+    # str.isdigit accepts '\u00b2', which int() then refuses
+    assert run_command(["el", fx("scalar.bv"), "--bounds", "deg=\u00b2"]) == \
+        (2, "error: bad bounds 'deg=\u00b2' (expected jet=<int>,deg=<int>)\n")
+    # a document's own bounds line refuses a repeated key too
+    assert run_command(["el", fx("scalar.bv"), "--bounds", "jet=1,jet=3"]) == \
+        (2, "error: bad bounds 'jet=1,jet=3' (duplicate bound 'jet')\n")
+    assert run_command(["el", fx("scalar.bv"), "--bounds", "deg=2,jet=2,deg=3"])[0] == 2
+
+
 def test_bounds_flag_cannot_drop_below_the_models_jet_order(tmp_path):
     # the same refusal as a document whose own bounds line is too small
     assert run_command(["noether", fx("su2_plane.bv"), "--bounds", "jet=0,deg=3"]) \
@@ -367,6 +378,36 @@ ALL_COMMANDS = [
     ["check-linfty", fx("so3_full.bv"), "-n", "3"],
     ["mc", fx("rotation.bv")],
 ]
+
+
+# one sha256 per fixture over every command in both formats, recorded
+# before the Monomial record was retired: each (command, format, exit
+# status, output) enters the digest NUL-separated, in COMMANDS order
+SURFACE_DIGESTS = {
+    "divergence.bv": "9da9977e7009315a030f45513d082519741c3772a74b2a0e9f7bc2cb22afe03b",
+    "gl3.bv": "7379ee0dee480dfa607396d3963ea0160c4fff48ad0f51318d526964abf6b69f",
+    "mc_fail.bv": "b7a2b753646df0e0908bdd313f9171c849b1107aaa4ec0c048e2e974f324b9f8",
+    "open_algebra.bv": "552b1677a55eb4fa24ef15b851e55009bfca206d2af47c125b25a19f8e9dd6a3",
+    "rotation.bv": "f926adaa780a5044653c169677b42869b68f38a4bf471838c4aba27d3a4a7d0d",
+    "scalar.bv": "c608285b56705ae2917a25882c797b70b97adf0fb9c502f6b0bf6de2b2ea9269",
+    "scalar_gauge.bv": "b0d85af7f4269a3640f1633477a6d5fbaec9340db9f35ffd8358e3ee57bfeffd",
+    "so3_full.bv": "b29835a6cdee4a04676bd0a4950632c98da59b18797d94a68721148308c686f0",
+    "so3_ghost.bv": "4b74b1e6240ae47d56c428fdf726cb93f631078fe94e0aeb91072e980d986c4e",
+    "su2_plane.bv": "ac1614e7d8e6a6aec43534549501dd2a6d1b22ccaf5cbff1c770eabc3a075a0f",
+    "zero.bv": "7e55504410153471bfc098d5d48dbb7be5cb07393090be4bcc4a2d3a16b3a4ca",
+}
+
+
+def test_every_command_on_every_fixture_prints_its_pinned_bytes():
+    fixtures = sorted(FIXTURES.glob("*.bv"))
+    assert sorted(p.name for p in fixtures) == sorted(SURFACE_DIGESTS)
+    for path in fixtures:
+        digest = hashlib.sha256()
+        for command in COMMANDS:
+            for fmt in ("text", "structured"):
+                status, out = run_command([command, str(path), "--format", fmt])
+                digest.update(f"{command}\0{fmt}\0{status}\0{out}\0".encode("utf-8"))
+        assert digest.hexdigest() == SURFACE_DIGESTS[path.name], path.name
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])

@@ -8,7 +8,6 @@ import pytest
 
 from bvforge.algebra import (
     LocalFunction,
-    Monomial,
     antifield,
     antighost,
     base,
@@ -53,6 +52,14 @@ def test_tokenizer_rejects_stray_characters():
         tokenize("u[1] @ 2")
     assert err.value.line == 1
     assert err.value.column == 6
+
+
+def test_integers_are_ascii_digits_only():
+    # an Arabic-Indic three is not 3, and a superscript two is no integer
+    for text, column in (("x[\u0663]", 3), ("u[1]^\u00b2", 6), ("3\u0663", 2)):
+        with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+            tokenize(text)
+        assert (err.value.line, err.value.column) == (1, column), text
 
 
 # ---------------------------------------------------------------- atoms
@@ -188,13 +195,13 @@ POOL = [
 
 
 def random_local_function(rng, terms=3, max_len=4):
-    monos = []
+    pairs = []
     for _ in range(terms):
         k = rng.randint(0, max_len)
         flat = [rng.choice(POOL) for _ in range(k)]
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        monos.append(Monomial(coeff, tuple((g, 1) for g in flat)))
-    return LocalFunction.from_monomials(monos)
+        pairs.append((tuple((g, 1) for g in flat), coeff))
+    return LocalFunction.from_terms(pairs)
 
 
 def test_print_parse_round_trip_on_500_random_functions():

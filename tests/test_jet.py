@@ -9,7 +9,6 @@ import pytest
 
 from bvforge.algebra import (
     LocalFunction,
-    Monomial,
     antifield,
     base,
     field,
@@ -46,13 +45,13 @@ def random_field_function(rng, dim=2, terms=3, max_len=3, max_jet=2):
     for a in ("1", "2"):
         for jet in all_multi_indices(dim, max_jet):
             pool.append(field(a, jet))
-    monos = []
+    pairs = []
     for _ in range(terms):
         k = rng.randint(0, max_len)
         flat = [rng.choice(pool) for _ in range(k)]
         coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        monos.append(Monomial(coeff, tuple((g, 1) for g in flat)))
-    return LocalFunction.from_monomials(monos)
+        pairs.append((tuple((g, 1) for g in flat), coeff))
+    return LocalFunction.from_terms(pairs)
 
 
 def random_graded_function(rng, dim=2, terms=3, max_len=3):
@@ -61,13 +60,13 @@ def random_graded_function(rng, dim=2, terms=3, max_len=3):
         pool.append(field("1", jet))
         pool.append(antifield("1", jet))
         pool.append(ghost("g", jet))
-    monos = []
+    pairs = []
     for _ in range(terms):
         k = rng.randint(0, max_len)
         flat = [rng.choice(pool) for _ in range(k)]
         coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-        monos.append(Monomial(coeff, tuple((g, 1) for g in flat)))
-    return LocalFunction.from_monomials(monos)
+        pairs.append((tuple((g, 1) for g in flat), coeff))
+    return LocalFunction.from_terms(pairs)
 
 
 # ---------------------------------------------------------------- prolong

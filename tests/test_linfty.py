@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from bvforge import cli, linfty
-from bvforge.algebra import (Generator, LocalFunction, Monomial, antifield, antighost, field, gen,
-                             ghost, graded_partial)
+from bvforge.algebra import (Generator, LocalFunction, antifield, antighost, field, gen,
+                             ghost, graded_partial, term_bidegree)
 from bvforge.bracket import JetModelUnsupported, antibracket
 from bvforge.cli import run_command
 from bvforge.expr import format_generator
@@ -217,6 +217,81 @@ def test_unshuffle_signs_match_full_permutation_koszul():
             samples += 1
 
 
+# ------------------------------------------------- reordering sign oracles
+# The swap loops that signed reorderings before ``inversion_parity`` did,
+# kept as they were, with ``self`` renamed ``L``.
+
+def bubble_canonical(L, tup):
+    items = list(tup)
+    sign = 1
+    for i in range(len(items)):
+        for j in range(len(items) - 1 - i):
+            if L._index[items[j]] > L._index[items[j + 1]]:
+                sign *= L._swap_sign(items[j], items[j + 1])
+                items[j], items[j + 1] = items[j + 1], items[j]
+    return tuple(items), sign
+
+
+def crossing_unshuffles(parities, k):
+    n = len(parities)
+    for left in itertools.combinations(range(n), k):
+        chosen = set(left)
+        right = tuple(i for i in range(n) if i not in chosen)
+        sign = 1
+        for i in left:
+            for j in right:
+                if j < i and parities[i] % 2 and parities[j] % 2:
+                    sign = -sign
+        yield left, right, sign
+
+
+SIGN_BASIS = tuple(BasisElement(f"s{i}", d) for i, d in enumerate((1, 0, 1, -1, 2, 1), 1))
+
+
+def sign_tuples():
+    """500 seeded tuples of length 0 to 6 over SIGN_BASIS."""
+    rng = random.Random(20261018)
+    return [tuple(rng.choice(SIGN_BASIS) for _ in range(rng.randint(0, 6)))
+            for _ in range(500)]
+
+
+def canonical_mismatches(canonical):
+    """The (convention, tuple) pairs on which ``canonical`` and the bubble sort disagree."""
+    mismatches = []
+    for convention in (PHYSICS, MATH):
+        L = LInftyStructure(SIGN_BASIS, convention=convention)
+        mismatches += [(convention, t) for t in sign_tuples()
+                       if canonical(L, t) != bubble_canonical(L, t)]
+    return mismatches
+
+
+def test_canonical_matches_the_bubble_sort_oracle():
+    assert canonical_mismatches(LInftyStructure._canonical) == []
+    # the sample repeats entries, mixes parities and needs real reordering
+    tuples = sign_tuples()
+    assert sum(len(set(t)) < len(t) for t in tuples) >= 100
+    assert sum(sum(b.parity for b in t) >= 2 for t in tuples) >= 100
+    for convention in (PHYSICS, MATH):
+        L = LInftyStructure(SIGN_BASIS, convention=convention)
+        assert {bubble_canonical(L, t)[1] for t in tuples} == {1, -1}
+
+
+def test_canonical_mutant_without_the_transposition_signs_is_caught():
+    # the mathematics grading reordered with the Koszul sign alone
+    def koszul_only(L, tup):
+        return LInftyStructure._canonical(LInftyStructure(L.basis), tup)
+    mismatches = canonical_mismatches(koszul_only)
+    assert mismatches
+    assert {convention for convention, _ in mismatches} == {MATH}
+
+
+def test_unshuffles_match_the_crossing_oracle_on_every_split():
+    for n in range(7):
+        for parities in itertools.product((0, 1), repeat=n):
+            for k in range(n + 1):
+                assert list(unshuffles(parities, k)) == list(crossing_unshuffles(parities, k))
+
+
 # ---------------------------------------------------------------- structure
 
 def test_structure_canonicalizes_keys_with_koszul_sign():
@@ -385,15 +460,16 @@ def polarized_extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
     for g in basis_gens:
         image = antibracket(S.total, gen(g), 0)
         by_degree: dict[int, list] = {}
-        for mono in image.monomials():
-            if 1 <= mono.degree <= n_max:
-                by_degree.setdefault(mono.degree, []).append(mono)
-        for n, monos in sorted(by_degree.items()):
-            part = LocalFunction.from_monomials(monos)
+        for factors, c in image.sorted_terms():
+            degree = sum(e for _, e in factors)
+            if 1 <= degree <= n_max:
+                by_degree.setdefault(degree, []).append((factors, c))
+        for n, terms in sorted(by_degree.items()):
+            part = LocalFunction.from_terms(terms)
             weight = 1 if n % 2 else -1
             keys = sorted({
-                tuple(z for z, e in m.factors for _ in range(e))
-                for m in monos
+                tuple(z for z, e in factors for _ in range(e))
+                for factors, _ in terms
             })
             for key in keys:
                 probe = part
@@ -444,10 +520,9 @@ def random_ghost_number_zero_action(rng: random.Random) -> BVAction:
         for _ in range(rng.randint(1, 4)):
             z = rng.choice(RANDOM_POOL)
             factors.append((z, 1 if z.is_odd else rng.randint(1, 3)))
-        mono = Monomial(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)),
-                        tuple(factors))
-        if mono.ghost_number == 0 and 1 <= mono.degree <= 6:
-            data.update(LocalFunction.from_monomials([mono]).terms())
+        term = (tuple(factors), Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        if term_bidegree(term[0]).total == 0 and 1 <= sum(e for _, e in factors) <= 6:
+            data.update(LocalFunction.from_terms([term]).terms())
     return BVAction.from_total(LocalFunction(data), 0, solved_up_to=2)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import bvforge.master
-from bvforge.algebra import LocalFunction, Monomial, antifield, field, ghost
+from bvforge.algebra import LocalFunction, antifield, field, ghost, term_key
 from bvforge.linsolve import LinearSolution, match_coefficients, solve_linear_system
 from bvforge.master import solve_master
 from bvforge.modelfile import parse_document
@@ -172,19 +172,19 @@ POOL = [field("1"), field("2", (1,)), antifield("1"), ghost("1"), ghost("2")]
 
 
 def random_local_function(rng: random.Random) -> LocalFunction:
-    monomials = []
+    terms = []
     for _ in range(rng.randint(0, 4)):
         factors = tuple((rng.choice(POOL), 1) for _ in range(rng.randint(0, 3)))
-        monomials.append(Monomial(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), factors))
-    return LocalFunction.from_monomials(monomials)
+        terms.append((factors, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+    return LocalFunction.from_terms(terms)
 
 
 def lookup_assembly(blocks):
     """Reference: one row per monomial key, one coefficient lookup per column."""
     equations, rhs = [], []
     for target, columns in blocks:
-        keys = {mono.factors for src in [target, *columns] for mono in src.monomials()}
-        for fac in sorted(keys, key=lambda fac: Monomial(Fraction(1), fac).sort_key):
+        keys = {fac for src in [target, *columns] for fac, _ in src.sorted_terms()}
+        for fac in sorted(keys, key=term_key):
             row = {j: col.coefficient(fac) for j, col in enumerate(columns) if col.coefficient(fac)}
             equations.append(row)
             rhs.append(target.coefficient(fac))

@@ -12,7 +12,6 @@ import pytest
 
 from bvforge.algebra import (
     LocalFunction,
-    Monomial,
     antifield,
     antighost,
     base,
@@ -346,8 +345,7 @@ def test_solved_actions_square_to_zero_on_random_arguments():
     for _ in range(50):
         k = rng.randint(1, 3)
         flat = [rng.choice(pool) for _ in range(k)]
-        f = LocalFunction.from_monomials(
-            [Monomial(Fraction(rng.randint(1, 3)), tuple((g, 1) for g in flat))])
+        f = LocalFunction.from_terms([(tuple((g, 1) for g in flat), Fraction(rng.randint(1, 3)))])
         inner = antibracket(S.total, f, 2)
         outer = antibracket(S.total, inner, 2)
         assert functional_vanishes(outer, 2)
@@ -374,8 +372,7 @@ def oracle_basis(pool, max_degree):
     out = [LocalFunction.one()]
     for d in range(1, max_degree + 1):
         for combo in itertools.combinations_with_replacement(ordered, d):
-            m = LocalFunction.from_monomials(
-                [Monomial(Fraction(1), tuple((g, 1) for g in combo))])
+            m = LocalFunction.from_terms([(tuple((g, 1) for g in combo), Fraction(1))])
             if not m.is_zero:
                 out.append(m)
     return out

@@ -191,6 +191,15 @@ def test_error_positions_point_into_the_document():
     assert err.value.line == 5
 
 
+def test_non_ascii_digits_are_refused_with_a_position():
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+        parse_document("dimension \u00b2\nfields 1\nlagrangian u[1]^2\n")
+    assert (err.value.line, err.value.column) == (1, 11)
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character") as err:
+        parse_document("dimension 3\nfields 1\nlagrangian x[\u0663]*u[1]\n")
+    assert (err.value.line, err.value.column) == (3, 14)
+
+
 # ------------------------------------------------------------ round trip
 
 FULL_SO3_DOC = """
