@@ -245,19 +245,13 @@ def _cmd_extract(doc: ModelDocument, args, report: Report) -> None:
     L = _extracted(doc.spec, args.max_antifield_number, n_max)
     for b in L.basis:
         report.results.append((f"degree[{b.name}]", str(b.degree)))
-    for b in L.basis:
-        image = L.differential.get(b)
-        if image is not None and not image.is_zero:
-            report.results.append((f"d({b.name})", _format_element(image)))
     index = {b: i for i, b in enumerate(L.basis)}
-    for n in sorted(L.brackets):
-        table = L.brackets[n]
+    for n in sorted(L.tensors):
+        table = L.tensors[n]
         for key in sorted(table, key=lambda tup: [index[b] for b in tup]):
-            value = table[key]
-            if value.is_zero:
-                continue
             names = ", ".join(b.name for b in key)
-            report.results.append((f"l{n}({names})", _format_element(value)))
+            label = f"d({names})" if n == 1 else f"l{n}({names})"
+            report.results.append((label, _format_element(table[key])))
 
 
 def _cmd_check_linfty(doc: ModelDocument, args, report: Report) -> None:

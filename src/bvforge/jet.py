@@ -334,7 +334,6 @@ class NoetherReport:
     """Per-identity residuals of the Noether check; all_pass iff all vanish."""
 
     per_identity_residual: dict[str, LocalFunction]
-    euler_lagrange_by_field: dict[str, LocalFunction]
 
     @property
     def all_pass(self) -> bool:
@@ -356,7 +355,7 @@ def check_noether(m: ModelSpec) -> NoetherReport:
             (-1) ** len(jet) * total_derivative_multi(
                 m.gauge_coefficient(a, alpha, jet) * el[a], jet, m.spatial_dim)
             for a in m.fields for jet in m.gauge_multi_indices(a, alpha))
-    return NoetherReport(per_identity_residual=residuals, euler_lagrange_by_field=el)
+    return NoetherReport(per_identity_residual=residuals)
 
 
 # -------------------------------------------------- gauge transformations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 
 from .algebra import (
     Generator,
@@ -43,6 +44,10 @@ from .jet import (
     variational_derivative,
 )
 from .linsolve import match_coefficients, solve_linear_system
+
+# Most monomials one lift ansatz may hold.  The open algebra on a line at
+# jet=2 deg=4 needs 1530; at deg=30 its stratum-2 ansatz needs 19082.
+MAX_LIFT_CANDIDATES = 10_000
 
 
 class MissingStructureFunctions(ValueError):
@@ -184,14 +189,38 @@ def _correction_pool(m: ModelSpec) -> list[Generator]:
     return pool
 
 
+def lift_candidate_count(m: ModelSpec, k: int) -> int:
+    """``len(correction_candidates(m, k))`` in closed form.
+
+    With J multi-indices in the jet bound there are F = |fields| J odd
+    antifields (0, 1), G = |gauge| J odd ghosts (1, 0) and G even antighosts
+    (0, 2), and n0 = dim + F even generators (0, 0).  A bidegree-(k, k)
+    monomial takes k ghosts, k - 2c antifields and c antighosts, and fills
+    the degree left under the bound with the n0.
+    """
+    J = comb(m.spatial_dim + m.max_jet_order, m.spatial_dim)
+    F, G = len(m.fields) * J, len(m.gauge_indices) * J
+    n0 = m.spatial_dim + F
+    return sum(comb(G, k) * comb(F, k - 2 * c) * (comb(G + c - 1, c) if c else 1)
+               * comb(n0 + m.max_poly_degree - (2 * k - c), n0)
+               for c in range(k // 2 + 1) if m.max_poly_degree >= 2 * k - c)
+
+
 def correction_candidates(m: ModelSpec, antifield_number: int) -> list[LocalFunction]:
     """The monomials of the given antifield number and ghost number zero,
     within the model's jet-order and polynomial-degree bounds.
 
     Ghost number zero at antighost degree k means ghost degree k, so the
     candidates are exactly the monomials of bidegree (k, k), generated
-    directly in the fixed order of ``enumerate_basis_monomials``.
+    directly in the fixed order of ``enumerate_basis_monomials``.  Above
+    ``MAX_LIFT_CANDIDATES`` of them, counted by ``lift_candidate_count``,
+    it raises ``ValueError`` before any is built.
     """
+    count = lift_candidate_count(m, antifield_number)
+    if count > MAX_LIFT_CANDIDATES:
+        raise ValueError(
+            f"lifting to antifield number {antifield_number} needs {count} candidate "
+            f"monomials, more than {MAX_LIFT_CANDIDATES}; lower the deg or jet bound")
     return enumerate_basis_monomials(
         _correction_pool(m), m.max_poly_degree, bidegree=(antifield_number, antifield_number))
 

@@ -299,7 +299,7 @@ def test_rotation_ghost_solution_matches_the_lie_structure():
             by_name[f"C[{k}]"]: Fraction(EPS[(i, j, k)])
             for k in (1, 2, 3) if (i, j, k) in EPS
         })
-        assert L.brackets[2][key] == expected
+        assert L.tensors[2][key] == expected
     assert check_linfty(L, 4).passed
 
     bad, bad_records = solve_master(non_jacobi_ghost_model(), 4)
@@ -349,11 +349,7 @@ def oracle_bracket(L, inputs):
     perm = tuple(sorted(range(n), key=lambda i: order[inputs[i]]))
     sign = permutation_sign(perm, [b.parity for b in inputs])
     key = tuple(inputs[i] for i in perm)
-    if n == 1:
-        value = L.differential.get(key[0], Element.zero())
-    else:
-        value = L.brackets.get(n, {}).get(key, Element.zero())
-    return sign * value
+    return sign * L.tensors.get(n, {}).get(key, Element.zero())
 
 
 def oracle_residual(L, inputs):
@@ -391,13 +387,12 @@ def random_structure(rng):
                     b, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
         return out
 
-    differential = {}
+    tensors = {1: {}}
     for b in basis:
         value = element_in_degree(b.degree - 1)
         if not value.is_zero:
-            differential[b] = value
+            tensors[1][(b,)] = value
 
-    brackets = {}
     for n in (2, 3, 4):
         keys = [key for key in itertools.combinations_with_replacement(basis, n)
                 if not any(a == b and a.parity for a, b in zip(key, key[1:]))]
@@ -408,8 +403,8 @@ def random_structure(rng):
             if not value.is_zero:
                 table[key] = value
         if table:
-            brackets[n] = table
-    return LInftyStructure(basis, differential, brackets)
+            tensors[n] = table
+    return LInftyStructure(basis, tensors)
 
 
 def test_identity_checker_agrees_with_permutation_oracle():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -168,6 +169,19 @@ def test_check_linfty_refuses_an_oversized_sweep():
     assert status == 2
     assert out.startswith("error: ")
     assert "1562274 identity tuples" in out
+
+
+@pytest.mark.parametrize("model, bounds, count", [
+    ("open_algebra.bv", "deg=30", 19082),
+    ("su2_plane.bv", "jet=4,deg=6", 23497184700),
+])
+def test_solve_refuses_an_oversized_ansatz_at_once(model, bounds, count):
+    start = time.monotonic()
+    status, out = run_command(["solve", fx(model), "--bounds", bounds])
+    assert time.monotonic() - start < 1.0
+    assert status == 2
+    assert out.startswith("error: ")
+    assert f"needs {count} candidate monomials" in out
 
 
 def test_mc_flat_directions_pass():

@@ -6,6 +6,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -132,7 +133,7 @@ def lie_structure(names, table):
     for (x, y), value in table.items():
         tensor[(by_name[x], by_name[y])] = Element(
             {by_name[z]: Fraction(c) for z, c in value.items()})
-    return LInftyStructure(basis=basis, brackets={2: tensor})
+    return LInftyStructure(basis=basis, tensors={2: tensor})
 
 
 def so3_structure():
@@ -168,7 +169,7 @@ def triple_bracket_structure(mu_pair):
         (a[0], a[1], a[2]): Element.from_basis(b),
         (b, a[mu_pair[0] - 1], a[mu_pair[1] - 1]): Element.from_basis(c),
     }
-    return LInftyStructure(basis=a + (b, c), brackets={3: tensor})
+    return LInftyStructure(basis=a + (b, c), tensors={3: tensor})
 
 
 # ---------------------------------------------------------------- unshuffles
@@ -218,17 +219,21 @@ def test_unshuffle_signs_match_full_permutation_koszul():
 
 
 # ------------------------------------------------- reordering sign oracles
-# The swap loops that signed reorderings before ``inversion_parity`` did,
-# kept as they were, with ``self`` renamed ``L``.
+# The swap loops that signed reorderings before ``inversion_parity`` did.
+# Each adjacent swap of distinct inputs a, b costs the Koszul sign, and in
+# the mathematics grading one more transposition sign.
 
 def bubble_canonical(L, tup):
     items = list(tup)
     sign = 1
     for i in range(len(items)):
         for j in range(len(items) - 1 - i):
-            if L._index[items[j]] > L._index[items[j + 1]]:
-                sign *= L._swap_sign(items[j], items[j + 1])
-                items[j], items[j + 1] = items[j + 1], items[j]
+            a, b = items[j], items[j + 1]
+            if L._index[a] > L._index[b]:
+                sign *= -1 if a.parity and b.parity else 1
+                if L.convention == MATH:
+                    sign = -sign
+                items[j], items[j + 1] = b, a
     return tuple(items), sign
 
 
@@ -299,8 +304,8 @@ def test_structure_canonicalizes_keys_with_koszul_sign():
     out = Element.from_basis(BasisElement("m", 1))
     L = LInftyStructure(
         basis=(e1, e2, BasisElement("m", 1)),
-        brackets={2: {(e2, e1): out}})
-    assert L.brackets[2][(e1, e2)] == -1 * out
+        tensors={2: {(e2, e1): out}})
+    assert L.tensors[2][(e1, e2)] == -1 * out
 
 
 def test_structure_rejects_forced_zero_entries():
@@ -309,7 +314,7 @@ def test_structure_rejects_forced_zero_entries():
     with pytest.raises(ValueError):
         LInftyStructure(
             basis=(e1, e2, m),
-            brackets={2: {(e1, e1): Element.from_basis(m)}})
+            tensors={2: {(e1, e1): Element.from_basis(m)}})
 
 
 def test_structure_rejects_degree_law_violations():
@@ -318,11 +323,20 @@ def test_structure_rejects_degree_law_violations():
     with pytest.raises(ValueError):
         LInftyStructure(
             basis=(e1, e2, wrong),
-            brackets={2: {(e1, e2): Element.from_basis(wrong)}})
+            tensors={2: {(e1, e2): Element.from_basis(wrong)}})
     with pytest.raises(ValueError):
         LInftyStructure(
             basis=(e1, e2),
-            differential={e1: Element.from_basis(e2)})
+            tensors={1: {(e1,): Element.from_basis(e2)}})
+    # the differential is l1: degree -1 in the physics grading, +1 in the mathematics one
+    up = LInftyStructure(basis=(e1, wrong), tensors={1: {(wrong,): Element.from_basis(e1)}},
+                         convention=MATH)
+    assert up.tensors == {1: {(wrong,): Element.from_basis(e1)}}
+    with pytest.raises(ValueError):
+        LInftyStructure(basis=(e1, wrong), tensors={1: {(e1,): Element.from_basis(wrong)}},
+                        convention=MATH)
+    with pytest.raises(ValueError):
+        LInftyStructure(basis=(e1, e2), tensors={0: {(): Element.from_basis(e1)}})
 
 
 def test_apply_reorders_inputs():
@@ -350,7 +364,6 @@ def test_extraction_of_rotation_ghost_action():
     S = build_stage_action(ghost_so3_model(), 2)
     L = extract_brackets(S, 4)
     assert L.convention == PHYSICS
-    assert not L.differential
     assert L.arities() == (2,)
     by_name = {b.name: b for b in L.basis}
     for i, j in [(1, 2), (1, 3), (2, 3)]:
@@ -359,15 +372,15 @@ def test_extraction_of_rotation_ghost_action():
             by_name[f"C[{k}]"]: Fraction(EPS[(i, j, k)])
             for k in (1, 2, 3) if (i, j, k) in EPS
         })
-        assert L.brackets[2][key] == expected
+        assert L.tensors[2][key] == expected
 
 
 def test_extraction_of_finite_abelian_action():
     S, _ = solve_master(finite_abelian_model(), 2)
     L = extract_brackets(S, 3)
-    assert L.arities() == ()
+    assert L.arities() == (1,)
     by_name = {b.name: b for b in L.basis}
-    image = L.apply_differential(Element.from_basis(by_name["C[e]"]))
+    image = L.apply(1, [Element.from_basis(by_name["C[e]"])])
     assert image == Element({by_name["u[1]"]: Fraction(1),
                              by_name["u[2]"]: Fraction(1)})
     report = check_linfty(L, 2)
@@ -380,7 +393,7 @@ def test_extraction_of_full_rotation_action():
     by_name = {b.name: b for b in L.basis}
     # equation-of-motion part of the differential
     for a in (1, 2, 3):
-        image = L.apply_differential(Element.from_basis(by_name[f"u[{a}]"]))
+        image = L.apply(1, [Element.from_basis(by_name[f"u[{a}]"])])
         assert image == Element.from_basis(by_name[f"ustar[{a}]"])
     # field rotation under the binary bracket
     value = L.apply(2, [Element.from_basis(by_name["u[1]"]),
@@ -399,8 +412,7 @@ def test_extraction_of_zero_action():
     S = BVAction.from_total(LocalFunction.zero(), 0, 3)
     L = extract_brackets(S, 3)
     assert L.basis == ()
-    assert not L.differential
-    assert not L.brackets
+    assert not L.tensors
 
 
 def test_extraction_strata_gate():
@@ -455,8 +467,7 @@ def polarized_extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
     to_basis = {g: BasisElement(format_generator(g), g.ghost_number)
                 for g in basis_gens}
 
-    differential: dict[BasisElement, Element] = {}
-    brackets: dict[int, dict[tuple[BasisElement, ...], Element]] = {}
+    tensors: dict[int, dict[tuple[BasisElement, ...], Element]] = {}
     for g in basis_gens:
         image = antibracket(S.total, gen(g), 0)
         by_degree: dict[int, list] = {}
@@ -479,18 +490,13 @@ def polarized_extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
                 if coefficient == 0:
                     continue
                 contribution = Element.from_basis(to_basis[g], coefficient)
-                if n == 1:
-                    slot = to_basis[key[0]]
-                    differential[slot] = differential.get(slot, Element.zero()) + contribution
-                else:
-                    table = brackets.setdefault(n, {})
-                    bkey = tuple(to_basis[z] for z in key)
-                    table[bkey] = table.get(bkey, Element.zero()) + contribution
+                table = tensors.setdefault(n, {})
+                bkey = tuple(to_basis[z] for z in key)
+                table[bkey] = table.get(bkey, Element.zero()) + contribution
 
     return LInftyStructure(
         basis=tuple(to_basis[g] for g in basis_gens),
-        differential=differential,
-        brackets=brackets,
+        tensors=tensors,
         convention=PHYSICS,
     )
 
@@ -553,7 +559,7 @@ def test_random_actions_exercise_repeated_inputs_and_odd_generators():
     repeated = odd = 0
     for S in random_actions():
         L = extract_brackets(S, 5)
-        keys = [key for table in L.brackets.values() for key in table]
+        keys = [key for table in L.tensors.values() for key in table]
         repeated += any(len(set(key)) < len(key) for key in keys)
         odd += any(b.parity for key in keys for b in key)
     assert repeated >= 50
@@ -638,11 +644,11 @@ def test_differential_square_detection():
     r = BasisElement("r", -1)
     good = LInftyStructure(
         basis=(p, q, r),
-        differential={q: Element.from_basis(p)})
+        tensors={1: {(q,): Element.from_basis(p)}})
     assert check_linfty(good, 1).passed
     bad = LInftyStructure(
         basis=(p, q, r),
-        differential={q: Element.from_basis(p), p: Element.from_basis(r)})
+        tensors={1: {(q,): Element.from_basis(p), (p,): Element.from_basis(r)}})
     report = check_linfty(bad, 1)
     assert not report.passed
     assert report.failures == ((1, (q,), Element.from_basis(r)),)
@@ -705,7 +711,7 @@ def unpruned_report(L, n_max):
 
 
 def random_oracle_structure(rng, convention):
-    """A small structure with a differential and brackets of arity 2 to 4.
+    """A small structure with brackets of arity 1 (the differential) to 4.
 
     The first basis element is odd in the physics grading, so the sweep
     meets repeated odd inputs.  Tensor entries are drawn at random, so
@@ -727,19 +733,16 @@ def random_oracle_structure(rng, convention):
 
     # a repeated input survives the symmetry only when swapping it is +1
     repeatable = {b for b in basis if b.parity == (1 if math else 0)}
-    differential = {}
-    for b in basis:
-        if rng.random() < 0.5:
-            differential[b] = element_in_degree(b.degree + (1 if math else -1))
-    brackets = {}
+    tensors = {1: {(b,): element_in_degree(b.degree + (1 if math else -1))
+                   for b in basis if rng.random() < 0.5}}
     for n in (2, 3, 4):
         shift = 2 - n if math else -1
         keys = [key for key in itertools.combinations_with_replacement(basis, n)
                 if not any(a == b and a not in repeatable for a, b in zip(key, key[1:]))]
         rng.shuffle(keys)
-        brackets[n] = {key: element_in_degree(sum(b.degree for b in key) + shift)
-                       for key in keys[:rng.randint(0, 4)]}
-    return LInftyStructure(basis, differential, brackets, convention=convention)
+        tensors[n] = {key: element_in_degree(sum(b.degree for b in key) + shift)
+                      for key in keys[:rng.randint(0, 4)]}
+    return LInftyStructure(basis, tensors, convention=convention)
 
 
 def test_pruned_identity_sweep_matches_the_unpruned_oracle():
@@ -749,8 +752,8 @@ def test_pruned_identity_sweep_matches_the_unpruned_oracle():
     structures += [so3_structure(), sl2_structure(), broken_jacobi_structure(),
                    convert_conventions(so3_structure()),
                    triple_bracket_structure((1, 2)), triple_bracket_structure((4, 5))]
-    seen = {"differential": 0, "math": 0, "failing": 0, "passing": 0,
-            "repeated odd": 0, 2: 0, 3: 0, 4: 0}
+    seen = {"math": 0, "failing": 0, "passing": 0,
+            "repeated odd": 0, 1: 0, 2: 0, 3: 0, 4: 0}
     for L in structures:
         n_max = 5
         physics, residuals, expected = unpruned_report(L, n_max)
@@ -765,7 +768,6 @@ def test_pruned_identity_sweep_matches_the_unpruned_oracle():
         report = check_linfty(L, n_max)
         assert report == expected
         assert report.checked == identity_tuple_count(len(L.basis), n_max)
-        seen["differential"] += bool(L.differential)
         seen["math"] += L.convention == MATH
         seen["failing"] += not report.passed
         seen["passing"] += report.passed
@@ -785,7 +787,7 @@ def test_pruned_sweep_skips_compositions_without_tensors():
             calls.append(n)
             return super().apply(n, args)
 
-    counting = Counting(L.basis, L.differential, L.brackets)
+    counting = Counting(L.basis, L.tensors)
     a, b, c = L.basis
     assert identity_residual(counting, (a, b, c)).is_zero
     assert calls == [2, 2, 2]
@@ -834,8 +836,13 @@ def test_conversion_reflects_degrees_and_bracket_degree():
 
 
 def test_conversion_round_trip_is_identity():
+    rng = random.Random(20261019)
+    randoms = [random_oracle_structure(rng, convention)
+               for convention in (PHYSICS, MATH) for _ in range(20)]
+    # the random structures carry a differential in both conventions
+    assert {L.convention for L in randoms if 1 in L.tensors} == {PHYSICS, MATH}
     for L in (so3_structure(), sl2_structure(), broken_jacobi_structure(),
-              triple_bracket_structure((4, 5))):
+              triple_bracket_structure((4, 5)), *randoms):
         back = convert_conventions(convert_conventions(L))
         assert back == L
         assert check_linfty(back, 3).failures == check_linfty(L, 3).failures
@@ -853,7 +860,7 @@ def test_converted_lie_algebra_is_antisymmetric_and_checks_out():
 def test_converted_differential_still_squares_to_zero():
     p = BasisElement("p", 0)
     q = BasisElement("q", 1)
-    L = LInftyStructure(basis=(p, q), differential={q: Element.from_basis(p)})
+    L = LInftyStructure(basis=(p, q), tensors={1: {(q,): Element.from_basis(p)}})
     M = convert_conventions(L)
     assert M.convention == MATH
     assert check_linfty(M, 1).passed
@@ -862,8 +869,8 @@ def test_converted_differential_still_squares_to_zero():
 def test_triple_bracket_conversion_degree():
     L = triple_bracket_structure((1, 2))
     M = convert_conventions(L)
-    key = next(iter(M.brackets[3]))
-    out = next(iter(M.brackets[3][key].support()))
+    key = next(iter(M.tensors[3]))
+    out = next(iter(M.tensors[3][key].support()))
     assert out.degree == sum(b.degree for b in key) + (2 - 3)
 
 
@@ -877,14 +884,14 @@ def even_pairing_structure():
         (m1, m1): Element.from_basis(e),
         (m1, m2): Element.from_basis(e, 2),
     }
-    return LInftyStructure(basis=(m1, m2, e), brackets={2: tensor})
+    return LInftyStructure(basis=(m1, m2, e), tensors={2: tensor})
 
 
 def test_mc_residual_of_closed_element_vanishes():
     p = BasisElement("p", 0)
     q = BasisElement("q", 1)
     w = BasisElement("w", 0)
-    L = LInftyStructure(basis=(p, q, w), differential={q: Element.from_basis(w)})
+    L = LInftyStructure(basis=(p, q, w), tensors={1: {(q,): Element.from_basis(w)}})
     theta = {1: Element.from_basis(p), 2: Element.from_basis(p, 3)}
     residuals = mc_residual(L, theta, 4)
     assert set(residuals) == {1, 2, 3, 4}
@@ -913,6 +920,74 @@ def test_mc_residual_collects_cross_terms():
 def test_mc_residual_of_zero_is_zero():
     residuals = mc_residual(even_pairing_structure(), {}, 3)
     assert all(r.is_zero for r in residuals.values())
+
+
+# The oracle for ``mc_residual``: the earlier evaluation, which added
+# d(theta_m) apart from the brackets of arity 2 and up, and gated the
+# degree of theta on the sign of swapping an element with itself.
+def split_mc_residual(L, theta, order):
+    degrees = {c.homogeneous_degree() for c in theta.values() if not c.is_zero}
+    for d in degrees:
+        swap = -1 if d % 2 else 1
+        if (swap if L.convention == PHYSICS else -swap) != 1:
+            raise DegreeMismatch(f"degree {d} elements cannot repeat inside these brackets")
+    out = {}
+    for m in range(1, order + 1):
+        residual = Element.zero()
+        direct = theta.get(m)
+        if direct is not None and not direct.is_zero:
+            residual = residual + L.apply(1, [direct])
+        for n in range(2, m + 1):
+            if n not in L.tensors:
+                continue
+            acc = Element.zero()
+            for powers in linfty._compositions(m, n):
+                args = [theta.get(p) for p in powers]
+                if any(a is None or a.is_zero for a in args):
+                    continue
+                acc = acc + L.apply(n, args)
+            if not acc.is_zero:
+                residual = residual + Fraction(1, factorial(n)) * acc
+        out[m] = residual
+    return out
+
+
+def test_mc_residual_matches_the_split_oracle():
+    rng = random.Random(20261020)
+    seen = {"differential term": 0, "bracket term": 0, "refused": 0, "math": 0}
+    for _ in range(400):
+        math = rng.random() < 0.5
+        L = random_oracle_structure(rng, MATH if math else PHYSICS)
+        # theta mostly sits where inputs may repeat (even in physics, odd in
+        # math), often in the one degree of every input of some bracket key
+        degrees = sorted({b.degree for b in L.basis})
+        repeatable = [d for d in degrees if d % 2 == math]
+        keyed = [d for d in repeatable for table in L.tensors.values() for key in table
+                 if len(key) > 1 and {b.degree for b in key} == {d}]
+        if keyed and rng.random() < 0.5:
+            d = rng.choice(keyed)
+        else:
+            d = rng.choice(repeatable if repeatable and rng.random() < 0.8 else degrees)
+        slots = [b for b in L.basis if b.degree == d]
+        theta = {}
+        for power in rng.sample((1, 2, 3), rng.randint(1, 3)):
+            theta[power] = Element({b: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+                                    for b in slots})
+        if d % 2 != math:
+            with pytest.raises(DegreeMismatch):
+                split_mc_residual(L, theta, 4)
+            with pytest.raises(DegreeMismatch):
+                mc_residual(L, theta, 4)
+            seen["refused"] += 1
+            continue
+        expected = split_mc_residual(L, theta, 4)
+        assert mc_residual(L, theta, 4) == expected, (L, theta)
+        differential_only = {m: L.apply(1, [theta[m]]) if m in theta else Element.zero()
+                             for m in expected}
+        seen["math"] += math
+        seen["differential term"] += any(not r.is_zero for r in differential_only.values())
+        seen["bracket term"] += expected != differential_only
+    assert min(seen.values()) >= 20, seen
 
 
 def test_mc_residual_degree_gates():

@@ -7,6 +7,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,18 +23,21 @@ from bvforge.algebra import (
 from bvforge.bracket import JetModelUnsupported, antibracket
 from bvforge.jet import ModelSpec, all_multi_indices, enumerate_basis_monomials, functional_vanishes
 from bvforge.master import (
+    MAX_LIFT_CANDIDATES,
     BVAction,
     MissingStructureFunctions,
     NoetherPreconditionFailed,
     build_stage_action,
     correction_candidates,
     kt_differential,
+    lift_candidate_count,
     master_residual,
     quantum_master_check,
     solve_master,
 )
 from bvforge.modelfile import parse_document
 
+FIXTURES = Path(__file__).parent / "fixtures"
 HALF = LocalFunction.constant(Fraction(1, 2))
 
 
@@ -435,6 +439,37 @@ def test_direct_candidates_match_the_filtered_enumeration(seed):
         pool = oracle_pool(m)
         rng.shuffle(pool)
         assert enumerate_basis_monomials(pool + pool[:3], m.max_poly_degree) == basis
+
+
+def test_candidate_count_matches_the_enumeration_on_every_fixture():
+    checked = nonempty = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        spec = parse_document(path.read_text(encoding="utf-8")).spec
+        # su(2) on the plane at jet 2 has the largest pool: 3 s of walks
+        # that find nothing at bidegree (3, 3)
+        for jet in range(2 if path.stem == "su2_plane" else 3):
+            for deg in range(6):
+                m = replace(spec, max_jet_order=jet, max_poly_degree=deg)
+                for k in (1, 2, 3):
+                    count = lift_candidate_count(m, k)
+                    if count > MAX_LIFT_CANDIDATES:
+                        continue
+                    assert len(correction_candidates(m, k)) == count, (path.stem, jet, deg, k)
+                    checked += 1
+                    nonempty += count > 0
+    assert checked >= 500 and nonempty >= 100, (checked, nonempty)
+
+
+def test_oversized_ansatz_is_refused_before_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was enumerated")
+
+    monkeypatch.setattr("bvforge.master.enumerate_basis_monomials", refuse)
+    spec = parse_document((FIXTURES / "open_algebra.bv").read_text(encoding="utf-8")).spec
+    m = replace(spec, max_poly_degree=30)
+    assert lift_candidate_count(m, 2) == 19082 > MAX_LIFT_CANDIDATES
+    with pytest.raises(ValueError, match="19082 candidate monomials"):
+        correction_candidates(m, 2)
 
 
 def test_direct_candidates_edge_cases():
