@@ -257,7 +257,8 @@ def _canonical_terms(terms: Iterable[Term]) -> dict[Factors, Fraction]:
     return add_terms({}, map(normalize, terms))
 
 
-def _coerce_coefficient(value) -> Fraction:
+def coerce_coefficient(value) -> Fraction:
+    """An exact rational coefficient as a ``Fraction``; floats and the rest raise TypeError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -281,7 +282,7 @@ class LocalFunction:
             self._terms = terms or {}
         else:
             self._terms = _canonical_terms(
-                (tuple(f), _coerce_coefficient(c)) for f, c in (terms or {}).items())
+                (tuple(f), coerce_coefficient(c)) for f, c in (terms or {}).items())
 
     # -- constructors -------------------------------------------------
 
@@ -291,7 +292,7 @@ class LocalFunction:
 
     @classmethod
     def constant(cls, value) -> "LocalFunction":
-        c = _coerce_coefficient(value)
+        c = coerce_coefficient(value)
         return cls({(): c} if c else None, _internal=True)
 
     @classmethod
@@ -374,7 +375,7 @@ class LocalFunction:
 
     def __mul__(self, other) -> "LocalFunction":
         if isinstance(other, (int, Fraction)):
-            c = _coerce_coefficient(other)
+            c = coerce_coefficient(other)
             if not c:
                 return LocalFunction.zero()
             return LocalFunction({f: k * c for f, k in self._terms.items()}, _internal=True)

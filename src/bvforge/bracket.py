@@ -46,7 +46,7 @@ class JetModelUnsupported(ValueError):
     """The Laplacian is defined on finite models only."""
 
 
-def _family_pairs(*fs: LocalFunction) -> list[tuple[Generator, Generator]]:
+def family_pairs(*fs: LocalFunction) -> list[tuple[Generator, Generator]]:
     """Unprolonged (z, z*) representatives for each family appearing:
     the field pairs by family, then the ghost pairs by family."""
     sides = sorted({z if z.antifield_number == 0 else z.conjugate() for z in families(*fs)})
@@ -63,7 +63,7 @@ def _antibracket(f: LocalFunction, g: LocalFunction, derivative) -> LocalFunctio
     """sum over pairs (z, z*) of dR f/dz * dL g/dz* - dR f/dz* * dL g/dz,
     with ``derivative(f, z, side)`` the graded partial or Euler operator."""
     terms = []
-    for z, zs in _family_pairs(f, g):
+    for z, zs in family_pairs(f, g):
         terms.append(derivative(f, z, "right") * derivative(g, zs, "left"))
         terms.append(-(derivative(f, zs, "right") * derivative(g, z, "left")))
     return sum_of(terms)
@@ -105,7 +105,7 @@ def bv_laplacian(f: LocalFunction) -> LocalFunction:
     """
     _require_finite(f, JetModelUnsupported, "the Laplacian")
     return sum_of((-1) ** z.parity * graded_partial(graded_partial(f, zs, "left"), z, "left")
-                  for z, zs in _family_pairs(f))
+                  for z, zs in family_pairs(f))
 
 
 # ------------------------------------------------------------- harnesses

@@ -185,7 +185,8 @@ class TokenStream:
 
 # ------------------------------------------------------------ parsing
 
-def _parse_jet_indices(stream: TokenStream) -> tuple[int, ...]:
+def parse_jet_indices(stream: TokenStream) -> tuple[int, ...]:
+    """The multi-index after the ';' of a generator: one or more integers, sorted."""
     indices: list[int] = []
     while stream.current.kind == "INT":
         indices.append(int(stream.advance().text))
@@ -216,7 +217,7 @@ def parse_atom(stream: TokenStream) -> Generator:
         if kind is GeneratorKind.BASE:
             raise SemanticError(
                 "base coordinates carry no jet index", fam_tok.line, fam_tok.column)
-        jet = _parse_jet_indices(stream)
+        jet = parse_jet_indices(stream)
     stream.expect("RBRACKET", "']'")
     if kind is GeneratorKind.BASE:
         if fam_tok.kind != "INT" or int(family) < 1:

@@ -19,6 +19,7 @@ from .algebra import (
     Generator,
     GeneratorKind,
     LocalFunction,
+    add_terms,
     base,
     field,
     gen,
@@ -48,26 +49,75 @@ def _check_direction(i: int, spatial_dim: int | None) -> None:
         raise IndexOutOfRange(f"direction {i} exceeds spatial dimension {spatial_dim}")
 
 
+# One shared object per (generator, direction): the total derivatives of
+# a lift meet the same few prolongations over and over, so they are built
+# once.  The table holds only generators, which are immutable values, and
+# grows with the generators a model can reach, not with its monomials.
+_PROLONGATIONS: dict[tuple[Generator, int], Generator] = {}
+
+
 def prolong(g: Generator, i: int, spatial_dim: int | None = None) -> Generator:
     """Append one total-derivative direction to a generator's multi-index."""
     if g.kind is GeneratorKind.BASE:
         raise BaseCoordinateProlongation(f"cannot prolong base coordinate {g}")
     _check_direction(i, spatial_dim)
-    return g.with_jet(g.jet + (i,))
+    return _prolonged(g, i)
+
+
+def _prolonged(g: Generator, i: int) -> Generator:
+    out = _PROLONGATIONS.get((g, i))
+    if out is None:
+        out = _PROLONGATIONS[(g, i)] = g.with_jet(g.jet + (i,))
+    return out
 
 
 def total_derivative(f: LocalFunction, i: int, spatial_dim: int | None = None) -> LocalFunction:
     """The total derivative D_i, an even derivation of the jet algebra.
 
     D_i x^j is the Kronecker delta and D_i z_I = z_{Ii} on every
-    non-base generator.  Writing D_i f as the sum of D_i(z) times the
-    left partial with respect to z is sign-correct because prolongation
-    preserves parity.
+    non-base generator.  Each canonical monomial is differentiated by
+    the Leibniz rule, factor by factor: x_i^e gives e x_i^(e-1), and
+    z_J^e gives e times the monomial with one z_J replaced by z_{Ji}.
+    Prolongation preserves parity and sorts z_{Ji} after z_J, so the only
+    sign is the Koszul sign of moving an odd z_{Ji} past the odd factors
+    between the two places, and an odd z_{Ji} already present kills the
+    term.
     """
     _check_direction(i, spatial_dim)
-    return sum_of([graded_partial(f, base(i), "left")] + [
-        gen(prolong(z, i)) * graded_partial(f, z, "left")
-        for z in f.generators() if z.kind is not GeneratorKind.BASE])
+    x_i = str(i)
+    return LocalFunction(add_terms({}, (
+        term for factors, c in f.terms() for term in _leibniz_terms(factors, c, i, x_i))),
+        _internal=True)
+
+
+def _leibniz_terms(factors: Factors, c: Fraction, i: int, x_i: str):
+    """The canonical terms of D_i on the term c * factors."""
+    n = len(factors)
+    for pos, (g, e) in enumerate(factors):
+        if e > 1:
+            head, ce = factors[:pos] + ((g, e - 1),), c * e
+        else:
+            head, ce = factors[:pos], c
+        if g.kind is GeneratorKind.BASE:
+            if g.family == x_i:
+                yield head + factors[pos + 1:], ce
+            continue
+        h = _prolonged(g, i)
+        key = h.sort_key
+        odd = g.parity
+        sign = False
+        j = pos + 1
+        while j < n and factors[j][0].sort_key < key:
+            if odd and factors[j][0].parity:
+                sign = not sign
+            j += 1
+        if j < n and factors[j][0].sort_key == key:
+            if odd:
+                continue
+            new = head + factors[pos + 1:j] + ((h, factors[j][1] + 1),) + factors[j + 1:]
+        else:
+            new = head + factors[pos + 1:j] + ((h, 1),) + factors[j:]
+        yield new, -ce if sign else ce
 
 
 def total_derivative_multi(
@@ -159,12 +209,15 @@ def enumerate_basis_monomials(
     With ``bidegree`` = (ghost degree, antighost degree) only the
     monomials of exactly that bidegree are produced.  The monomials are
     the non-decreasing index sequences over the sorted pool, walked
-    depth first; an odd generator is never repeated, and a prefix whose
-    partial bidegree already exceeds the target in either component is
-    pruned, since every generator's bidegree is nonnegative.  Each
-    sequence lists its factors in the generator total order, its odd
-    generators included, so it is already in canonical form with Koszul
-    sign +1 and is built without ``normalize``.
+    depth first; an odd generator is never repeated.  A prefix is
+    pruned when its partial bidegree already exceeds the target in
+    either component, since every generator's bidegree is nonnegative,
+    or when the degree left under ``max_degree`` cannot reach the
+    target, since one factor adds at most 1 to the ghost degree or 2 to
+    the antighost degree.  Each sequence lists its factors in the
+    generator total order, its odd generators included, so it is already
+    in canonical form with Koszul sign +1 and is built without
+    ``normalize``.
 
     The order is ascending degree, then lexicographic in the sorted pool
     within a degree: the order of
@@ -188,8 +241,11 @@ def enumerate_basis_monomials(
         children = []
         for i in range(start, len(gens)):
             g, odd, (gp, gq) = gens[i]
-            if bidegree is not None and (p + gp > bidegree[0] or q + gq > bidegree[1]):
-                continue
+            if bidegree is not None:
+                dp, dq = bidegree[0] - p - gp, bidegree[1] - q - gq
+                # the rest needs at least dp + ceil(dq / 2) more factors
+                if dp < 0 or dq < 0 or degree + 1 + dp + (dq + 1) // 2 > max_degree:
+                    continue
             if factors and i == start:  # the last factor again
                 if odd:
                     continue

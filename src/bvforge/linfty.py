@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .algebra import _coerce_coefficient, add_terms, graded_partial, inversion_parity
+from .algebra import add_terms, coerce_coefficient, graded_partial, inversion_parity
 from .bracket import JetModelUnsupported
 from .expr import format_generator
 from .master import BVAction
@@ -71,7 +71,7 @@ class Element:
             # the caller hands over a fresh dict of nonzero Fractions
             self._coeffs = coeffs
         else:
-            self._coeffs = add_terms({}, ((b, _coerce_coefficient(c))
+            self._coeffs = add_terms({}, ((b, coerce_coefficient(c))
                                          for b, c in (coeffs or {}).items()))
 
     @classmethod
@@ -80,7 +80,7 @@ class Element:
 
     @classmethod
     def from_basis(cls, b: BasisElement, coefficient=1) -> "Element":
-        c = _coerce_coefficient(coefficient)
+        c = coerce_coefficient(coefficient)
         return cls({b: c} if c else {}, _internal=True)
 
     @property
@@ -114,7 +114,7 @@ class Element:
         return self + (-other)
 
     def __mul__(self, scalar) -> "Element":
-        s = _coerce_coefficient(scalar)
+        s = coerce_coefficient(scalar)
         return Element({b: s * c for b, c in self._coeffs.items()} if s else {},
                        _internal=True)
 

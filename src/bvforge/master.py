@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .algebra import (
@@ -30,9 +31,10 @@ from .algebra import (
     decompose_by_antifield_number,
     gen,
     ghost,
+    graded_partial,
     sum_of,
 )
-from .bracket import JetModelUnsupported, antibracket, bv_laplacian
+from .bracket import JetModelUnsupported, antibracket, bv_laplacian, family_pairs
 from .jet import (
     ModelSpec,
     all_multi_indices,
@@ -98,6 +100,24 @@ class BVAction:
     def stratum(self, k: int) -> LocalFunction:
         return self.by_antifield_number.get(k, LocalFunction.zero())
 
+    @cached_property
+    def kt_sources(self) -> tuple[tuple[Generator, LocalFunction], ...]:
+        """(z*, dR S_{a-1}/dz) for each conjugate pair (z, z*) with a the
+        antifield number of z*, where the derivative does not vanish.
+
+        These are the right partials (Euler derivatives above dimension
+        0) of S_0 by the fields and of S_1 by the ghosts: the only parts
+        of S that ``kt_differential`` reads.  They are computed once per
+        action, on first use.
+        """
+        derivative = _bracket_derivative(self.spatial_dim)
+        out = []
+        for z, zs in family_pairs(self.stratum(0), self.stratum(1)):
+            source = derivative(self.stratum(zs.antifield_number - 1), z, "right")
+            if source:
+                out.append((zs, source))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class ObstructionRecord:
@@ -157,12 +177,25 @@ def default_stage(m: ModelSpec) -> int:
     return 0
 
 
+def _bracket_derivative(spatial_dim: int):
+    """The derivative the antibracket takes: the graded partial on a
+    finite model, the Euler operator on a jet model."""
+    return graded_partial if spatial_dim == 0 else variational_derivative
+
+
 def kt_differential(S: BVAction, f: LocalFunction) -> LocalFunction:
-    """The component of (S, f) lowering antifield number by exactly one."""
-    return sum_of(
-        decompose_by_antifield_number(antibracket(S.total, part, S.spatial_dim)).get(
-            k - 1, LocalFunction.zero())
-        for k, part in decompose_by_antifield_number(f).items())
+    """The component of (S, f) lowering antifield number by exactly one.
+
+    A conjugate pair (z, z*), with a the antifield number of z*,
+    contributes dR S_j/dz * dL f_k/dz* and -dR S_j/dz* * dL f_k/dz to
+    (S, f), both at antifield number j + k - a.  That is k - 1 only for
+    j = a - 1, where S_j holds no z* and the second product vanishes.
+    So the component is the sum over pairs of dR S_{a-1}/dz * dL f/dz*,
+    with the derivatives of S read off ``S.kt_sources``: S_0 against the
+    antifields of f and S_1 against its antighosts.
+    """
+    derivative = _bracket_derivative(S.spatial_dim)
+    return sum_of(source * derivative(f, zs, "left") for zs, source in S.kt_sources)
 
 
 def master_residual(S: BVAction) -> dict[int, LocalFunction]:

@@ -38,8 +38,8 @@ from .expr import (
     SemanticError,
     Token,
     TokenStream,
-    _parse_jet_indices,
     format_local_function,
+    parse_jet_indices,
     parse_remaining_expression,
     tokenize,
 )
@@ -139,7 +139,7 @@ def _parse_key(stream: TokenStream, table: _Table) -> tuple[tuple[Token, ...], t
             tok = stream.current
             raise SemanticError(
                 f"section {table.name!r} keys carry no jet index", tok.line, tok.column)
-        jet = _parse_jet_indices(stream)
+        jet = parse_jet_indices(stream)
     stream.expect("RBRACKET", "']'")
     stream.expect("EQUALS", "'='")
     return tuple(families), jet

@@ -511,3 +511,15 @@ def test_the_package_imports_only_what_it_uses():
         unused += [f"{path.name}: {name}"
                    for name in sorted(imported - _names_used(tree) - {"annotations"})]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    package = Path(__file__).parents[1] / "src" / "bvforge"
+    private = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("bvforge")):
+                private += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -26,8 +26,8 @@ from bvforge.bracket import (
     antibracket_pointwise,
     antibracket_variational,
     bv_identity_harness,
-    _family_pairs,
     bv_laplacian,
+    family_pairs,
     gerstenhaber_harness,
 )
 from bvforge.jet import families, total_derivative
@@ -278,7 +278,7 @@ def old_families_in(fs):
 
 
 def old_family_pairs(*fs):
-    """The pair walk ``_family_pairs`` ran before ``jet.families``: the oracle."""
+    """The pair walk ``family_pairs`` ran before ``jet.families``: the oracle."""
     seen: set[tuple[int, str]] = set()
     for f in fs:
         for g in f.generators():
@@ -320,7 +320,7 @@ def test_families_and_pairs_agree_with_the_old_walks():
         reps = families(*fs)
         assert reps == old_families_in(fs)
         assert all(not z.jet for z in reps)
-        assert _family_pairs(*fs) == old_family_pairs(*fs)
+        assert family_pairs(*fs) == old_family_pairs(*fs)
         kinds_seen.update(g.kind for f in fs for g in f.generators() if g.jet)
     assert kinds_seen == set(GeneratorKind) - {GeneratorKind.BASE}
-    assert families() == [] == _family_pairs(LocalFunction.one())
+    assert families() == [] == family_pairs(LocalFunction.one())

@@ -8,12 +8,15 @@ from fractions import Fraction
 import pytest
 
 from bvforge.algebra import (
+    GeneratorKind,
     LocalFunction,
     antifield,
+    antighost,
     base,
     field,
     gen,
     ghost,
+    graded_partial,
     sum_of,
 )
 from bvforge.jet import (
@@ -124,6 +127,51 @@ def test_total_derivatives_commute():
 def test_total_derivative_multi_ignores_order():
     f = gen(U) ** 2 * gen(X1)
     assert total_derivative_multi(f, (1, 2)) == total_derivative_multi(f, (2, 1))
+
+
+def old_total_derivative(f, i):
+    """D_i as graded partials times prolonged generators, through products: the oracle."""
+    return sum_of([graded_partial(f, base(i), "left")] + [
+        gen(prolong(z, i)) * graded_partial(f, z, "left")
+        for z in f.generators() if z.kind is not GeneratorKind.BASE])
+
+
+def random_jet_function(rng, dim=2, terms=4, max_len=5):
+    """Terms over all five kinds up to jet order 2, even exponents up to 3;
+    an odd factor drawn twice makes its term vanish."""
+    pool = [base(i) for i in range(1, dim + 1)]
+    for jet in all_multi_indices(dim, 2):
+        pool += [field("1", jet), field("2", jet), antifield("1", jet),
+                 ghost("g", jet), antighost("g", jet)]
+    pairs = []
+    for _ in range(rng.randint(0, terms)):
+        flat = [(g, 1 if g.is_odd else rng.randint(1, 3))
+                for g in rng.choices(pool, k=rng.randint(0, max_len))]
+        pairs.append((tuple(flat), Fraction(rng.randint(-5, 5), rng.randint(1, 3))))
+    return LocalFunction.from_terms(pairs)
+
+
+def test_leibniz_total_derivative_matches_the_product_oracle():
+    rng = random.Random(20261018)
+    seen = {"odd": 0, "repeated even": 0, "base": 0, "odd meets its prolongation": 0}
+    for _ in range(1500):
+        f = random_jet_function(rng)
+        for factors, _ in f.terms():
+            gens = {g for g, _ in factors}
+            seen["odd"] += any(g.is_odd for g in gens)
+            seen["repeated even"] += any(e > 1 for _, e in factors)
+            seen["base"] += any(g.kind is GeneratorKind.BASE for g in gens)
+            seen["odd meets its prolongation"] += any(
+                g.is_odd and prolong(g, i) in gens for g in gens for i in (1, 2))
+        for i in (1, 2, 3):
+            assert total_derivative(f, i) == old_total_derivative(f, i), (f, i)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_prolongations_are_shared():
+    assert prolong(field("1"), 1) is prolong(field("1"), 1)
+    [(factors, _)] = total_derivative(gen(field("1")), 1).terms()
+    assert factors[0][0] is prolong(U, 1)
 
 
 # ---------------------------------------------------------------- Euler operator

@@ -16,12 +16,20 @@ from bvforge.algebra import (
     antifield,
     antighost,
     base,
+    decompose_by_antifield_number,
     field,
     gen,
     ghost,
+    sum_of,
 )
 from bvforge.bracket import JetModelUnsupported, antibracket
-from bvforge.jet import ModelSpec, all_multi_indices, enumerate_basis_monomials, functional_vanishes
+from bvforge.jet import (
+    ModelSpec,
+    all_multi_indices,
+    check_noether,
+    enumerate_basis_monomials,
+    functional_vanishes,
+)
 from bvforge.master import (
     MAX_LIFT_CANDIDATES,
     BVAction,
@@ -29,6 +37,7 @@ from bvforge.master import (
     NoetherPreconditionFailed,
     build_stage_action,
     correction_candidates,
+    default_stage,
     kt_differential,
     lift_candidate_count,
     master_residual,
@@ -235,6 +244,39 @@ def test_kt_squares_to_zero_modulo_divergence():
     once = kt_differential(S1, f)
     twice = kt_differential(S1, once)
     assert functional_vanishes(twice, m.spatial_dim)
+
+
+def old_kt_differential(S, f):
+    """kt as the stratum k - 1 of the full bracket (S, f_k): the oracle."""
+    return sum_of(
+        decompose_by_antifield_number(antibracket(S.total, part, S.spatial_dim)).get(
+            k - 1, LocalFunction.zero())
+        for k, part in decompose_by_antifield_number(f).items())
+
+
+def test_kt_matches_the_full_bracket_on_every_fixture():
+    """kt, read off S_0 and S_1, equals the stratum of (S, f) on the lift
+    candidates of every fixture and on sums across strata, for the staged
+    and the solved actions."""
+    rng = random.Random(20261018)
+    checked = jet_checked = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        m = parse_document(path.read_text(encoding="utf-8")).spec
+        staged = build_stage_action(m, default_stage(m))
+        actions = [staged]
+        if check_noether(m).all_pass:
+            actions.append(solve_master(m, 3)[0])
+        cands = [c for k in (1, 2, 3) for c in correction_candidates(m, k)]
+        mixed = [sum_of(rng.choice([-1, 2, Fraction(1, 3)]) * c for c in rng.sample(cands, 3))
+                 for _ in range(5)] if len(cands) >= 3 else []
+        for S in actions:
+            # the lift adds antifield number 2 and up, so S_0 and S_1 stay
+            assert S.kt_sources == staged.kt_sources
+            for f in cands + mixed:
+                assert kt_differential(S, f) == old_kt_differential(S, f), (path.stem, f)
+                checked += 1
+                jet_checked += m.spatial_dim > 0
+    assert checked >= 1900 and jet_checked >= 800, (checked, jet_checked)
 
 
 # ---------------------------------------------------------------- residuals
@@ -445,9 +487,7 @@ def test_candidate_count_matches_the_enumeration_on_every_fixture():
     checked = nonempty = 0
     for path in sorted(FIXTURES.glob("*.bv")):
         spec = parse_document(path.read_text(encoding="utf-8")).spec
-        # su(2) on the plane at jet 2 has the largest pool: 3 s of walks
-        # that find nothing at bidegree (3, 3)
-        for jet in range(2 if path.stem == "su2_plane" else 3):
+        for jet in range(3):
             for deg in range(6):
                 m = replace(spec, max_jet_order=jet, max_poly_degree=deg)
                 for k in (1, 2, 3):
