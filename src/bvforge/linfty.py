@@ -6,9 +6,9 @@ are multilinear brackets: the linear part is a differential, the quadratic
 part a binary bracket, and so on.  The master equation (S, S) = 0 turns
 into a tower of quadratic identities between those brackets, one for each
 arity.  This module extracts the brackets from an action, verifies the
-identity tower on abstract structures, evaluates deformation residuals
-order by order in a formal parameter, and converts between the two common
-grading conventions.
+identity tower on abstract structures, and evaluates deformation
+residuals order by order in a formal parameter.  The grading is the
+physics one: every bracket has degree -1.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from .algebra import add_terms, coerce_coefficient, graded_partial, inversion_pa
 from .bracket import JetModelUnsupported
 from .expr import format_generator
 from .master import BVAction
-
-PHYSICS = "physics"
-MATH = "math"
 
 # Most input tuples ``check_linfty`` evaluates in one call.  gl(3) has 18
 # basis elements: arity 7 is 480699 tuples, arity 8 is 1562274.
@@ -151,21 +148,17 @@ class LInftyStructure:
     """A graded basis and symmetric multi-brackets l_n, n >= 1.
 
     ``tensors[n]`` maps canonically ordered input tuples of length n to the
-    bracket's value; the differential is l_1, on 1-tuples.  Evaluation on
-    any other ordering reorders the inputs with the sign rule of the
-    structure's convention (Koszul for the physics grading, Koszul times a
-    transposition sign for the mathematics grading).
+    bracket's value, in degree one below the sum of its inputs' degrees;
+    the differential is l_1, on 1-tuples.  Evaluation on any other
+    ordering reorders the inputs with the Koszul sign, so a bracket with
+    a repeated odd input vanishes.
     """
 
     def __init__(
         self,
         basis: Sequence[BasisElement],
         tensors: Mapping[int, Mapping[Sequence[BasisElement], Element]] | None = None,
-        convention: str = PHYSICS,
     ):
-        if convention not in (PHYSICS, MATH):
-            raise ValueError(f"unknown convention {convention!r}")
-        self.convention = convention
         self.basis = tuple(basis)
         if len({b.name for b in self.basis}) != len(self.basis):
             raise ValueError("basis names must be unique")
@@ -188,8 +181,7 @@ class LInftyStructure:
                 if value.is_zero:
                     table.pop(canon, None)
                     continue
-                if any(a == b and self._repeat_vanishes(a.degree)
-                       for a, b in zip(canon, canon[1:])):
+                if any(a == b and a.parity for a, b in zip(canon, canon[1:])):
                     raise ValueError(
                         f"symmetry forces the bracket on {canon} to vanish")
                 self._check_degree_law(n, canon, value)
@@ -204,33 +196,21 @@ class LInftyStructure:
             if b not in self._index:
                 raise ValueError(f"{b!r} is not a basis element")
 
-    def bracket_degree(self, n: int) -> int:
-        """The degree shift of the arity-n bracket."""
-        return -1 if self.convention == PHYSICS else 2 - n
-
     def _check_degree_law(self, n: int, key: tuple[BasisElement, ...],
                           value: Element) -> None:
-        expected = sum(b.degree for b in key) + self.bracket_degree(n)
+        expected = sum(b.degree for b in key) - 1
         if any(d != expected for d in value.degrees()):
             raise ValueError(
                 f"arity {n} output on {key} must sit in degree {expected}")
 
-    def _repeat_vanishes(self, degree: int) -> bool:
-        """Whether symmetry kills a bracket with a repeated input of this degree:
-        an odd one in the physics grading, an even one in the mathematics one."""
-        return bool(degree % 2) == (self.convention == PHYSICS)
-
     def _canonical(self, tup: tuple[BasisElement, ...]) -> tuple[tuple[BasisElement, ...], int]:
-        """``tup`` in basis order, with its reordering sign: the Koszul sign,
-        times one transposition sign per inversion in the mathematics grading."""
+        """``tup`` in basis order, with the Koszul sign of the reordering."""
         keys = list(map(self._index.__getitem__, tup))
         order = sorted(keys)
         if keys == order:
             return tup, 1
         parity = inversion_parity([k for k, b in zip(keys, tup) if b.parity])
-        if self.convention == MATH:
-            parity += inversion_parity(keys)
-        return tuple(map(self.basis.__getitem__, order)), -1 if parity % 2 else 1
+        return tuple(map(self.basis.__getitem__, order)), -1 if parity else 1
 
     # -------------------------------------------------------- evaluation
 
@@ -256,13 +236,12 @@ class LInftyStructure:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LInftyStructure)
-                and self.convention == other.convention
                 and self.basis == other.basis
                 and self.tensors == other.tensors)
 
     def __repr__(self) -> str:
         return (f"LInftyStructure(dim={len(self.basis)}, "
-                f"arities={self.arities()}, convention={self.convention!r})")
+                f"arities={self.arities()})")
 
 
 # ------------------------------------------------------------ extraction
@@ -309,7 +288,6 @@ def extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
         basis=tuple(to_basis[g] for g in basis_gens),
         tensors={n: {key: Element(value, _internal=True) for key, value in table.items()}
                  for n, table in entries.items()},
-        convention=PHYSICS,
     )
 
 
@@ -335,7 +313,7 @@ class IdentityCheckReport:
 
 
 def identity_residual(L: LInftyStructure, inputs: Sequence[BasisElement]) -> Element:
-    """Evaluate the arity-n identity on basis inputs, physics convention.
+    """Evaluate the arity-n identity on basis inputs.
 
     The residual sums, over every splitting of the inputs into a block of
     k and its complement, the (n-k+1)-bracket applied to the k-bracket of
@@ -379,9 +357,6 @@ def identity_tuple_count(dim: int, n_max: int) -> int:
 def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
     """Verify the defining identities through arity n_max.
 
-    Structures in the mathematics convention are converted to the physics
-    grading first; the report then refers to the converted tensors.
-
     Every multiset of basis inputs of size n <= n_max is one call of
     ``identity_residual``, which evaluates only the bracket compositions
     that have tensor entries; the others vanish identically, so the
@@ -397,8 +372,6 @@ def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
         raise ValueError(
             f"checking through arity {n_max} on {len(L.basis)} basis elements "
             f"needs {count} identity tuples, more than {MAX_IDENTITY_TUPLES}")
-    if L.convention == MATH:
-        L = convert_conventions(L)
     failures = []
     for n in range(1, n_max + 1):
         for tup in itertools.combinations_with_replacement(L.basis, n):
@@ -411,42 +384,6 @@ def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
         failures=tuple(failures),
         jacobi_checked=comb(len(L.basis) + 2, 3) if n_max >= 3 else 0,
         jacobi_failures=tuple((tup, r) for n, tup, r in failures if n == 3),
-    )
-
-
-# ------------------------------------------------------------ conversion
-
-def _suspension_sign(key: Sequence[BasisElement], physics_degrees: Sequence[int]) -> int:
-    n = len(key)
-    exponent = sum((n - 1 - i) * physics_degrees[i] for i in range(n))
-    return -1 if exponent % 2 else 1
-
-
-def convert_conventions(L: LInftyStructure) -> LInftyStructure:
-    """Reflect the grading and re-sign the tensors; an exact involution.
-
-    Degrees map as d -> 1 - d, so the uniform physics bracket degree -1
-    becomes the arity-dependent value 2 - n, and vice versa.  Tensor
-    entries pick up the standard suspension sign built from the physics
-    degrees of their inputs.
-    """
-    to_physics = L.convention == MATH
-    mapping = {b: BasisElement(b.name, 1 - b.degree) for b in L.basis}
-
-    tensors: dict[int, dict[tuple[BasisElement, ...], Element]] = {}
-    for n, tensor in L.tensors.items():
-        table = {}
-        for key, value in tensor.items():
-            phys_degrees = [1 - b.degree if to_physics else b.degree for b in key]
-            sign = _suspension_sign(key, phys_degrees)
-            table[tuple(mapping[b] for b in key)] = sign * Element(
-                {mapping[o]: c for o, c in value.items()})
-        tensors[n] = table
-
-    return LInftyStructure(
-        basis=tuple(mapping[b] for b in L.basis),
-        tensors=tensors,
-        convention=PHYSICS if to_physics else MATH,
     )
 
 
@@ -492,7 +429,7 @@ def mc_residual(
         raise DegreeMismatch("theta components must share one degree")
     if degrees:
         d = next(iter(degrees))
-        if L._repeat_vanishes(d):
+        if d % 2:
             raise DegreeMismatch(
                 f"degree {d} elements cannot repeat inside these brackets")
 

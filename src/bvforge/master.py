@@ -113,7 +113,10 @@ class BVAction:
         derivative = _bracket_derivative(self.spatial_dim)
         out = []
         for z, zs in family_pairs(self.stratum(0), self.stratum(1)):
-            source = derivative(self.stratum(zs.antifield_number - 1), z, "right")
+            stratum = self.stratum(zs.antifield_number - 1)
+            if z not in families(stratum):
+                continue
+            source = derivative(stratum, z, "right")
             if source:
                 out.append((zs, source))
         return tuple(out)
@@ -192,10 +195,14 @@ def kt_differential(S: BVAction, f: LocalFunction) -> LocalFunction:
     j = a - 1, where S_j holds no z* and the second product vanishes.
     So the component is the sum over pairs of dR S_{a-1}/dz * dL f/dz*,
     with the derivatives of S read off ``S.kt_sources``: S_0 against the
-    antifields of f and S_1 against its antighosts.
+    antifields of f and S_1 against its antighosts.  On a jet model only
+    the families f holds are differentiated; the others give zero.
     """
-    derivative = _bracket_derivative(S.spatial_dim)
-    return sum_of(source * derivative(f, zs, "left") for zs, source in S.kt_sources)
+    if S.spatial_dim == 0:
+        return sum_of(source * graded_partial(f, zs, "left") for zs, source in S.kt_sources)
+    held = set(families(f))
+    return sum_of(source * variational_derivative(f, zs, "left")
+                  for zs, source in S.kt_sources if zs in held)
 
 
 def master_residual(S: BVAction) -> dict[int, LocalFunction]:
@@ -265,8 +272,8 @@ def _solve_lift(
 
     Returns (correction or None, candidate count, solution nullity).
     The divergence freedom is handled by applying every Euler operator
-    to both sides before coefficient matching; at dimension zero the
-    sides are matched directly.
+    to both sides before coefficient matching, each side only by the
+    families it holds; at dimension zero the sides are matched directly.
     """
     candidates = correction_candidates(m, stratum + 1)
     if not candidates:
@@ -275,15 +282,16 @@ def _solve_lift(
     target = Fraction(-1, 2) * R
 
     if m.spatial_dim == 0:
-        block_cols = [kt_cols]
-        block_rhs = [target]
+        blocks = [(target, kt_cols)]
     else:
-        reps = families(*kt_cols, target)
-        block_cols = [[variational_derivative(col, z, "left") for col in kt_cols]
-                      for z in reps]
-        block_rhs = [variational_derivative(target, z, "left") for z in reps]
+        held = [(f, set(families(f))) for f in (target, *kt_cols)]
+        zero = LocalFunction.zero()
+        projected = [[variational_derivative(f, z, "left") if z in fs else zero
+                      for f, fs in held]
+                     for z in families(*kt_cols, target)]
+        blocks = [(row[0], row[1:]) for row in projected]
 
-    equations, rhs = match_coefficients(zip(block_rhs, block_cols))
+    equations, rhs = match_coefficients(blocks)
     solution = solve_linear_system(equations, rhs, len(candidates))
     if solution is None:
         return None, len(candidates), 0

@@ -26,7 +26,7 @@ from bvforge.algebra import (
     graded_partial,
     term_bidegree,
 )
-from bvforge.bracket import antibracket, bv_identity_harness, bv_laplacian, gerstenhaber_harness
+from bvforge.bracket import antibracket, bv_laplacian
 from bvforge.cli import run_command
 from bvforge.expr import format_local_function, parse_expression
 from bvforge.jet import ModelSpec, all_multi_indices, euler_lagrange, total_derivative
@@ -45,6 +45,8 @@ from bvforge.master import (
     quantum_master_check,
     solve_master,
 )
+
+from harnesses import bv_identity_harness, gerstenhaber_harness
 
 HALF = LocalFunction.constant(Fraction(1, 2))
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -511,6 +513,23 @@ def test_the_package_imports_only_what_it_uses():
         unused += [f"{path.name}: {name}"
                    for name in sorted(imported - _names_used(tree) - {"annotations"})]
     assert unused == []
+
+
+def test_the_package_does_not_import_random():
+    # random sampling is test machinery; the library stays deterministic
+    package = Path(__file__).parents[1] / "src" / "bvforge"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in modules
+                          if name.split(".")[0] == "random"]
+    assert offenders == []
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -19,18 +19,17 @@ from bvforge.algebra import (
     graded_partial,
 )
 from bvforge.bracket import (
-    HarnessReport,
     JetModelRequiresVariationalBracket,
     JetModelUnsupported,
     antibracket,
     antibracket_pointwise,
     antibracket_variational,
-    bv_identity_harness,
     bv_laplacian,
     family_pairs,
-    gerstenhaber_harness,
 )
 from bvforge.jet import families, total_derivative
+
+from harnesses import HarnessReport, bv_identity_harness, gerstenhaber_harness
 
 U, US = field("1"), antifield("1")
 V, VS = field("2"), antifield("2")

@@ -1,4 +1,4 @@
-"""Bracket extraction, identity checks, conversions, and deformations."""
+"""Bracket extraction, identity checks, and deformations."""
 
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from bvforge.cli import run_command
 from bvforge.expr import format_generator
 from bvforge.jet import ModelSpec
 from bvforge.linfty import (
-    MATH,
     MAX_IDENTITY_TUPLES,
-    PHYSICS,
     BasisElement,
     DegreeMismatch,
     Element,
@@ -29,7 +27,6 @@ from bvforge.linfty import (
     InsufficientStrata,
     LInftyStructure,
     check_linfty,
-    convert_conventions,
     extract_brackets,
     identity_residual,
     identity_tuple_count,
@@ -220,8 +217,7 @@ def test_unshuffle_signs_match_full_permutation_koszul():
 
 # ------------------------------------------------- reordering sign oracles
 # The swap loops that signed reorderings before ``inversion_parity`` did.
-# Each adjacent swap of distinct inputs a, b costs the Koszul sign, and in
-# the mathematics grading one more transposition sign.
+# Each adjacent swap of distinct inputs a, b costs the Koszul sign.
 
 def bubble_canonical(L, tup):
     items = list(tup)
@@ -231,8 +227,6 @@ def bubble_canonical(L, tup):
             a, b = items[j], items[j + 1]
             if L._index[a] > L._index[b]:
                 sign *= -1 if a.parity and b.parity else 1
-                if L.convention == MATH:
-                    sign = -sign
                 items[j], items[j + 1] = b, a
     return tuple(items), sign
 
@@ -261,13 +255,9 @@ def sign_tuples():
 
 
 def canonical_mismatches(canonical):
-    """The (convention, tuple) pairs on which ``canonical`` and the bubble sort disagree."""
-    mismatches = []
-    for convention in (PHYSICS, MATH):
-        L = LInftyStructure(SIGN_BASIS, convention=convention)
-        mismatches += [(convention, t) for t in sign_tuples()
-                       if canonical(L, t) != bubble_canonical(L, t)]
-    return mismatches
+    """The tuples on which ``canonical`` and the bubble sort disagree."""
+    L = LInftyStructure(SIGN_BASIS)
+    return [t for t in sign_tuples() if canonical(L, t) != bubble_canonical(L, t)]
 
 
 def test_canonical_matches_the_bubble_sort_oracle():
@@ -276,18 +266,19 @@ def test_canonical_matches_the_bubble_sort_oracle():
     tuples = sign_tuples()
     assert sum(len(set(t)) < len(t) for t in tuples) >= 100
     assert sum(sum(b.parity for b in t) >= 2 for t in tuples) >= 100
-    for convention in (PHYSICS, MATH):
-        L = LInftyStructure(SIGN_BASIS, convention=convention)
-        assert {bubble_canonical(L, t)[1] for t in tuples} == {1, -1}
+    L = LInftyStructure(SIGN_BASIS)
+    assert {bubble_canonical(L, t)[1] for t in tuples} == {1, -1}
 
 
-def test_canonical_mutant_without_the_transposition_signs_is_caught():
-    # the mathematics grading reordered with the Koszul sign alone
-    def koszul_only(L, tup):
-        return LInftyStructure._canonical(LInftyStructure(L.basis), tup)
-    mismatches = canonical_mismatches(koszul_only)
-    assert mismatches
-    assert {convention for convention, _ in mismatches} == {MATH}
+def test_canonical_mutant_without_the_koszul_sign_is_caught():
+    # the inputs sorted into basis order, every reordering signed +1
+    def unsigned(L, tup):
+        return tuple(sorted(tup, key=L._index.__getitem__)), 1
+    L = LInftyStructure(SIGN_BASIS)
+    # exactly the reorderings with an odd number of odd-past-odd swaps are missed
+    negative = [t for t in sign_tuples() if bubble_canonical(L, t)[1] == -1]
+    assert negative
+    assert canonical_mismatches(unsigned) == negative
 
 
 def test_unshuffles_match_the_crossing_oracle_on_every_split():
@@ -328,13 +319,6 @@ def test_structure_rejects_degree_law_violations():
         LInftyStructure(
             basis=(e1, e2),
             tensors={1: {(e1,): Element.from_basis(e2)}})
-    # the differential is l1: degree -1 in the physics grading, +1 in the mathematics one
-    up = LInftyStructure(basis=(e1, wrong), tensors={1: {(wrong,): Element.from_basis(e1)}},
-                         convention=MATH)
-    assert up.tensors == {1: {(wrong,): Element.from_basis(e1)}}
-    with pytest.raises(ValueError):
-        LInftyStructure(basis=(e1, wrong), tensors={1: {(e1,): Element.from_basis(wrong)}},
-                        convention=MATH)
     with pytest.raises(ValueError):
         LInftyStructure(basis=(e1, e2), tensors={0: {(): Element.from_basis(e1)}})
 
@@ -363,7 +347,6 @@ def test_apply_is_multilinear():
 def test_extraction_of_rotation_ghost_action():
     S = build_stage_action(ghost_so3_model(), 2)
     L = extract_brackets(S, 4)
-    assert L.convention == PHYSICS
     assert L.arities() == (2,)
     by_name = {b.name: b for b in L.basis}
     for i, j in [(1, 2), (1, 3), (2, 3)]:
@@ -497,7 +480,6 @@ def polarized_extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
     return LInftyStructure(
         basis=tuple(to_basis[g] for g in basis_gens),
         tensors=tensors,
-        convention=PHYSICS,
     )
 
 
@@ -694,8 +676,6 @@ def unpruned_identity_residual(L, inputs):
 
 def unpruned_report(L, n_max):
     """``check_linfty`` over the unpruned sweep, with every tuple's residual."""
-    if L.convention == MATH:
-        L = convert_conventions(L)
     residuals = [(n, tup, unpruned_identity_residual(L, tup))
                  for n in range(1, n_max + 1)
                  for tup in itertools.combinations_with_replacement(L.basis, n)]
@@ -707,17 +687,56 @@ def unpruned_report(L, n_max):
         jacobi_checked=sum(1 for n, _, _ in residuals if n == 3),
         jacobi_failures=tuple((tup, res) for n, tup, res in failures if n == 3),
     )
-    return L, residuals, report
+    return residuals, report
 
 
-def random_oracle_structure(rng, convention):
-    """A small structure with brackets of arity 1 (the differential) to 4.
+# ------------------------------------------------ the mathematics grading
+# Lie algebras, and much of the literature on these structures, use the
+# grading in which l_n has degree 2 - n and a repeated even input kills a
+# bracket (Lada-Stasheff, hep-th/9209099).  bvforge computes in the
+# physics grading only; these two converters are the test-side bridge.
+# Degrees reflect as d -> 1 - d, and each tensor entry takes the
+# suspension sign built from the physics degrees of its inputs.
+
+def suspension_sign(physics_degrees):
+    n = len(physics_degrees)
+    exponent = sum((n - 1 - i) * d for i, d in enumerate(physics_degrees))
+    return -1 if exponent % 2 else 1
+
+
+def reflect(b):
+    return BasisElement(b.name, 1 - b.degree)
+
+
+def reflected(value, sign):
+    return sign * Element({reflect(b): c for b, c in value.items()})
+
+
+def math_to_physics(basis, tensors):
+    """The physics ``LInftyStructure`` of a math-graded basis and tensor table."""
+    return LInftyStructure(
+        tuple(map(reflect, basis)),
+        {n: {tuple(map(reflect, key)): reflected(value, suspension_sign([1 - b.degree for b in key]))
+             for key, value in table.items()}
+         for n, table in tensors.items()})
+
+
+def physics_to_math(L):
+    """The math-graded basis and tensor table of L: ``math_to_physics`` undone."""
+    return (tuple(map(reflect, L.basis)),
+            {n: {tuple(map(reflect, key)): reflected(value, suspension_sign([b.degree for b in key]))
+                 for key, value in table.items()}
+             for n, table in L.tensors.items()})
+
+
+def random_oracle_table(rng, math):
+    """A small basis and tensor table with brackets of arity 1 (the
+    differential) to 4, in the mathematics grading when ``math`` is true.
 
     The first basis element is odd in the physics grading, so the sweep
     meets repeated odd inputs.  Tensor entries are drawn at random, so
     most structures fail some identity.
     """
-    math = convention == MATH
     dim = rng.randint(2, 4)
     degrees = [rng.randint(-1, 2) for _ in range(dim)]
     degrees[0] = 0 if math else 1
@@ -742,33 +761,42 @@ def random_oracle_structure(rng, convention):
         rng.shuffle(keys)
         tensors[n] = {key: element_in_degree(sum(b.degree for b in key) + shift)
                       for key in keys[:rng.randint(0, 4)]}
-    return LInftyStructure(basis, tensors, convention=convention)
+    return basis, tensors
+
+
+def physics_structure(math, basis, tensors):
+    """The physics structure of a table drawn in either grading."""
+    return math_to_physics(basis, tensors) if math else LInftyStructure(basis, tensors)
 
 
 def test_pruned_identity_sweep_matches_the_unpruned_oracle():
     rng = random.Random(20261018)
-    structures = [random_oracle_structure(rng, rng.choice((PHYSICS, PHYSICS, MATH)))
-                  for _ in range(100)]
-    structures += [so3_structure(), sl2_structure(), broken_jacobi_structure(),
-                   convert_conventions(so3_structure()),
-                   triple_bracket_structure((1, 2)), triple_bracket_structure((4, 5))]
+    cases = []
+    for _ in range(100):
+        math = rng.choice((False, False, True))
+        cases.append((physics_structure(math, *random_oracle_table(rng, math)), math))
+    cases += [(so3_structure(), False), (sl2_structure(), False),
+              (broken_jacobi_structure(), False),
+              (math_to_physics(*physics_to_math(so3_structure())), True),
+              (triple_bracket_structure((1, 2)), False),
+              (triple_bracket_structure((4, 5)), False)]
     seen = {"math": 0, "failing": 0, "passing": 0,
             "repeated odd": 0, 1: 0, 2: 0, 3: 0, 4: 0}
-    for L in structures:
+    for L, math in cases:
         n_max = 5
-        physics, residuals, expected = unpruned_report(L, n_max)
+        residuals, expected = unpruned_report(L, n_max)
         for _, tup, residual in residuals:
-            assert identity_residual(physics, tup) == residual, (L, tup)
+            assert identity_residual(L, tup) == residual, (L, tup)
             # inputs out of basis order reach the reordering signs
             if rng.random() > 0.3:
                 continue
             shuffled = tuple(rng.sample(tup, len(tup)))
-            assert (identity_residual(physics, shuffled)
-                    == unpruned_identity_residual(physics, shuffled)), (L, shuffled)
+            assert (identity_residual(L, shuffled)
+                    == unpruned_identity_residual(L, shuffled)), (L, shuffled)
         report = check_linfty(L, n_max)
         assert report == expected
         assert report.checked == identity_tuple_count(len(L.basis), n_max)
-        seen["math"] += L.convention == MATH
+        seen["math"] += math
         seen["failing"] += not report.passed
         seen["passing"] += report.passed
         seen["repeated odd"] += any(b.parity and tup.count(b) > 1
@@ -809,8 +837,6 @@ def test_sweep_bound_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr("bvforge.linfty.itertools.combinations_with_replacement", refuse)
     with pytest.raises(ValueError, match="1562274"):
         check_linfty(L, 8)
-    with pytest.raises(ValueError, match="1562274"):
-        check_linfty(convert_conventions(L), 8)
 
 
 def test_identity_tuple_count_matches_the_enumeration():
@@ -827,50 +853,67 @@ def test_identity_tuple_count_matches_the_enumeration():
 
 def test_conversion_reflects_degrees_and_bracket_degree():
     L = so3_structure()
-    M = convert_conventions(L)
-    assert M.convention == MATH
-    assert all(b.degree == 0 for b in M.basis)
-    assert M.bracket_degree(2) == 0
-    assert M.bracket_degree(3) == -1
-    assert L.bracket_degree(2) == -1
+    basis, tensors = physics_to_math(L)
+    assert all(b.degree == 0 for b in basis)
+    # the arity-n bracket sits in degree 2 - n in the mathematics grading
+    for key, value in tensors[2].items():
+        assert value.homogeneous_degree() == sum(b.degree for b in key) + (2 - 2)
+    for key, value in L.tensors[2].items():
+        assert value.homogeneous_degree() == sum(b.degree for b in key) - 1
 
 
 def test_conversion_round_trip_is_identity():
     rng = random.Random(20261019)
-    randoms = [random_oracle_structure(rng, convention)
-               for convention in (PHYSICS, MATH) for _ in range(20)]
-    # the random structures carry a differential in both conventions
-    assert {L.convention for L in randoms if 1 in L.tensors} == {PHYSICS, MATH}
+    randoms = [(math, random_oracle_table(rng, math))
+               for math in (False, True) for _ in range(20)]
+    # the random tables carry a differential in both gradings
+    assert {math for math, (_, tensors) in randoms
+            if any(not value.is_zero for value in tensors[1].values())} == {False, True}
+    for math, (basis, tensors) in randoms:
+        if not math:
+            continue
+        nonzero = {n: {key: value for key, value in table.items() if not value.is_zero}
+                   for n, table in tensors.items()}
+        expected = {n: table for n, table in nonzero.items() if table}
+        assert physics_to_math(math_to_physics(basis, tensors)) == (basis, expected)
+    physics = [physics_structure(math, *table) for math, table in randoms]
     for L in (so3_structure(), sl2_structure(), broken_jacobi_structure(),
-              triple_bracket_structure((4, 5)), *randoms):
-        back = convert_conventions(convert_conventions(L))
+              triple_bracket_structure((4, 5)), *physics):
+        back = math_to_physics(*physics_to_math(L))
         assert back == L
         assert check_linfty(back, 3).failures == check_linfty(L, 3).failures
 
 
 def test_converted_lie_algebra_is_antisymmetric_and_checks_out():
-    M = convert_conventions(so3_structure())
-    e1, e2, _ = M.basis
-    forward = M.apply(2, [Element.from_basis(e1), Element.from_basis(e2)])
-    backward = M.apply(2, [Element.from_basis(e2), Element.from_basis(e1)])
+    # sl(2) as the textbooks write it: degree 0, antisymmetric constants
+    h, e, f = (BasisElement(name, 0) for name in ("h", "e", "f"))
+    L = math_to_physics((h, e, f), {2: {
+        (h, e): Element.from_basis(e, 2),
+        (h, f): Element.from_basis(f, -2),
+        (e, f): Element.from_basis(h)}})
+    assert all(b.degree == 1 for b in L.basis)
+    p, q, _ = L.basis
+    forward = L.apply(2, [Element.from_basis(p), Element.from_basis(q)])
+    backward = L.apply(2, [Element.from_basis(q), Element.from_basis(p)])
     assert forward == -1 * backward
-    assert check_linfty(M, 4).passed
+    assert not forward.is_zero
+    assert check_linfty(L, 4).passed
 
 
 def test_converted_differential_still_squares_to_zero():
-    p = BasisElement("p", 0)
-    q = BasisElement("q", 1)
-    L = LInftyStructure(basis=(p, q), tensors={1: {(q,): Element.from_basis(p)}})
-    M = convert_conventions(L)
-    assert M.convention == MATH
-    assert check_linfty(M, 1).passed
+    # a cochain differential of degree +1: x -> y in the mathematics grading
+    x, y, z = BasisElement("x", 0), BasisElement("y", 1), BasisElement("z", 2)
+    L = math_to_physics((x, y, z), {1: {(x,): Element.from_basis(y)}})
+    assert check_linfty(L, 1).passed
+    chain = math_to_physics((x, y, z), {1: {(x,): Element.from_basis(y),
+                                            (y,): Element.from_basis(z)}})
+    assert not check_linfty(chain, 1).passed
 
 
 def test_triple_bracket_conversion_degree():
-    L = triple_bracket_structure((1, 2))
-    M = convert_conventions(L)
-    key = next(iter(M.tensors[3]))
-    out = next(iter(M.tensors[3][key].support()))
+    basis, tensors = physics_to_math(triple_bracket_structure((1, 2)))
+    key = next(iter(tensors[3]))
+    out = next(iter(tensors[3][key].support()))
     assert out.degree == sum(b.degree for b in key) + (2 - 3)
 
 
@@ -928,8 +971,7 @@ def test_mc_residual_of_zero_is_zero():
 def split_mc_residual(L, theta, order):
     degrees = {c.homogeneous_degree() for c in theta.values() if not c.is_zero}
     for d in degrees:
-        swap = -1 if d % 2 else 1
-        if (swap if L.convention == PHYSICS else -swap) != 1:
+        if d % 2:
             raise DegreeMismatch(f"degree {d} elements cannot repeat inside these brackets")
     out = {}
     for m in range(1, order + 1):
@@ -957,18 +999,22 @@ def test_mc_residual_matches_the_split_oracle():
     seen = {"differential term": 0, "bracket term": 0, "refused": 0, "math": 0}
     for _ in range(400):
         math = rng.random() < 0.5
-        L = random_oracle_structure(rng, MATH if math else PHYSICS)
+        L = physics_structure(math, *random_oracle_table(rng, math))
+
+        # theta is drawn in the grading the table was drawn in
+        def degree(b):
+            return 1 - b.degree if math else b.degree
         # theta mostly sits where inputs may repeat (even in physics, odd in
         # math), often in the one degree of every input of some bracket key
-        degrees = sorted({b.degree for b in L.basis})
+        degrees = sorted({degree(b) for b in L.basis})
         repeatable = [d for d in degrees if d % 2 == math]
         keyed = [d for d in repeatable for table in L.tensors.values() for key in table
-                 if len(key) > 1 and {b.degree for b in key} == {d}]
+                 if len(key) > 1 and {degree(b) for b in key} == {d}]
         if keyed and rng.random() < 0.5:
             d = rng.choice(keyed)
         else:
             d = rng.choice(repeatable if repeatable and rng.random() < 0.8 else degrees)
-        slots = [b for b in L.basis if b.degree == d]
+        slots = [b for b in L.basis if degree(b) == d]
         theta = {}
         for power in rng.sample((1, 2, 3), rng.randint(1, 3)):
             theta[power] = Element({b: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))

@@ -22,12 +22,15 @@ from bvforge.algebra import (
     ghost,
     sum_of,
 )
+from bvforge import master
 from bvforge.bracket import JetModelUnsupported, antibracket
+from bvforge.cli import run_command
 from bvforge.jet import (
     ModelSpec,
     all_multi_indices,
     check_noether,
     enumerate_basis_monomials,
+    families,
     functional_vanishes,
 )
 from bvforge.master import (
@@ -551,6 +554,24 @@ def test_benchmark_lifts_keep_their_candidate_counts():
     assert len(correction_candidates(finite, 2)) == 336
     on_a_line = parse_document(OPEN_ALGEBRA_ON_A_LINE).spec
     assert len(correction_candidates(on_a_line, 2)) == 282
+
+
+def test_jet_lift_takes_euler_derivatives_only_by_families_present(monkeypatch, tmp_path):
+    # every Euler derivative ``master`` takes names a family its argument holds
+    held = []
+    original = master.variational_derivative
+
+    def recording(f, z, side="left"):
+        held.append(z in families(f))
+        return original(f, z, side)
+
+    monkeypatch.setattr(master, "variational_derivative", recording)
+    path = tmp_path / "open_algebra_on_a_line.bv"
+    path.write_text(OPEN_ALGEBRA_ON_A_LINE, encoding="utf-8")
+    assert run_command(["solve", str(path)]) == (
+        0, "lift[1] = -ustar[2]*ustar[3]*C[1]*C[2]\nPASS\n")
+    assert held
+    assert all(held)
 
 
 # ---------------------------------------------------------------- quantum check
