@@ -18,7 +18,8 @@ factors of each monomial are sorted by a fixed total order on
 generators and the Koszul sign of the sorting permutation is absorbed
 into the rational coefficient.
 
-All coefficients are exact ``fractions.Fraction`` values.  Explicit
+A coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise, never a float.  Explicit
 dependence on the base coordinates is polynomial, so base coordinates
 are ordinary even generators here.  Every sparse sum in the package,
 of local functions, of bracket values and of solver rows, goes through
@@ -301,7 +302,7 @@ class LocalFunction:
 
     @classmethod
     def from_generator(cls, g: Generator) -> "LocalFunction":
-        return cls({((g, 1),): Fraction(1)}, _internal=True)
+        return cls({((g, 1),): 1}, _internal=True)
 
     @classmethod
     def from_terms(cls, terms: Iterable[Term]) -> "LocalFunction":
@@ -378,7 +379,11 @@ class LocalFunction:
             c = coerce_coefficient(other)
             if not c:
                 return LocalFunction.zero()
-            return LocalFunction({f: k * c for f, k in self._terms.items()}, _internal=True)
+            data = {}
+            for f, k in self._terms.items():
+                k *= c
+                data[f] = k.numerator if k.denominator == 1 else k  # an int when integral
+            return LocalFunction(data, _internal=True)
         if not isinstance(other, LocalFunction):
             return NotImplemented
         right = other._terms.items()

@@ -1,10 +1,10 @@
 """Variational calculus on local functions and gauge-model descriptions.
 
 This module provides the jet-space differential operators (prolongation,
-total derivatives, Euler-Lagrange derivatives), the divergence test that
-implements equality of local functionals, and the model-level checks:
-Noether identity verification and the decomposition of a commutator of
-gauge transformations into structure-function and on-shell parts.
+total derivatives, Euler-Lagrange derivatives, and the Euler operators of
+every family of a function at once), the divergence test that judges the
+master-equation residual, the monomial ansatz, and the model-level
+Noether identity check.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import (
     Factors,
@@ -22,12 +22,9 @@ from .algebra import (
     add_terms,
     base,
     field,
-    gen,
     graded_partial,
     sum_of,
 )
-from .expr import format_generator
-from .linsolve import match_coefficients, solve_linear_system
 
 
 class BaseCoordinateProlongation(ValueError):
@@ -36,10 +33,6 @@ class BaseCoordinateProlongation(ValueError):
 
 class IndexOutOfRange(ValueError):
     """A spatial direction outside 1..n was used."""
-
-
-class NonFieldGeneratorPresent(ValueError):
-    """The divergence test is defined on the field sector only."""
 
 
 def _check_direction(i: int, spatial_dim: int | None) -> None:
@@ -54,6 +47,9 @@ def _check_direction(i: int, spatial_dim: int | None) -> None:
 # once.  The table holds only generators, which are immutable values, and
 # grows with the generators a model can reach, not with its monomials.
 _PROLONGATIONS: dict[tuple[Generator, int], Generator] = {}
+# The unprolonged generator that names each generator's family, shared
+# the same way.
+_FAMILIES: dict[Generator, Generator] = {}
 
 
 def prolong(g: Generator, i: int, spatial_dim: int | None = None) -> Generator:
@@ -68,6 +64,13 @@ def _prolonged(g: Generator, i: int) -> Generator:
     out = _PROLONGATIONS.get((g, i))
     if out is None:
         out = _PROLONGATIONS[(g, i)] = g.with_jet(g.jet + (i,))
+    return out
+
+
+def _family(g: Generator) -> Generator:
+    out = _FAMILIES.get(g)
+    if out is None:
+        out = _FAMILIES[g] = g.with_jet(()) if g.jet else g
     return out
 
 
@@ -130,45 +133,85 @@ def total_derivative_multi(
     return out
 
 
+def euler_derivatives(f: LocalFunction) -> dict[Generator, LocalFunction]:
+    """Every nonzero left Euler derivative of f, keyed by the unprolonged
+    generator of its family, in the generator order; base coordinates
+    are not differentiated.
+
+    One walk over the terms of f takes every left graded partial df/dz_J
+    of every family at once, with the sign of ``graded_partial``: an odd
+    z_J costs the parity of the factors before it.  Each partial also
+    takes the sign (-1)^|J| of its (-D)_J, and each family is folded by
+    ``_fold``.
+    """
+    partials: dict[Generator, dict[tuple[int, ...], dict[Factors, Fraction]]] = {}
+    for factors, c in f.terms():
+        odd_before = False
+        for pos, (g, e) in enumerate(factors):
+            if g.kind is GeneratorKind.BASE:
+                continue
+            if e > 1:
+                new, ce = factors[:pos] + ((g, e - 1),) + factors[pos + 1:], c * e
+            else:
+                new, ce = factors[:pos] + factors[pos + 1:], c
+            negate = len(g.jet) % 2
+            if g.parity:
+                negate ^= odd_before
+                odd_before = not odd_before
+            # stripping one z_J is injective on canonical monomials
+            partials.setdefault(_family(g), {}).setdefault(g.jet, {})[new] = -ce if negate else ce
+    out = {}
+    for z in sorted(partials):
+        e = _fold(partials[z])
+        if e:
+            out[z] = e
+    return out
+
+
 def variational_derivative(
     f: LocalFunction, z: Generator, side: str = "left"
 ) -> LocalFunction:
     """The Euler operator of the family of z: sum of (-D)_I d/dz_I.
 
     ``z`` names the family through its kind and family label; its own
-    multi-index must be empty.
+    multi-index must be empty.  The family's partials, one
+    ``graded_partial`` per generator of it in f, go through the fold that
+    ``euler_derivatives`` uses; the right side is taken only here.
     """
     if z.jet:
         raise ValueError("variational derivatives are taken per family; pass the unprolonged generator")
-    terms = []
+    partials = {}
     for g in f.generators():
         if g.kind is z.kind and g.family == z.family:
-            term = total_derivative_multi(graded_partial(f, g, side), g.jet)
-            terms.append(-term if len(g.jet) % 2 else term)
-    return sum_of(terms)
+            partial = graded_partial(f, g, side)
+            partials[g.jet] = dict((-partial if len(g.jet) % 2 else partial).terms())
+    return _fold(partials)
+
+
+def _fold(partials: dict[tuple[int, ...], dict[Factors, Fraction]]) -> LocalFunction:
+    """E_z f = Q_() from the signed partials P_J = (-1)^|J| df/dz_J of one
+    family, keyed by J.
+
+    Q_J = P_J + sum over i >= max J of D_i Q_{J+i}, from the longest J
+    down.  A sorted J + i has the one parent J, so every node is
+    differentiated once, after the sums that meet at it have merged.
+    The term dicts in ``partials`` are consumed.
+    """
+    levels: list[dict[tuple[int, ...], dict[Factors, Fraction]]] = [
+        {} for _ in range(max(map(len, partials), default=0) + 1)]
+    for jet, terms in partials.items():
+        levels[len(jet)][jet] = terms
+    for order in range(len(levels) - 1, 0, -1):
+        for jet, terms in levels[order].items():
+            if terms:
+                add_terms(levels[order - 1].setdefault(jet[:-1], {}),
+                          total_derivative(LocalFunction(terms, _internal=True), jet[-1]).terms())
+    return LocalFunction(levels[0].get((), {}), _internal=True)
 
 
 def euler_lagrange(f: LocalFunction, a: str) -> LocalFunction:
     """Euler-Lagrange derivative with respect to the field family ``a``."""
     return variational_derivative(f, field(a), "left")
-
-
-def _field_sector_only(f: LocalFunction, what: str) -> None:
-    outside = [g for g in f.generators() if g.kind not in (GeneratorKind.BASE, GeneratorKind.FIELD)]
-    if outside:
-        raise NonFieldGeneratorPresent(
-            f"{what} is defined on the field sector; found {format_generator(min(outside))}")
-
-
-def is_total_divergence(f: LocalFunction) -> bool:
-    """True iff every Euler-Lagrange derivative of f vanishes.
-
-    The kernel of all Euler operators on polynomial local functions with
-    explicit base-coordinate dependence consists exactly of the total
-    divergences, so no witness current is needed.
-    """
-    _field_sector_only(f, "the divergence test")
-    return all(euler_lagrange(f, z.family).is_zero for z in families(f))
 
 
 def functional_vanishes(f: LocalFunction, spatial_dim: int) -> bool:
@@ -180,15 +223,14 @@ def functional_vanishes(f: LocalFunction, spatial_dim: int) -> bool:
     """
     if spatial_dim == 0:
         return f.is_zero
-    return all(variational_derivative(f, z, "left").is_zero for z in families(f))
+    return not euler_derivatives(f)
 
 
 def families(*fs: LocalFunction) -> list[Generator]:
     """One unprolonged generator per (kind, family) present in the fs,
     base coordinates excluded, in the generator order."""
-    reps = {(g.kind.rank, g.family): g
-            for f in fs for g in f.generators() if g.kind is not GeneratorKind.BASE}
-    return [g.with_jet(()) if g.jet else g for _, g in sorted(reps.items())]
+    return sorted({_family(g) for f in fs for g in f.generators()
+                   if g.kind is not GeneratorKind.BASE})
 
 
 def all_multi_indices(spatial_dim: int, max_order: int) -> list[tuple[int, ...]]:
@@ -228,7 +270,6 @@ def enumerate_basis_monomials(
     ordered = sorted(set(pool))
     gens = [(g, g.is_odd, g.bidegree) for g in ordered]
     by_degree: list[list[Factors]] = [[] for _ in range(max_degree + 1)]
-    one = Fraction(1)
     # depth-first preorder with children in index order visits the
     # sequences of each length lexicographically
     stack: list[tuple[int, Factors, int, int, int]] = [(0, (), 0, 0, 0)]
@@ -254,7 +295,7 @@ def enumerate_basis_monomials(
                 child = factors + ((g, 1),)
             children.append((i, child, degree + 1, p + gp, q + gq))
         stack.extend(reversed(children))
-    return [LocalFunction({factors: one}, _internal=True)
+    return [LocalFunction({factors: 1}, _internal=True)
             for level in by_degree for factors in level]
 
 
@@ -413,146 +454,3 @@ def check_noether(m: ModelSpec) -> NoetherReport:
             for a in m.fields for jet in m.gauge_multi_indices(a, alpha))
     return NoetherReport(per_identity_residual=residuals)
 
-
-# -------------------------------------------------- gauge transformations
-
-def apply_evolutionary(
-    m: ModelSpec, characteristics: Mapping[str, LocalFunction], f: LocalFunction
-) -> LocalFunction:
-    """Apply the evolutionary vector field with the given characteristics.
-
-    The field acts on prolonged field generators as D_I applied to the
-    characteristic of the family and ignores every other generator kind,
-    so it commutes with total derivatives by construction.
-    """
-    return sum_of(
-        total_derivative_multi(characteristics[g.family], g.jet, m.spatial_dim)
-        * graded_partial(f, g, "left")
-        for g in f.generators()
-        if g.kind is GeneratorKind.FIELD and characteristics.get(g.family))
-
-
-_PARAMETER_PREFIX = "@"
-
-
-def gauge_parameter(alpha: str) -> Generator:
-    """The formal even parameter generator attached to a gauge index."""
-    return field(_PARAMETER_PREFIX + alpha)
-
-
-def gauge_characteristic(m: ModelSpec, alpha: str, parameter: LocalFunction) -> dict[str, LocalFunction]:
-    """Characteristics Q^a = sum_I r^{aI}_alpha D_I(parameter)."""
-    return {a: sum_of(m.gauge_coefficient(a, alpha, jet)
-                      * total_derivative_multi(parameter, jet, m.spatial_dim)
-                      for jet in m.gauge_multi_indices(a, alpha))
-            for a in m.fields}
-
-
-@dataclass(frozen=True)
-class GaugeCommutatorReport:
-    """Decomposition of a commutator of gauge transformations.
-
-    ``commutator`` holds the raw action on each field.  When the linear
-    solve succeeds, c gives the structure-function coefficients per
-    gauge index, nu the antisymmetric on-shell coefficients keyed by
-    field pairs (a, b) with a < b, and every residual is zero.  When the
-    bounded ansatz cannot express the commutator, c and nu are empty and
-    the residual repeats the commutator itself.
-    """
-
-    commutator: dict[str, LocalFunction]
-    c: dict[str, LocalFunction]
-    nu: dict[tuple[str, str], LocalFunction]
-    residual: dict[str, LocalFunction]
-    solution_dim: int
-
-    @property
-    def explained(self) -> bool:
-        return all(r.is_zero for r in self.residual.values())
-
-
-def gauge_commutator(m: ModelSpec, alpha: str, beta: str) -> GaugeCommutatorReport:
-    """Decompose [delta_alpha, delta_beta] into closed and on-shell parts.
-
-    The commutator of the two evolutionary vector fields is computed on
-    each field, then matched against a bounded linear ansatz: structure
-    coefficients multiplying a gauge transformation with the product
-    parameter, plus antisymmetric pairs of coefficients multiplying the
-    Euler-Lagrange derivatives.  The first solution in the deterministic
-    monomial order is returned together with the solution-space
-    dimension.
-    """
-    if m.spatial_dim == 0:
-        param_a = LocalFunction.one()
-        param_b = LocalFunction.one()
-    else:
-        param_a = gen(gauge_parameter(alpha))
-        param_b = gen(gauge_parameter(beta))
-    q_alpha = gauge_characteristic(m, alpha, param_a)
-    q_beta = gauge_characteristic(m, beta, param_b)
-
-    commutator = {
-        a: apply_evolutionary(m, q_alpha, q_beta[a]) - apply_evolutionary(m, q_beta, q_alpha[a])
-        for a in m.fields
-    }
-
-    pool = m.field_jet_pool()
-    basis = enumerate_basis_monomials(pool, m.max_poly_degree)
-    product_parameter = param_a * param_b
-    el = {a: euler_lagrange(m.lagrangian, a) for a in m.fields}
-
-    # Candidate columns, in a fixed order: first the structure terms,
-    # then the on-shell terms.  Each candidate is its per-field action.
-    candidates: list[tuple[str, object, dict[str, LocalFunction]]] = []
-    for gamma in m.gauge_indices:
-        for w in basis:
-            action = gauge_characteristic(m, gamma, w * product_parameter)
-            if any(action.values()):
-                candidates.append(("c", (gamma, w), action))
-    for ia, a in enumerate(m.fields):
-        for b in m.fields[ia + 1:]:
-            for w in basis:
-                action = {name: LocalFunction.zero() for name in m.fields}
-                action[a] = w * product_parameter * el[b]
-                action[b] = -(w * product_parameter * el[a])
-                if not (action[a].is_zero and action[b].is_zero):
-                    candidates.append(("nu", (a, b, w), action))
-
-    # One block of equations per field, in the order of the field labels.
-    blocks = [(commutator[a], [cand[2][a] for cand in candidates]) for a in sorted(m.fields)]
-    equations, rhs = match_coefficients(blocks)
-    solution = solve_linear_system(equations, rhs, len(candidates))
-    if solution is None:
-        return GaugeCommutatorReport(
-            commutator=commutator,
-            c={},
-            nu={},
-            residual=dict(commutator),
-            solution_dim=0,
-        )
-
-    c_out = {gamma: LocalFunction.zero() for gamma in m.gauge_indices}
-    nu_out = {
-        (a, b): LocalFunction.zero()
-        for ia, a in enumerate(m.fields)
-        for b in m.fields[ia + 1:]
-    }
-    for value, cand in zip(solution.values, candidates):
-        if not value:
-            continue
-        kind, payload, _ = cand
-        if kind == "c":
-            gamma, w = payload
-            c_out[gamma] = c_out[gamma] + value * w
-        else:
-            a, b, w = payload
-            nu_out[(a, b)] = nu_out[(a, b)] + value * w
-
-    residual = {a: LocalFunction.zero() for a in m.fields}
-    return GaugeCommutatorReport(
-        commutator=commutator,
-        c=c_out,
-        nu=nu_out,
-        residual=residual,
-        solution_dim=solution.nullity,
-    )

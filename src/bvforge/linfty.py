@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -142,6 +143,14 @@ def unshuffles(parities: Sequence[int], k: int) -> Iterator[tuple[tuple[int, ...
         right = tuple(i for i in range(n) if i not in left)
         flips = len(odd) > 1 and inversion_parity([i for i in left + right if i in odd])
         yield left, right, -1 if flips else 1
+
+
+@lru_cache(maxsize=1024)
+def _splits(parities: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """``unshuffles(parities, k)`` as a tuple, enumerated once per
+    (parity pattern, k): the identity sweep meets each pattern over and
+    over."""
+    return tuple(unshuffles(parities, k))
 
 
 class LInftyStructure:
@@ -331,12 +340,13 @@ def identity_residual(L: LInftyStructure, inputs: Sequence[BasisElement]) -> Ele
     key times its reordering sign, read off without calling ``apply``.
     """
     n = len(inputs)
+    parities = tuple(b.parity for b in inputs)
     residual = Element.zero()
     for k in range(1, n + 1):
         if k not in L.tensors or n - k + 1 not in L.tensors:
             continue
         inner_table = L.tensors[k]
-        for left, right, sign in unshuffles([b.parity for b in inputs], k):
+        for left, right, sign in _splits(parities, k):
             key, key_sign = L._canonical(tuple(inputs[i] for i in left))
             inner = inner_table.get(key)
             if inner is None:

@@ -40,10 +40,13 @@ def solve_linear_system(
     Each equation is a sparse row mapping unknown index to coefficient.
     The returned particular solution sets every free variable to zero.
 
-    Rows are kept as dicts.  Each incoming row, augmented by its
-    right-hand side under the key ``num_unknowns``, is reduced against
-    the monic pivot rows until its leading column has no pivot; it then
-    becomes the pivot row of that column.  Every pivot row is zero left
+    Rows are kept as dicts, with the entries as they come in.  Each
+    incoming row, augmented by its right-hand side under the key
+    ``num_unknowns``, is reduced against the monic pivot rows until its
+    leading column has no pivot; it then becomes the pivot row of that
+    column, scaled by the ``Fraction`` inverse of its leading entry, so
+    no integer division ever yields a float, and each integral entry is
+    kept as an int.  Every pivot row is zero left
     of its pivot, so back-substitution from the highest pivot down
     yields the solution.
     """
@@ -57,9 +60,9 @@ def solve_linear_system(
             if not 0 <= j < n:
                 raise ValueError(f"unknown index {j} outside 0..{n - 1}")
             if c:
-                row[j] = Fraction(c)
+                row[j] = c
         if b:
-            row[n] = Fraction(b)
+            row[n] = b
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -71,13 +74,16 @@ def solve_linear_system(
             continue
         if lead == n:
             return None
-        scale = row[lead]
-        pivots[lead] = {k: v / scale for k, v in row.items()}
+        inverse = 1 / Fraction(row[lead])
+        pivots[lead] = pivot_row = {}
+        for k, v in row.items():
+            v *= inverse
+            pivot_row[k] = v.numerator if v.denominator == 1 else v
 
     values = [Fraction(0)] * n
     for col in sorted(pivots, reverse=True):
         pivot_row = pivots[col]
-        values[col] = pivot_row.get(n, Fraction(0)) - sum(
+        values[col] = Fraction(pivot_row.get(n, 0)) - sum(
             v * values[k] for k, v in pivot_row.items() if col < k < n)
     rank = len(pivots)
     return LinearSolution(tuple(values), nullity=n - rank, rank=rank)
@@ -101,7 +107,8 @@ def match_coefficients(
         for j, col in enumerate(columns):
             for fac, coeff in col.terms():
                 rows.setdefault(fac, {})[j] = coeff
+        value = dict(target.terms()).get
         for fac in sorted(rows, key=term_key):
             equations.append(rows[fac])
-            rhs.append(target.coefficient(fac))
+            rhs.append(value(fac, 0))
     return equations, rhs

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, lcm
 
 from .algebra import (
     Generator,
@@ -40,7 +40,7 @@ from .jet import (
     all_multi_indices,
     check_noether,
     enumerate_basis_monomials,
-    families,
+    euler_derivatives,
     functional_vanishes,
     total_derivative_multi,
     variational_derivative,
@@ -113,10 +113,7 @@ class BVAction:
         derivative = _bracket_derivative(self.spatial_dim)
         out = []
         for z, zs in family_pairs(self.stratum(0), self.stratum(1)):
-            stratum = self.stratum(zs.antifield_number - 1)
-            if z not in families(stratum):
-                continue
-            source = derivative(stratum, z, "right")
+            source = derivative(self.stratum(zs.antifield_number - 1), z, "right")
             if source:
                 out.append((zs, source))
         return tuple(out)
@@ -195,14 +192,14 @@ def kt_differential(S: BVAction, f: LocalFunction) -> LocalFunction:
     j = a - 1, where S_j holds no z* and the second product vanishes.
     So the component is the sum over pairs of dR S_{a-1}/dz * dL f/dz*,
     with the derivatives of S read off ``S.kt_sources``: S_0 against the
-    antifields of f and S_1 against its antighosts.  On a jet model only
-    the families f holds are differentiated; the others give zero.
+    antifields of f and S_1 against its antighosts.  On a jet model one
+    call of ``euler_derivatives`` differentiates f by every family it
+    holds; the others give zero.
     """
     if S.spatial_dim == 0:
         return sum_of(source * graded_partial(f, zs, "left") for zs, source in S.kt_sources)
-    held = set(families(f))
-    return sum_of(source * variational_derivative(f, zs, "left")
-                  for zs, source in S.kt_sources if zs in held)
+    euler = euler_derivatives(f)
+    return sum_of(source * euler[zs] for zs, source in S.kt_sources if zs in euler)
 
 
 def master_residual(S: BVAction) -> dict[int, LocalFunction]:
@@ -271,25 +268,33 @@ def _solve_lift(
     """Solve kt(X) = -1/2 R for X at antifield number stratum + 1.
 
     Returns (correction or None, candidate count, solution nullity).
-    The divergence freedom is handled by applying every Euler operator
-    to both sides before coefficient matching, each side only by the
-    families it holds; at dimension zero the sides are matched directly.
+    kt is linear in S, so the system is solved as kt(D S)(X) = -D/2 R,
+    with D the least common denominator of the coefficients of S_0, S_1
+    and -1/2 R.  Both sides are scaled by one nonzero integer, so the
+    solution, rank and nullity are those of the unscaled system, while
+    every coefficient in it is an int.  The divergence
+    freedom is handled by applying every Euler operator to both sides
+    before coefficient matching: one ``euler_derivatives`` call per side
+    gives the families it holds.  At dimension zero the sides are
+    matched directly.
     """
     candidates = correction_candidates(m, stratum + 1)
     if not candidates:
         return None, 0, 0
-    kt_cols = [kt_differential(S, cand) for cand in candidates]
-    target = Fraction(-1, 2) * R
+    half_R = Fraction(-1, 2) * R
+    scale = lcm(*(c.denominator for f in (S.stratum(0), S.stratum(1), half_R)
+                  for _, c in f.terms()))
+    cleared = BVAction.from_total(scale * S.total, S.spatial_dim, S.solved_up_to)
+    kt_cols = [kt_differential(cleared, cand) for cand in candidates]
+    target = scale * half_R
 
     if m.spatial_dim == 0:
         blocks = [(target, kt_cols)]
     else:
-        held = [(f, set(families(f))) for f in (target, *kt_cols)]
+        projected = [euler_derivatives(f) for f in (target, *kt_cols)]
         zero = LocalFunction.zero()
-        projected = [[variational_derivative(f, z, "left") if z in fs else zero
-                      for f, fs in held]
-                     for z in families(*kt_cols, target)]
-        blocks = [(row[0], row[1:]) for row in projected]
+        blocks = [(projected[0].get(z, zero), [col.get(z, zero) for col in projected[1:]])
+                  for z in sorted(set().union(*projected))]
 
     equations, rhs = match_coefficients(blocks)
     solution = solve_linear_system(equations, rhs, len(candidates))

@@ -29,7 +29,7 @@ from bvforge.algebra import (
 from bvforge.bracket import antibracket, bv_laplacian
 from bvforge.cli import run_command
 from bvforge.expr import format_local_function, parse_expression
-from bvforge.jet import ModelSpec, all_multi_indices, euler_lagrange, total_derivative
+from bvforge.jet import ModelSpec, all_multi_indices, check_noether, euler_lagrange, total_derivative
 from bvforge.linfty import (
     BasisElement,
     Element,
@@ -45,6 +45,7 @@ from bvforge.master import (
     quantum_master_check,
     solve_master,
 )
+from bvforge.modelfile import parse_document
 
 from harnesses import bv_identity_harness, gerstenhaber_harness
 
@@ -542,3 +543,38 @@ def test_no_module_imports_a_private_name_of_another():
                 private += [f"{path.name}: {alias.name} from {'.' * node.level}{node.module or ''}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _divisions(tree: ast.AST):
+    """(line, divisor) for every ``/`` and ``/=`` in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            yield node.lineno, node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            yield node.lineno, node.value
+
+
+def test_every_division_in_the_package_is_by_a_fraction():
+    # coefficients are ints when integral, and int / int is a float
+    package = Path(__file__).parents[1] / "src" / "bvforge"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for line, divisor in _divisions(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(divisor, ast.Call) and isinstance(divisor.func, ast.Name)
+                    and divisor.func.id == "Fraction"):
+                offenders.append(f"{path.name}:{line}")
+    assert offenders == []
+
+
+def test_solved_fixture_actions_hold_only_ints_and_fractions():
+    solved = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        spec = parse_document(path.read_text(encoding="utf-8")).spec
+        if not check_noether(spec).all_pass:
+            continue
+        action, records = solve_master(spec, 3)
+        functions = [action.total, *(r.correction for r in records if r.correction is not None)]
+        kinds = {type(c) for f in functions for _, c in f.terms()}
+        assert kinds <= {int, Fraction}, (path.name, kinds)
+        solved += 1
+    assert solved >= 10

@@ -19,22 +19,28 @@ from bvforge.algebra import (
     graded_partial,
     sum_of,
 )
+from bvforge.bracket import antibracket_variational, family_pairs
 from bvforge.jet import (
     BaseCoordinateProlongation,
     IndexOutOfRange,
     ModelSpec,
-    NonFieldGeneratorPresent,
     all_multi_indices,
-    apply_evolutionary,
     check_noether,
     enumerate_basis_monomials,
+    euler_derivatives,
     euler_lagrange,
+    families,
     functional_vanishes,
-    gauge_commutator,
-    is_total_divergence,
     prolong,
     total_derivative,
     total_derivative_multi,
+    variational_derivative,
+)
+from gauge import (
+    NonFieldGeneratorPresent,
+    apply_evolutionary,
+    gauge_commutator,
+    is_total_divergence,
 )
 
 U = field("1")
@@ -136,11 +142,11 @@ def old_total_derivative(f, i):
         for z in f.generators() if z.kind is not GeneratorKind.BASE])
 
 
-def random_jet_function(rng, dim=2, terms=4, max_len=5):
-    """Terms over all five kinds up to jet order 2, even exponents up to 3;
-    an odd factor drawn twice makes its term vanish."""
+def random_jet_function(rng, dim=2, terms=4, max_len=5, order=2):
+    """Terms over all five kinds up to the jet order, even exponents up to
+    3; an odd factor drawn twice makes its term vanish."""
     pool = [base(i) for i in range(1, dim + 1)]
-    for jet in all_multi_indices(dim, 2):
+    for jet in all_multi_indices(dim, order):
         pool += [field("1", jet), field("2", jet), antifield("1", jet),
                  ghost("g", jet), antighost("g", jet)]
     pairs = []
@@ -207,6 +213,56 @@ def test_euler_lagrange_is_linear_and_kills_x_polynomials():
         lhs = euler_lagrange(3 * f - 2 * g, "1")
         rhs = 3 * euler_lagrange(f, "1") - 2 * euler_lagrange(g, "1")
         assert lhs == rhs
+
+
+def old_variational_derivative(f, z, side="left"):
+    """(-D)_J df/dz_J taken one J at a time and summed: the oracle."""
+    terms = []
+    for g in f.generators():
+        if g.kind is z.kind and g.family == z.family:
+            term = total_derivative_multi(graded_partial(f, g, side), g.jet)
+            terms.append(-term if len(g.jet) % 2 else term)
+    return sum_of(terms)
+
+
+def old_antibracket_variational(f, g):
+    """The variational bracket over the per-J oracle."""
+    return sum_of(
+        old_variational_derivative(f, z, "right") * old_variational_derivative(g, zs, "left")
+        - old_variational_derivative(f, zs, "right") * old_variational_derivative(g, z, "left")
+        for z, zs in family_pairs(f, g))
+
+
+def test_euler_derivatives_match_the_per_multi_index_oracle():
+    rng = random.Random(20261019)
+    seen = {kind: 0 for kind in GeneratorKind}
+    seen.update({"odd": 0, "repeated even": 0, "odd meets its prolongation": 0,
+                 "jet order 3": 0, "int coefficients": 0})
+    for trial in range(400):
+        dim, order = rng.randint(1, 3), rng.randint(0, 3)
+        f, g = (random_jet_function(rng, dim=dim, order=order) for _ in range(2))
+        if trial % 2:
+            f = 6 * f  # every coefficient integral, so every one an int
+            seen["int coefficients"] += bool(f) and all(type(c) is int for _, c in f.terms())
+        for factors, _ in f.terms():
+            gens = {h for h, _ in factors}
+            for h in gens:
+                seen[h.kind] += 1
+            seen["odd"] += any(h.is_odd for h in gens)
+            seen["repeated even"] += any(e > 1 for _, e in factors)
+            seen["odd meets its prolongation"] += any(
+                h.is_odd and prolong(h, i) in gens for h in gens for i in range(1, dim + 1))
+            seen["jet order 3"] += any(len(h.jet) == 3 for h in gens)
+        expected = {z: old_variational_derivative(f, z, "left") for z in families(f)}
+        euler = euler_derivatives(f)
+        assert euler == {z: e for z, e in expected.items() if e}, f
+        assert list(euler) == sorted(euler)
+        for side in ("left", "right"):
+            for z in families(f):
+                assert variational_derivative(f, z, side) == old_variational_derivative(f, z, side), (
+                    f, z, side)
+        assert antibracket_variational(f, g) == old_antibracket_variational(f, g), (f, g)
+    assert min(seen.values()) >= 25, seen
 
 
 # ---------------------------------------------------------------- divergence tests

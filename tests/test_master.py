@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,7 @@ from bvforge.jet import (
     enumerate_basis_monomials,
     families,
     functional_vanishes,
+    variational_derivative,
 )
 from bvforge.master import (
     MAX_LIFT_CANDIDATES,
@@ -556,22 +558,53 @@ def test_benchmark_lifts_keep_their_candidate_counts():
     assert len(correction_candidates(on_a_line, 2)) == 282
 
 
-def test_jet_lift_takes_euler_derivatives_only_by_families_present(monkeypatch, tmp_path):
-    # every Euler derivative ``master`` takes names a family its argument holds
-    held = []
-    original = master.variational_derivative
-
-    def recording(f, z, side="left"):
-        held.append(z in families(f))
-        return original(f, z, side)
-
-    monkeypatch.setattr(master, "variational_derivative", recording)
+def _solve_open_algebra_on_a_line(tmp_path):
     path = tmp_path / "open_algebra_on_a_line.bv"
     path.write_text(OPEN_ALGEBRA_ON_A_LINE, encoding="utf-8")
     assert run_command(["solve", str(path)]) == (
         0, "lift[1] = -ustar[2]*ustar[3]*C[1]*C[2]\nPASS\n")
-    assert held
-    assert all(held)
+
+
+def test_jet_lift_takes_euler_derivatives_only_by_families_present(monkeypatch, tmp_path):
+    # each one-walk Euler call of the lift returns exactly the families
+    # its argument holds whose one-family derivative does not vanish
+    matches = []
+    original = master.euler_derivatives
+
+    def recording(f):
+        out = original(f)
+        nonzero = [z for z in families(f) if variational_derivative(f, z, "left")]
+        matches.append(list(out) == nonzero)
+        return out
+
+    monkeypatch.setattr(master, "euler_derivatives", recording)
+    _solve_open_algebra_on_a_line(tmp_path)
+    assert matches
+    assert all(matches)
+
+
+def test_jet_lift_reaches_every_probed_kernel_through_its_bindings(monkeypatch, tmp_path):
+    # the benchmark times these by rebinding every module name that holds
+    # them, so a jet lift must keep calling each through such a name
+    calls = dict.fromkeys([("bvforge.jet", "variational_derivative"),
+                           ("bvforge.jet", "total_derivative"),
+                           ("bvforge.algebra", "graded_partial"),
+                           ("bvforge.master", "kt_differential")], 0)
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("bvforge.")]
+    for key in calls:
+        original = getattr(sys.modules[key[0]], key[1])
+
+        def counting(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    _solve_open_algebra_on_a_line(tmp_path)
+    assert all(calls.values()), calls
 
 
 # ---------------------------------------------------------------- quantum check
