@@ -249,54 +249,41 @@ def enumerate_basis_monomials(
     """Canonical monomials of total degree <= max_degree over a generator pool.
 
     With ``bidegree`` = (ghost degree, antighost degree) only the
-    monomials of exactly that bidegree are produced.  The monomials are
-    the non-decreasing index sequences over the sorted pool, walked
-    depth first; an odd generator is never repeated.  A prefix is
-    pruned when its partial bidegree already exceeds the target in
-    either component, since every generator's bidegree is nonnegative,
-    or when the degree left under ``max_degree`` cannot reach the
-    target, since one factor adds at most 1 to the ghost degree or 2 to
-    the antighost degree.  Each sequence lists its factors in the
-    generator total order, its odd generators included, so it is already
-    in canonical form with Koszul sign +1 and is built without
-    ``normalize``.
+    monomials of exactly that bidegree are produced.  Every generator
+    has one of four bidegrees: (0, 0) for base coordinates and fields,
+    (0, 1) for the odd antifields, (1, 0) for the odd ghosts and (0, 2)
+    for the even antighosts.  So a monomial of bidegree (p, a + 2c) is
+    a choice of p distinct ghosts, a distinct antifields, c antighosts
+    and r >= 0 even factors of bidegree (0, 0), of degree p + a + c + r;
+    ``master.lift_candidate_count`` counts the same choices in closed
+    form.  The four classes follow the generator order, so each choice
+    lists its factors in canonical form with Koszul sign +1 and is built
+    without ``normalize``.
 
-    The order is ascending degree, then lexicographic in the sorted pool
-    within a degree: the order of
+    The order is ascending degree, then lexicographic in the index
+    sequence over the sorted pool within a degree: the order of
     ``itertools.combinations_with_replacement``.  Callers rely on it,
     since it fixes the pivot columns of every coefficient-matching
     system built over the list.
     """
     ordered = sorted(set(pool))
-    gens = [(g, g.is_odd, g.bidegree) for g in ordered]
-    by_degree: list[list[Factors]] = [[] for _ in range(max_degree + 1)]
-    # depth-first preorder with children in index order visits the
-    # sequences of each length lexicographically
-    stack: list[tuple[int, Factors, int, int, int]] = [(0, (), 0, 0, 0)]
-    while stack:
-        start, factors, degree, p, q = stack.pop()
-        if bidegree is None or (p, q) == bidegree:
-            by_degree[degree].append(factors)
-        if degree == max_degree:
-            continue
-        children = []
-        for i in range(start, len(gens)):
-            g, odd, (gp, gq) = gens[i]
-            if bidegree is not None:
-                dp, dq = bidegree[0] - p - gp, bidegree[1] - q - gq
-                # the rest needs at least dp + ceil(dq / 2) more factors
-                if dp < 0 or dq < 0 or degree + 1 + dp + (dq + 1) // 2 > max_degree:
-                    continue
-            if factors and i == start:  # the last factor again
-                if odd:
-                    continue
-                child = factors[:-1] + ((g, factors[-1][1] + 1),)
-            else:
-                child = factors + ((g, 1),)
-            children.append((i, child, degree + 1, p + gp, q + gq))
-        stack.extend(reversed(children))
-    return [LocalFunction({factors: 1}, _internal=True)
-            for level in by_degree for factors in level]
+    even, antifields, ghosts, antighosts = (
+        [i for i, g in enumerate(ordered) if g.bidegree == b] for b in ((0, 0), (0, 1), (1, 0), (0, 2)))
+    if bidegree is None:
+        shapes = itertools.product(range(max_degree + 1), repeat=3)
+    else:
+        p, q = bidegree
+        shapes = ((p, q - 2 * c, c) for c in range(q // 2 + 1) if p >= 0)
+    sequences = [
+        sum(parts, ())
+        for p, a, c in shapes
+        for r in range(max_degree - p - a - c + 1)
+        for parts in itertools.product(
+            itertools.combinations_with_replacement(even, r), itertools.combinations(antifields, a),
+            itertools.combinations(ghosts, p), itertools.combinations_with_replacement(antighosts, c))]
+    sequences.sort(key=lambda s: (len(s), s))
+    return [LocalFunction({tuple((ordered[i], s.count(i)) for i in dict.fromkeys(s)): 1},
+                          _internal=True) for s in sequences]
 
 
 # ------------------------------------------------------------------ models
@@ -353,6 +340,17 @@ class ModelSpec:
             if not coeff.is_zero:
                 cleaned[(a, alpha, jet)] = coeff
         self.gauge_coefficients = cleaned
+        gauge, fields = (self.gauge_indices, "gauge index"), (self.fields, "field")
+        for what, table, slots in (("structure function", self.structure_functions, (gauge,) * 3),
+                                   ("closure function", self.closure_functions,
+                                    (fields, fields, gauge, gauge))):
+            for key, value in (table or {}).items():
+                if len(key) != len(slots):
+                    raise ValueError(f"{what} key {key} needs {len(slots)} entries")
+                for name, (names, label) in zip(key, slots):
+                    if name not in names:
+                        raise ValueError(f"{what} {key} names unknown {label} {name!r}")
+                self._check_field_sector(value, f"{what} {key}")
         if self.structure_functions is not None:
             self._validate_antisymmetric_pairing(
                 self.structure_functions, slots=(1, 2), what="structure functions")

@@ -190,16 +190,12 @@ def kt_differential(S: BVAction, f: LocalFunction) -> LocalFunction:
     contributes dR S_j/dz * dL f_k/dz* and -dR S_j/dz* * dL f_k/dz to
     (S, f), both at antifield number j + k - a.  That is k - 1 only for
     j = a - 1, where S_j holds no z* and the second product vanishes.
-    So the component is the sum over pairs of dR S_{a-1}/dz * dL f/dz*,
-    with the derivatives of S read off ``S.kt_sources``: S_0 against the
-    antifields of f and S_1 against its antighosts.  On a jet model one
-    call of ``euler_derivatives`` differentiates f by every family it
-    holds; the others give zero.
+    So the component is the sum over the pairs of ``S.kt_sources`` of
+    dR S_{a-1}/dz * dL f/dz*, with the derivative of the antibracket:
+    one left derivative of f per source, by its z*, on every model.
     """
-    if S.spatial_dim == 0:
-        return sum_of(source * graded_partial(f, zs, "left") for zs, source in S.kt_sources)
-    euler = euler_derivatives(f)
-    return sum_of(source * euler[zs] for zs, source in S.kt_sources if zs in euler)
+    derivative = _bracket_derivative(S.spatial_dim)
+    return sum_of(source * derivative(f, zs, "left") for zs, source in S.kt_sources)
 
 
 def master_residual(S: BVAction) -> dict[int, LocalFunction]:
@@ -229,11 +225,13 @@ def _correction_pool(m: ModelSpec) -> list[Generator]:
 def lift_candidate_count(m: ModelSpec, k: int) -> int:
     """``len(correction_candidates(m, k))`` in closed form.
 
-    With J multi-indices in the jet bound there are F = |fields| J odd
-    antifields (0, 1), G = |gauge| J odd ghosts (1, 0) and G even antighosts
-    (0, 2), and n0 = dim + F even generators (0, 0).  A bidegree-(k, k)
-    monomial takes k ghosts, k - 2c antifields and c antighosts, and fills
-    the degree left under the bound with the n0.
+    It counts the choices that ``enumerate_basis_monomials`` lists, over
+    the same split of the pool by bidegree.  With J multi-indices in the
+    jet bound there are F = |fields| J odd antifields (0, 1), G = |gauge|
+    J odd ghosts (1, 0) and G even antighosts (0, 2), and n0 = dim + F
+    even generators (0, 0).  A bidegree-(k, k) monomial takes k ghosts,
+    k - 2c antifields and c antighosts, and fills the degree left under
+    the bound with the n0.
     """
     J = comb(m.spatial_dim + m.max_jet_order, m.spatial_dim)
     F, G = len(m.fields) * J, len(m.gauge_indices) * J

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from bvforge.algebra import (
+    Factors,
     GeneratorKind,
     LocalFunction,
     antifield,
@@ -19,6 +22,7 @@ from bvforge.algebra import (
     graded_partial,
     sum_of,
 )
+from bvforge import master
 from bvforge.bracket import antibracket_variational, family_pairs
 from bvforge.jet import (
     BaseCoordinateProlongation,
@@ -36,6 +40,7 @@ from bvforge.jet import (
     total_derivative_multi,
     variational_derivative,
 )
+from bvforge.modelfile import parse_document
 from gauge import (
     NonFieldGeneratorPresent,
     apply_evolutionary,
@@ -43,6 +48,7 @@ from gauge import (
     is_total_divergence,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 U = field("1")
 U1 = field("1", (1,))
 U11 = field("1", (1, 1))
@@ -140,6 +146,41 @@ def old_total_derivative(f, i):
     return sum_of([graded_partial(f, base(i), "left")] + [
         gen(prolong(z, i)) * graded_partial(f, z, "left")
         for z in f.generators() if z.kind is not GeneratorKind.BASE])
+
+
+def old_enumerate_basis_monomials(pool, max_degree, bidegree=None):
+    """The depth-first enumeration over the sorted pool, pruned by the
+    bidegree left to reach: the oracle."""
+    ordered = sorted(set(pool))
+    gens = [(g, g.is_odd, g.bidegree) for g in ordered]
+    by_degree: list[list[Factors]] = [[] for _ in range(max_degree + 1)]
+    # depth-first preorder with children in index order visits the
+    # sequences of each length lexicographically
+    stack: list[tuple[int, Factors, int, int, int]] = [(0, (), 0, 0, 0)]
+    while stack:
+        start, factors, degree, p, q = stack.pop()
+        if bidegree is None or (p, q) == bidegree:
+            by_degree[degree].append(factors)
+        if degree == max_degree:
+            continue
+        children = []
+        for i in range(start, len(gens)):
+            g, odd, (gp, gq) = gens[i]
+            if bidegree is not None:
+                dp, dq = bidegree[0] - p - gp, bidegree[1] - q - gq
+                # the rest needs at least dp + ceil(dq / 2) more factors
+                if dp < 0 or dq < 0 or degree + 1 + dp + (dq + 1) // 2 > max_degree:
+                    continue
+            if factors and i == start:  # the last factor again
+                if odd:
+                    continue
+                child = factors[:-1] + ((g, factors[-1][1] + 1),)
+            else:
+                child = factors + ((g, 1),)
+            children.append((i, child, degree + 1, p + gp, q + gq))
+        stack.extend(reversed(children))
+    return [LocalFunction({factors: 1}, _internal=True)
+            for level in by_degree for factors in level]
 
 
 def random_jet_function(rng, dim=2, terms=4, max_len=5, order=2):
@@ -398,6 +439,33 @@ def test_model_antisymmetry_validation():
     assert m.structure_function("2", "1", "2").is_zero
 
 
+def test_model_validation_checks_structure_and_closure_tables():
+    # an entry the stage action cannot reach used to be dropped silently
+    one, ghosted = LocalFunction.one(), gen(ghost("1"))
+
+    def spec(structure=None, closure=None):
+        return ModelSpec(spatial_dim=1, fields=("1", "2"), gauge_indices=("1", "2"),
+                         lagrangian=LocalFunction.zero(),
+                         structure_functions=structure, closure_functions=closure)
+
+    for structure, closure, message in (
+        ({("9", "1", "2"): one}, None, "structure function .* unknown gauge index '9'"),
+        ({("1", "1", "x"): one}, None, "unknown gauge index 'x'"),
+        ({("1", "2"): one}, None, "needs 3 entries"),
+        ({("1", "1", "2"): ghosted}, None, "only base coordinates and fields"),
+        ({("1", "1", "2"): gen(field("3"))}, None, "unknown field family '3'"),
+        ({("1", "1", "2"): gen(base(2))}, None, "beyond dimension 1"),
+        (None, {("1", "3", "1", "2"): one}, "closure function .* unknown field '3'"),
+        (None, {("1", "2", "1", "9"): one}, "unknown gauge index '9'"),
+        (None, {("1", "2", "1"): one}, "needs 4 entries"),
+        (None, {("1", "2", "1", "2"): ghosted}, "only base coordinates and fields"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            spec(structure, closure)
+    m = spec({("1", "1", "2"): gen(field("1", (1,)))}, {("1", "2", "1", "2"): one})
+    assert m.closure_function("2", "1", "1", "2") == -one
+
+
 # ---------------------------------------------------------------- Noether
 
 def test_noether_fails_on_rigid_scalar_shift():
@@ -581,3 +649,48 @@ def test_enumerate_basis_monomials_skips_odd_squares():
     basis = enumerate_basis_monomials(pool, 2)
     u, c = gen(field("1")), gen(ghost("g"))
     assert basis == [LocalFunction.one(), u, c, u * u, u * c]
+
+
+def test_enumeration_matches_the_depth_first_oracle_on_every_fixture():
+    checked = nonempty = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        spec = parse_document(path.read_text(encoding="utf-8")).spec
+        for jet in range(3):
+            for deg in range(6):
+                m = replace(spec, max_jet_order=jet, max_poly_degree=deg)
+                pool = master._correction_pool(m)
+                for k in (1, 2, 3):
+                    if master.lift_candidate_count(m, k) > master.MAX_LIFT_CANDIDATES:
+                        continue
+                    basis = enumerate_basis_monomials(pool, deg, bidegree=(k, k))
+                    assert basis == old_enumerate_basis_monomials(pool, deg, (k, k)), (path.stem, jet, deg, k)
+                    checked += 1
+                    nonempty += bool(basis)
+    assert checked >= 500 and nonempty >= 100, (checked, nonempty)
+
+
+def random_pool_generator(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return base(rng.randint(1, 2))
+    make = (field, antifield, ghost, antighost)[kind - 1]
+    return make(rng.choice("12"), rng.choice([(), (1,), (2,), (1, 2)]))
+
+
+def test_enumeration_matches_the_depth_first_oracle_on_random_pools():
+    rng = random.Random(20261019)
+    seen = {"all": 0, "target": 0, "unreachable": 0}
+    for _ in range(300):
+        pool = [random_pool_generator(rng) for _ in range(rng.randint(0, 7))]
+        pool += rng.choices(pool, k=rng.randint(0, 3)) if pool else []
+        rng.shuffle(pool)
+        deg = rng.randint(0, 4)
+        basis = enumerate_basis_monomials(pool, deg)
+        assert basis == old_enumerate_basis_monomials(pool, deg), (pool, deg)
+        seen["all"] += bool(basis)
+        for _ in range(3):
+            target = (rng.randint(-1, 3), rng.randint(-1, 5))
+            basis = enumerate_basis_monomials(pool, deg, bidegree=target)
+            assert basis == old_enumerate_basis_monomials(pool, deg, target), (pool, deg, target)
+            seen["target" if basis else "unreachable"] += 1
+    assert min(seen.values()) >= 100, seen

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -581,6 +582,52 @@ def test_jet_lift_takes_euler_derivatives_only_by_families_present(monkeypatch, 
     _solve_open_algebra_on_a_line(tmp_path)
     assert matches
     assert all(matches)
+
+
+def test_kt_reads_one_derivative_per_source(monkeypatch, tmp_path):
+    # kt differentiates a candidate only by the z* of its sources, never
+    # by the all-family walk that the divergence projection takes
+    inside, euler_calls, families_read = [], [], []
+    originals = {name: getattr(master, name) for name in
+                 ("kt_differential", "euler_derivatives", "variational_derivative")}
+
+    def kt(S, f):
+        sources = {zs for zs, _ in S.kt_sources}
+        inside.append(sources)
+        try:
+            return originals["kt_differential"](S, f)
+        finally:
+            inside.pop()
+
+    def euler(f):
+        if inside:
+            euler_calls.append(f)
+        return originals["euler_derivatives"](f)
+
+    def variational(f, z, side="left"):
+        if inside:
+            families_read.append(z in inside[-1])
+        return originals["variational_derivative"](f, z, side)
+
+    monkeypatch.setattr(master, "kt_differential", kt)
+    monkeypatch.setattr(master, "euler_derivatives", euler)
+    monkeypatch.setattr(master, "variational_derivative", variational)
+    _solve_open_algebra_on_a_line(tmp_path)
+    assert not euler_calls
+    assert families_read and all(families_read)
+
+
+def test_large_jet_lift_keeps_its_report(tmp_path):
+    # 1530 candidates with a 504-dimensional solution space: the lift's
+    # pivot columns, and so its report, follow the candidate order
+    path = tmp_path / "open_algebra_on_a_line.bv"
+    path.write_text(OPEN_ALGEBRA_ON_A_LINE, encoding="utf-8")
+    spec = parse_document(OPEN_ALGEBRA_ON_A_LINE).spec
+    assert lift_candidate_count(replace(spec, max_jet_order=2, max_poly_degree=4), 2) == 1530
+    status, out = run_command(["solve", str(path), "--bounds", "jet=2,deg=4"])
+    assert status == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "7c47a5877b769544195534fa7ce361aff461166802b26731ae53cbea8e6ebc31")
 
 
 def test_jet_lift_reaches_every_probed_kernel_through_its_bindings(monkeypatch, tmp_path):
