@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import cache
 from pathlib import Path
 
 from .algebra import LocalFunction
@@ -300,7 +301,9 @@ _COMMANDS = {
 
 # ---------------------------------------------------------------- entry
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first command, not at import, and then reused: parsing leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="bvforge",
         description="Exact antifield computations on small gauge models.")

@@ -161,6 +161,10 @@ class LInftyStructure:
     the differential is l_1, on 1-tuples.  Evaluation on any other
     ordering reorders the inputs with the Koszul sign, so a bracket with
     a repeated odd input vanishes.
+
+    The identity residuals of an arity are composed from the tensors once,
+    the first time ``identity_residual`` asks for that arity, and kept; a
+    structure is not mutated after construction, so they stay valid.
     """
 
     def __init__(
@@ -197,6 +201,7 @@ class LInftyStructure:
                 table[canon] = value
             if table:
                 self.tensors[n] = table
+        self._identity_tables: dict[int, dict[tuple[BasisElement, ...], Element]] = {}
 
     # -------------------------------------------------------- plumbing
 
@@ -239,6 +244,47 @@ class LInftyStructure:
                 coeff *= c
             add_terms(out, ((b, coeff * c) for b, c in value._coeffs.items()))
         return Element(out, _internal=True)
+
+    def _identity_table(self, n: int) -> dict[tuple[BasisElement, ...], Element]:
+        """The nonzero arity-n identity residuals, keyed by canonical input tuple.
+
+        On a canonical tuple T every unshuffle has canonical blocks, so each
+        term is an inner entry (K, v) and the rest R = T - K, composed as
+        l_m(v, R) with m = n - k + 1.  The table runs over the compositions
+        instead of the tuples: an outer key holding b, with one copy of b
+        removed, is a rest that v reaches when b is in its support.  Each
+        distinct (inner entry, rest) pair is evaluated once and added to
+        T = sorted(K + R), weighted by the signed count of the unshuffles of
+        T whose left block is K.
+        """
+        table = self._identity_tables.get(n)
+        if table is not None:
+            return table
+        sums: dict[tuple[BasisElement, ...], dict[BasisElement, Fraction]] = {}
+        for k in range(1, n + 1):
+            m = n - k + 1
+            if k not in self.tensors or m not in self.tensors:
+                continue
+            rests: dict[BasisElement, dict[tuple[BasisElement, ...], None]] = {}
+            for key in self.tensors[m]:
+                for i, b in enumerate(key):
+                    rests.setdefault(b, {})[key[:i] + key[i + 1:]] = None
+            for K, v in self.tensors[k].items():
+                reached = dict.fromkeys(itertools.chain.from_iterable(
+                    rests.get(b, ()) for b in v._coeffs))
+                for rest in reached:
+                    term = self.apply(m, [v, *map(Element.from_basis, rest)])
+                    if term.is_zero:
+                        continue
+                    T = tuple(sorted(K + rest, key=self._index.__getitem__))
+                    weight = sum(sign for left, _, sign in _splits(tuple(b.parity for b in T), k)
+                                 if tuple(T[i] for i in left) == K)
+                    if weight:
+                        add_terms(sums.setdefault(T, {}),
+                                  ((b, weight * c) for b, c in term._coeffs.items()))
+        table = {T: Element(coeffs, _internal=True) for T, coeffs in sums.items() if coeffs}
+        self._identity_tables[n] = table
+        return table
 
     def arities(self) -> tuple[int, ...]:
         return tuple(sorted(self.tensors))
@@ -330,33 +376,20 @@ def identity_residual(L: LInftyStructure, inputs: Sequence[BasisElement]) -> Ele
     Koszul sign.  k = 1 and k = n reproduce the derivation property of
     the differential; middle values interleave the higher brackets.
 
-    Only the compositions the structure can make nonzero are evaluated.
-    The k-blocks are visited only when arity k and arity n - k + 1 both
-    carry a tensor, and a block whose canonical key has no entry in the
-    arity-k tensor is passed over.  Every term left out is a bracket taken
-    where the structure has no entry, so it is exactly zero and the
-    residual is the same as the sum over every splitting.  On basis
-    inputs the inner bracket is the tensor entry of the block's canonical
-    key times its reordering sign, read off without calling ``apply``.
+    The residual is read off the structure's arity-n table, which composes
+    every pair of tensor entries once (``LInftyStructure._identity_table``).
+    It is graded symmetric, so inputs out of basis order take the Koszul
+    sign of their reordering.  An arity with no nonzero residual returns
+    zero without looking at the inputs.
     """
-    n = len(inputs)
-    parities = tuple(b.parity for b in inputs)
-    residual = Element.zero()
-    for k in range(1, n + 1):
-        if k not in L.tensors or n - k + 1 not in L.tensors:
-            continue
-        inner_table = L.tensors[k]
-        for left, right, sign in _splits(parities, k):
-            key, key_sign = L._canonical(tuple(inputs[i] for i in left))
-            inner = inner_table.get(key)
-            if inner is None:
-                continue
-            outer_args = ([inner if key_sign == 1 else -inner]
-                          + [Element.from_basis(inputs[j]) for j in right])
-            term = L.apply(n - k + 1, outer_args)
-            if not term.is_zero:
-                residual = residual + sign * term
-    return residual
+    table = L._identity_table(len(inputs))
+    if not table:
+        return Element.zero()
+    key, sign = L._canonical(tuple(inputs))
+    value = table.get(key)
+    if value is None:
+        return Element.zero()
+    return value if sign == 1 else -value
 
 
 def identity_tuple_count(dim: int, n_max: int) -> int:
@@ -368,9 +401,9 @@ def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
     """Verify the defining identities through arity n_max.
 
     Every multiset of basis inputs of size n <= n_max is one call of
-    ``identity_residual``, which evaluates only the bracket compositions
-    that have tensor entries; the others vanish identically, so the
-    report is that of the full sweep.  The tuple count is
+    ``identity_residual``, a lookup in the arity-n table of composed
+    tensor entries; the compositions without entries vanish identically,
+    so the report is that of the full sweep.  The tuple count is
     ``identity_tuple_count(len(L.basis), n_max)``; above
     ``MAX_IDENTITY_TUPLES`` the check raises ``ValueError`` before any
     tuple is evaluated.

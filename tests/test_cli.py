@@ -1,5 +1,6 @@
 """Command line driver: dispatch, reports, exit statuses, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from bvforge import cli
 from bvforge.cli import main, run_command
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -269,6 +271,39 @@ def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit) as err:
         run_command(["frobnicate", fx("scalar.bv")])
     assert err.value.code == 2
+
+
+def test_many_commands_build_the_parser_once(monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "bvforge":
+            built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for _ in range(5):
+        assert run_command(["el", fx("scalar.bv")]) == (0, "E[1] = -u[1; 1 1]\n")
+        assert run_command(["divergence", fx("divergence.bv")]) == (0, "PASS\n")
+    assert len(built) == 1
+
+
+def test_the_shared_parser_keeps_its_errors(capsys):
+    # the parser has served other commands before it refuses these
+    assert run_command(["el", fx("scalar.bv")])[0] == 0
+    with pytest.raises(SystemExit) as shared:
+        run_command(["frobnicate", fx("scalar.bv")])
+    shared_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh:
+        cli._build_parser.__wrapped__().parse_args(["frobnicate", fx("scalar.bv")])
+    assert (shared.value.code, fresh.value.code) == (2, 2)
+    assert shared_err == capsys.readouterr().err
+    assert "argument command: invalid choice: 'frobnicate'" in shared_err
+    for command in ("solve", "residual", "solve"):
+        assert run_command([command, fx("open_algebra.bv"), "-K", "-1"]) \
+            == (2, "error: -K must be at least 0, got -1\n")
 
 
 # ------------------------------------------------------------ mutations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -31,6 +32,7 @@ from bvforge.linfty import (
     identity_residual,
     identity_tuple_count,
     mc_residual,
+    _splits,
     unshuffles,
 )
 from bvforge.master import BVAction, build_stage_action, solve_master
@@ -674,9 +676,41 @@ def unpruned_identity_residual(L, inputs):
     return residual
 
 
-def unpruned_report(L, n_max):
-    """``check_linfty`` over the unpruned sweep, with every tuple's residual."""
-    residuals = [(n, tup, unpruned_identity_residual(L, tup))
+def pruned_identity_residual(L, inputs):
+    """The identity sweep tuple by tuple: the oracle for the table read.
+
+    Only the compositions the structure can make nonzero are evaluated.
+    The k-blocks are visited only when arity k and arity n - k + 1 both
+    carry a tensor, and a block whose canonical key has no entry in the
+    arity-k tensor is passed over.  Every term left out is a bracket taken
+    where the structure has no entry, so it is exactly zero and the
+    residual is the same as the sum over every splitting.  On basis
+    inputs the inner bracket is the tensor entry of the block's canonical
+    key times its reordering sign, read off without calling ``apply``.
+    """
+    n = len(inputs)
+    parities = tuple(b.parity for b in inputs)
+    residual = Element.zero()
+    for k in range(1, n + 1):
+        if k not in L.tensors or n - k + 1 not in L.tensors:
+            continue
+        inner_table = L.tensors[k]
+        for left, right, sign in _splits(parities, k):
+            key, key_sign = L._canonical(tuple(inputs[i] for i in left))
+            inner = inner_table.get(key)
+            if inner is None:
+                continue
+            outer_args = ([inner if key_sign == 1 else -inner]
+                          + [Element.from_basis(inputs[j]) for j in right])
+            term = L.apply(n - k + 1, outer_args)
+            if not term.is_zero:
+                residual = residual + sign * term
+    return residual
+
+
+def oracle_report(L, n_max, oracle):
+    """``check_linfty`` over an oracle's sweep, with every tuple's residual."""
+    residuals = [(n, tup, oracle(L, tup))
                  for n in range(1, n_max + 1)
                  for tup in itertools.combinations_with_replacement(L.basis, n)]
     failures = tuple(entry for entry in residuals if not entry[2].is_zero)
@@ -770,6 +804,8 @@ def physics_structure(math, basis, tensors):
 
 
 def test_pruned_identity_sweep_matches_the_unpruned_oracle():
+    # the table read against both oracles: the unpruned sweep over every
+    # splitting and the pruned sweep it replaced
     rng = random.Random(20261018)
     cases = []
     for _ in range(100):
@@ -784,15 +820,17 @@ def test_pruned_identity_sweep_matches_the_unpruned_oracle():
             "repeated odd": 0, 1: 0, 2: 0, 3: 0, 4: 0}
     for L, math in cases:
         n_max = 5
-        residuals, expected = unpruned_report(L, n_max)
+        residuals, expected = oracle_report(L, n_max, unpruned_identity_residual)
         for _, tup, residual in residuals:
-            assert identity_residual(L, tup) == residual, (L, tup)
+            assert identity_residual(L, tup) == residual == pruned_identity_residual(L, tup), \
+                (L, tup)
             # inputs out of basis order reach the reordering signs
             if rng.random() > 0.3:
                 continue
             shuffled = tuple(rng.sample(tup, len(tup)))
             assert (identity_residual(L, shuffled)
-                    == unpruned_identity_residual(L, shuffled)), (L, shuffled)
+                    == unpruned_identity_residual(L, shuffled)
+                    == pruned_identity_residual(L, shuffled)), (L, shuffled)
         report = check_linfty(L, n_max)
         assert report == expected
         assert report.checked == identity_tuple_count(len(L.basis), n_max)
@@ -805,6 +843,23 @@ def test_pruned_identity_sweep_matches_the_unpruned_oracle():
             seen[n] += 1
     assert min(seen.values()) >= 5, seen
 
+    # every fixture's structure: each tuple against the pruned sweep, a
+    # sample of shuffled tuples against both (the unpruned sweep on every
+    # arity-5 tuple of gl(3) would take seconds)
+    for name in FINITE_FIXTURES:
+        L = extract_brackets(fixture_action(name), 5)
+        n_max = max(n for n in range(1, 6)
+                    if identity_tuple_count(len(L.basis), n) <= MAX_IDENTITY_TUPLES)
+        residuals, expected = oracle_report(L, n_max, pruned_identity_residual)
+        for _, tup, residual in residuals:
+            assert identity_residual(L, tup) == residual, (name, tup)
+        for _, tup, _ in rng.sample(residuals, min(len(residuals), 150)):
+            shuffled = tuple(rng.sample(tup, len(tup)))
+            assert (identity_residual(L, shuffled)
+                    == unpruned_identity_residual(L, shuffled)
+                    == pruned_identity_residual(L, shuffled)), (name, shuffled)
+        assert check_linfty(L, n_max) == expected
+
 
 def test_pruned_sweep_skips_compositions_without_tensors():
     L = so3_structure()
@@ -815,13 +870,49 @@ def test_pruned_sweep_skips_compositions_without_tensors():
             calls.append(n)
             return super().apply(n, args)
 
+    # one composition per inner entry and distinct rest: an outer key that
+    # holds a basis element of the entry's value, with that element taken out
+    expected = Counter()
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            m = n - k + 1
+            if k not in L.tensors or m not in L.tensors:
+                continue
+            for value in L.tensors[k].values():
+                rests = {key[:i] + key[i + 1:] for key in L.tensors[m]
+                         for i, b in enumerate(key) if b in value.support()}
+                expected[m] += len(rests)
+    assert expected == {2: 6}
+
     counting = Counting(L.basis, L.tensors)
-    a, b, c = L.basis
-    assert identity_residual(counting, (a, b, c)).is_zero
-    assert calls == [2, 2, 2]
+    assert check_linfty(counting, 4).passed
+    assert Counter(calls) == expected
     calls.clear()
-    assert identity_residual(counting, (a, b, c, a)).is_zero
+    assert check_linfty(counting, 4).passed
     assert calls == []
+
+    a, b, c = L.basis
+    assert identity_residual(Counting(L.basis, L.tensors), (a, b, c, a)).is_zero
+    assert calls == []
+
+
+def test_identities_job_fires_the_benchmark_probes(monkeypatch):
+    # the benchmark traces these two bindings on check-linfty -n 4 over gl(3)
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linfty, "identity_residual",
+                        counted("identity_residual", linfty.identity_residual))
+    monkeypatch.setattr(LInftyStructure, "apply", counted("apply", LInftyStructure.apply))
+    status, out = run_command(["check-linfty", str(FIXTURES / "gl3.bv"), "-n", "4"])
+    assert (status, out) == (0, "identities checked = 7314\nPASS\n")
+    assert calls["identity_residual"] == identity_tuple_count(18, 4) == 7314
+    assert calls["apply"] >= 1
 
 
 def test_sweep_bound_refuses_before_enumerating(monkeypatch):
