@@ -196,8 +196,8 @@ def inversion_parity(keys: Sequence) -> int:
 
     Equal keys never count.  The Koszul sign of sorting a sequence is
     the inversion parity of its odd entries; ``normalize``,
-    ``unshuffles`` and ``LInftyStructure._canonical`` take their signs
-    from here.
+    ``LInftyStructure._canonical`` and the identity weights of
+    ``LInftyStructure._identity_table`` take their signs from here.
     """
     inversions = 0
     for i in range(len(keys)):

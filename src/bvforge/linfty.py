@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .algebra import add_terms, coerce_coefficient, graded_partial, inversion_parity
 from .bracket import JetModelUnsupported
@@ -131,28 +130,6 @@ class Element:
         return f"Element({body})"
 
 
-def unshuffles(parities: Sequence[int], k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Yield the monotone (k, n-k) splittings of positions with Koszul signs.
-
-    The sign is that of reordering the positions ``left + right`` back to
-    ascending order: the inversion parity of their odd entries.
-    """
-    n = len(parities)
-    odd = [i for i in range(n) if parities[i] % 2]
-    for left in itertools.combinations(range(n), k):
-        right = tuple(i for i in range(n) if i not in left)
-        flips = len(odd) > 1 and inversion_parity([i for i in left + right if i in odd])
-        yield left, right, -1 if flips else 1
-
-
-@lru_cache(maxsize=1024)
-def _splits(parities: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """``unshuffles(parities, k)`` as a tuple, enumerated once per
-    (parity pattern, k): the identity sweep meets each pattern over and
-    over."""
-    return tuple(unshuffles(parities, k))
-
-
 class LInftyStructure:
     """A graded basis and symmetric multi-brackets l_n, n >= 1.
 
@@ -255,7 +232,14 @@ class LInftyStructure:
         removed, is a rest that v reaches when b is in its support.  Each
         distinct (inner entry, rest) pair is evaluated once and added to
         T = sorted(K + R), weighted by the signed count of the unshuffles of
-        T whose left block is K.
+        T whose left block is K.  That count has a closed form.  Neither K
+        nor R repeats an odd input, so an odd input repeats in T only when it
+        sits in both blocks; its two placements then pair off with opposite
+        signs, and the weight is 0.  Otherwise every such unshuffle moves the
+        distinct odd inputs alike, with the sign of the inversion parity of
+        their basis indices in K + R, and they differ only in which copies
+        of each input b in both blocks go left: prod over those b of
+        C(mult_T(b), mult_K(b)) of them.
         """
         table = self._identity_tables.get(n)
         if table is not None:
@@ -277,11 +261,14 @@ class LInftyStructure:
                     if term.is_zero:
                         continue
                     T = tuple(sorted(K + rest, key=self._index.__getitem__))
-                    weight = sum(sign for left, _, sign in _splits(tuple(b.parity for b in T), k)
-                                 if tuple(T[i] for i in left) == K)
-                    if weight:
-                        add_terms(sums.setdefault(T, {}),
-                                  ((b, weight * c) for b, c in term._coeffs.items()))
+                    both = set(K).intersection(rest)
+                    if any(b.parity for b in both):
+                        continue
+                    weight = prod(comb(T.count(b), K.count(b)) for b in both)
+                    if inversion_parity([self._index[b] for b in K + rest if b.parity]):
+                        weight = -weight
+                    add_terms(sums.setdefault(T, {}),
+                              ((b, weight * c) for b, c in term._coeffs.items()))
         table = {T: Element(coeffs, _internal=True) for T, coeffs in sums.items() if coeffs}
         self._identity_tables[n] = table
         return table
@@ -432,16 +419,6 @@ def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
 
 # ------------------------------------------------------------ deformations
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of positive integers with the given sum."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def mc_residual(
     L: LInftyStructure,
     theta: Mapping[int, Element],
@@ -450,9 +427,14 @@ def mc_residual(
     """Evaluate the deformation residual order by order in the parameter.
 
     theta maps each power of the formal parameter (from 1) to an element;
-    the residual at power m collects 1/n! times every arity-n bracket of
-    components whose powers sum to m; n = 1 gives d(theta_m).  The series
-    is silently truncated beyond the requested order.
+    the residual at power m is the t^m coefficient of the sum over n of
+    1/n! l_n(theta(t), ..., theta(t)), the brackets evaluated at the point
+    theta(t) = sum_p theta_p t^p; n = 1 gives d(theta_m).  Every theta_p
+    has one even degree, so the inputs commute: a key with the basis
+    element b repeated e_b times is met n!/prod e_b! times among the
+    orderings, and contributes its entry times the t^m coefficient of
+    prod theta_b(t)^e_b / e_b!, with theta_b(t) = sum_p theta_p[b] t^p.
+    The series is silently truncated beyond the requested order.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -476,19 +458,27 @@ def mc_residual(
             raise DegreeMismatch(
                 f"degree {d} elements cannot repeat inside these brackets")
 
-    out: dict[int, Element] = {}
-    for m in range(1, order + 1):
-        residual = Element.zero()
-        for n in range(1, m + 1):
-            if n not in L.tensors:
+    series: dict[BasisElement, list[Fraction]] = {}
+    for power, component in theta.items():
+        if power <= order:
+            for b, c in component._coeffs.items():
+                series.setdefault(b, [Fraction(0)] * (order + 1))[power] = c
+    sums: dict[int, dict[BasisElement, Fraction]] = {m: {} for m in range(1, order + 1)}
+    for n, table in L.tensors.items():
+        if n > order:
+            continue  # theta(t) starts at t^1, so l_n starts at t^n
+        for key, value in table.items():
+            if not all(b in series for b in key):
                 continue
-            acc = Element.zero()
-            for powers in _compositions(m, n):
-                args = [theta.get(p) for p in powers]
-                if any(a is None or a.is_zero for a in args):
-                    continue
-                acc = acc + L.apply(n, args)
-            if not acc.is_zero:
-                residual = residual + Fraction(1, factorial(n)) * acc
-        out[m] = residual
-    return out
+            # the key's monomial in theta(t), each power of theta_b over e_b!
+            monomial = [Fraction(1)] + [Fraction(0)] * order
+            for b, run in itertools.groupby(key):
+                e = len(tuple(run))
+                for _ in range(e):
+                    monomial = [sum(monomial[i] * series[b][m - i] for i in range(m + 1))
+                                for m in range(order + 1)]
+                monomial = [c * Fraction(1, factorial(e)) for c in monomial]
+            for m in range(n, order + 1):
+                if monomial[m]:
+                    add_terms(sums[m], ((b, monomial[m] * c) for b, c in value._coeffs.items()))
+    return {m: Element(coeffs, _internal=True) for m, coeffs in sums.items()}

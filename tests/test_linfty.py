@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
 from bvforge import cli, linfty
 from bvforge.algebra import (Generator, LocalFunction, antifield, antighost, field, gen,
-                             ghost, graded_partial, term_bidegree)
+                             ghost, graded_partial, inversion_parity, sum_of,
+                             term_bidegree)
 from bvforge.bracket import JetModelUnsupported, antibracket
 from bvforge.cli import run_command
 from bvforge.expr import format_generator
@@ -32,8 +35,6 @@ from bvforge.linfty import (
     identity_residual,
     identity_tuple_count,
     mc_residual,
-    _splits,
-    unshuffles,
 )
 from bvforge.master import BVAction, build_stage_action, solve_master
 from bvforge.modelfile import parse_document, print_model
@@ -172,6 +173,28 @@ def triple_bracket_structure(mu_pair):
 
 
 # ---------------------------------------------------------------- unshuffles
+
+def unshuffles(parities: Sequence[int], k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Yield the monotone (k, n-k) splittings of positions with Koszul signs.
+
+    The sign is that of reordering the positions ``left + right`` back to
+    ascending order: the inversion parity of their odd entries.
+    """
+    n = len(parities)
+    odd = [i for i in range(n) if parities[i] % 2]
+    for left in itertools.combinations(range(n), k):
+        right = tuple(i for i in range(n) if i not in left)
+        flips = len(odd) > 1 and inversion_parity([i for i in left + right if i in odd])
+        yield left, right, -1 if flips else 1
+
+
+@functools.lru_cache(maxsize=1024)
+def splits(parities: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """``unshuffles(parities, k)`` as a tuple, enumerated once per
+    (parity pattern, k): the identity sweep meets each pattern over and
+    over."""
+    return tuple(unshuffles(parities, k))
+
 
 def naive_unshuffle_sign(parities, order):
     sign = 1
@@ -695,7 +718,7 @@ def pruned_identity_residual(L, inputs):
         if k not in L.tensors or n - k + 1 not in L.tensors:
             continue
         inner_table = L.tensors[k]
-        for left, right, sign in _splits(parities, k):
+        for left, right, sign in splits(parities, k):
             key, key_sign = L._canonical(tuple(inputs[i] for i in left))
             inner = inner_table.get(key)
             if inner is None:
@@ -706,6 +729,38 @@ def pruned_identity_residual(L, inputs):
             if not term.is_zero:
                 residual = residual + sign * term
     return residual
+
+
+def split_identity_table(L, n):
+    """The arity-n identity table with each weight counted off the
+    unshuffles: the oracle for the closed-form weight.
+
+    The compositions are those of ``LInftyStructure._identity_table``;
+    each is added to T = sorted(K + R) times the sum of the signs of the
+    unshuffles of T whose left block is K.
+    """
+    sums = {}
+    for k in range(1, n + 1):
+        m = n - k + 1
+        if k not in L.tensors or m not in L.tensors:
+            continue
+        rests = {}
+        for key in L.tensors[m]:
+            for i, b in enumerate(key):
+                rests.setdefault(b, {})[key[:i] + key[i + 1:]] = None
+        for K, v in L.tensors[k].items():
+            reached = dict.fromkeys(itertools.chain.from_iterable(
+                rests.get(b, ()) for b in v.support()))
+            for rest in reached:
+                term = L.apply(m, [v, *map(Element.from_basis, rest)])
+                if term.is_zero:
+                    continue
+                T = tuple(sorted(K + rest, key=L._index.__getitem__))
+                weight = sum(sign for left, _, sign in splits(tuple(b.parity for b in T), k)
+                             if tuple(T[i] for i in left) == K)
+                if weight:
+                    sums[T] = sums.get(T, Element.zero()) + weight * term
+    return {T: value for T, value in sums.items() if not value.is_zero}
 
 
 def oracle_report(L, n_max, oracle):
@@ -803,19 +858,25 @@ def physics_structure(math, basis, tensors):
     return math_to_physics(basis, tensors) if math else LInftyStructure(basis, tensors)
 
 
-def test_pruned_identity_sweep_matches_the_unpruned_oracle():
-    # the table read against both oracles: the unpruned sweep over every
-    # splitting and the pruned sweep it replaced
-    rng = random.Random(20261018)
+def oracle_structures(rng):
+    """100 seeded random structures and six by hand, each with whether it
+    was drawn in the mathematics grading."""
     cases = []
     for _ in range(100):
         math = rng.choice((False, False, True))
         cases.append((physics_structure(math, *random_oracle_table(rng, math)), math))
-    cases += [(so3_structure(), False), (sl2_structure(), False),
-              (broken_jacobi_structure(), False),
-              (math_to_physics(*physics_to_math(so3_structure())), True),
-              (triple_bracket_structure((1, 2)), False),
-              (triple_bracket_structure((4, 5)), False)]
+    return cases + [(so3_structure(), False), (sl2_structure(), False),
+                    (broken_jacobi_structure(), False),
+                    (math_to_physics(*physics_to_math(so3_structure())), True),
+                    (triple_bracket_structure((1, 2)), False),
+                    (triple_bracket_structure((4, 5)), False)]
+
+
+def test_pruned_identity_sweep_matches_the_unpruned_oracle():
+    # the table read against both oracles: the unpruned sweep over every
+    # splitting and the pruned sweep it replaced
+    rng = random.Random(20261018)
+    cases = oracle_structures(rng)
     seen = {"math": 0, "failing": 0, "passing": 0,
             "repeated odd": 0, 1: 0, 2: 0, 3: 0, 4: 0}
     for L, math in cases:
@@ -859,6 +920,21 @@ def test_pruned_identity_sweep_matches_the_unpruned_oracle():
                     == unpruned_identity_residual(L, shuffled)
                     == pruned_identity_residual(L, shuffled)), (name, shuffled)
         assert check_linfty(L, n_max) == expected
+
+
+def test_identity_weights_match_the_unshuffle_count():
+    # the closed-form weight against the signed count of the unshuffles,
+    # table by table, on the structures of the sweep oracle and every fixture
+    structures = [L for L, _ in oracle_structures(random.Random(20261018))]
+    structures += [extract_brackets(fixture_action(name), 5) for name in FINITE_FIXTURES]
+    seen = Counter()
+    for L in structures:
+        for n in range(1, 6):
+            table = L._identity_table(n)
+            assert table == split_identity_table(L, n), (L, n)
+            seen["repeated even"] += sum(any(a == b for a, b in zip(T, T[1:])) for T in table)
+            seen[n] += bool(table)
+    assert min(seen[n] for n in range(1, 6)) >= 5 and seen["repeated even"] >= 20, seen
 
 
 def test_pruned_sweep_skips_compositions_without_tensors():
@@ -1056,9 +1132,40 @@ def test_mc_residual_of_zero_is_zero():
     assert all(r.is_zero for r in residuals.values())
 
 
-# The oracle for ``mc_residual``: the earlier evaluation, which added
-# d(theta_m) apart from the brackets of arity 2 and up, and gated the
-# degree of theta on the sign of swapping an element with itself.
+def compositions(total, parts):
+    """Ordered tuples of positive integers with the given sum."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+# The oracle for ``mc_residual`` that sums apply over the compositions of
+# each power: the evaluation before the tensor table was read at theta(t).
+def composition_mc_residual(L, theta, order):
+    out = {}
+    for m in range(1, order + 1):
+        residual = Element.zero()
+        for n in range(1, m + 1):
+            if n not in L.tensors:
+                continue
+            acc = Element.zero()
+            for powers in compositions(m, n):
+                args = [theta.get(p) for p in powers]
+                if any(a is None or a.is_zero for a in args):
+                    continue
+                acc = acc + L.apply(n, args)
+            if not acc.is_zero:
+                residual = residual + Fraction(1, factorial(n)) * acc
+        out[m] = residual
+    return out
+
+
+# The earlier oracle for ``mc_residual``, which added d(theta_m) apart from
+# the brackets of arity 2 and up, and gated the degree of theta on the sign
+# of swapping an element with itself.
 def split_mc_residual(L, theta, order):
     degrees = {c.homogeneous_degree() for c in theta.values() if not c.is_zero}
     for d in degrees:
@@ -1074,7 +1181,7 @@ def split_mc_residual(L, theta, order):
             if n not in L.tensors:
                 continue
             acc = Element.zero()
-            for powers in linfty._compositions(m, n):
+            for powers in compositions(m, n):
                 args = [theta.get(p) for p in powers]
                 if any(a is None or a.is_zero for a in args):
                     continue
@@ -1118,13 +1225,278 @@ def test_mc_residual_matches_the_split_oracle():
             seen["refused"] += 1
             continue
         expected = split_mc_residual(L, theta, 4)
-        assert mc_residual(L, theta, 4) == expected, (L, theta)
+        assert mc_residual(L, theta, 4) == expected == composition_mc_residual(L, theta, 4), \
+            (L, theta)
         differential_only = {m: L.apply(1, [theta[m]]) if m in theta else Element.zero()
                              for m in expected}
         seen["math"] += math
         seen["differential term"] += any(not r.is_zero for r in differential_only.values())
         seen["bracket term"] += expected != differential_only
     assert min(seen.values()) >= 20, seen
+
+
+# A dimension-0 model whose cubic and quartic lagrangian brings l_2 and l_3
+# into the residual: (S, u*[1]) = 3 u[1]^2 + 2 u[1] u[2]^2.
+CUBIC_QUARTIC = """\
+dimension 0
+fields 1 2
+lagrangian u[1]^3 + u[1]^2*u[2]^2
+deformation
+  t^1 = u[1] + 2*u[2]
+  t^2 = -u[2]
+  t^4 = 1/3*u[1] - u[2]
+"""
+
+
+def seeded_mc_documents() -> list[str]:
+    """Six seeded deformation documents over each finite fixture, and CUBIC_QUARTIC.
+
+    Most deformations sit on fields or antighosts (degrees 0 and -2); the
+    last of each six sits on antifields or ghosts, an odd degree that the
+    residual refuses.
+    """
+    rng = random.Random(20261021)
+    docs = []
+    for name in FINITE_FIXTURES:
+        spec = parse_document((FIXTURES / f"{name}.bv").read_text(encoding="utf-8")).spec
+        for i in range(6):
+            makers = [field] * bool(spec.fields) + [antighost] * bool(spec.gauge_indices)
+            if i == 5:
+                makers = [antifield] if spec.fields else [ghost]
+            make = rng.choice(makers)
+            families = spec.fields if make in (field, antifield) else spec.gauge_indices
+            deformation = {}
+            for power in rng.sample(range(1, 5), rng.randint(1, 3)):
+                chosen = sorted(rng.sample(families, rng.randint(1, len(families))))
+                deformation[power] = sum_of(
+                    Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3)) * gen(make(f))
+                    for f in chosen)
+            docs.append(print_model(spec, deformation))
+    return docs + [CUBIC_QUARTIC]
+
+
+# recorded before ``mc_residual`` evaluated the tensor table at theta(t): each
+# (document, flags, exit status, output) enters the digest NUL-separated
+MC_REPORTS_DIGEST = "e40a88c3dd4f7986005ccbc62c332872df13dc1abad7836ced5a1863bfee8710"
+
+
+def test_seeded_mc_reports_keep_their_pinned_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_solved_action", memoized(cli._solved_action))
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for i, text in enumerate(seeded_mc_documents()):
+        path = tmp_path / f"doc{i}.bv"
+        path.write_text(text, encoding="utf-8")
+        for flags in ([], ["--format", "structured"], ["-n", "1"], ["-n", "4"]):
+            status, out = run_command(["mc", str(path), *flags])
+            statuses[status] += 1
+            digest.update(f"{i}\0{' '.join(flags)}\0{status}\0{out}\0".encode("utf-8"))
+    assert set(statuses) == {0, 1, 2}, statuses
+    assert digest.hexdigest() == MC_REPORTS_DIGEST
+
+
+def minus_q_at_minus_theta(S: BVAction, theta, order):
+    """-[t^p] Q(-theta(t)) for p = 1..order, keyed by basis name.
+
+    Q^g = (S, g), which is -dR S/dg* for a field or ghost and +dR S/dg*
+    for an antifield or antighost, is a polynomial in the generators.
+    Each generator z is put to the exact t-series -theta_z(t) =
+    -sum_p theta[p][z] t^p, truncated past ``order``; a generator that
+    theta does not hold, every odd one among them, is put to zero.
+    """
+    point = {}
+    for p, component in theta.items():
+        for z, c in component.items():
+            if p <= order:
+                point.setdefault(z, [Fraction(0)] * (order + 1))[p] = -c
+    out = {p: {} for p in range(1, order + 1)}
+    for g in sorted({h for z in S.total.generators() for h in (z, z.conjugate())}):
+        value = [Fraction(0)] * (order + 1)
+        for factors, c in antibracket(S.total, gen(g), 0).terms():
+            if not all(z in point for z, _ in factors):
+                continue
+            series = [Fraction(c)] + [Fraction(0)] * order
+            for z, e in factors:
+                for _ in range(e):
+                    series = [sum(series[i] * point[z][m - i] for i in range(m + 1))
+                              for m in range(order + 1)]
+            value = [a + b for a, b in zip(value, series)]
+        for p in out:
+            if value[p]:
+                out[p][format_generator(g)] = -value[p]
+    return out
+
+
+def q_point_cases():
+    """(label, action, theta) over every finite fixture, CUBIC_QUARTIC and
+    40 random actions; theta is seeded on the fields or on the antighosts,
+    the two even degrees, with powers up to 4."""
+    rng = random.Random(20261022)
+    actions = [(name, fixture_action(name)) for name in FINITE_FIXTURES]
+    actions.append(("cubic quartic", solve_master(parse_document(CUBIC_QUARTIC).spec, 3)[0]))
+    actions += [(f"random {i}", S) for i, S in enumerate(random_actions()[:40])]
+    cases = []
+    for label, S in actions:
+        gens = sorted(S.total.generators())
+        for kind in ("u", "Cstar"):
+            slots = [g for g in gens if g.kind.value == kind]
+            for _ in range(3 if slots else 0):
+                theta = {p: {z: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+                             for z in rng.sample(slots, rng.randint(1, len(slots)))}
+                         for p in rng.sample(range(1, 5), rng.randint(1, 3))}
+                cases.append((label, S, theta))
+    return cases
+
+
+def test_mc_residual_is_minus_q_at_minus_theta():
+    # the master equation's vector field Q = (S, .) and the tensor table
+    # give one residual: the zeros of Q are the Maurer-Cartan elements
+    mismatches, reached = [], Counter()
+    for label, S, theta in q_point_cases():
+        L = extract_brackets(S, 4)
+        by_name = {b.name: b for b in L.basis}
+        elements = {p: Element({by_name[format_generator(z)]: c for z, c in component.items()})
+                    for p, component in theta.items()}
+        for order in range(1, 5):
+            residual = mc_residual(L, elements, order)
+            expected = minus_q_at_minus_theta(S, theta, order)
+            got = {p: {b.name: c for b, c in value.items()} for p, value in residual.items()}
+            if got != expected:
+                mismatches.append((label, theta, order))
+            reached["nonzero"] += any(expected.values())
+            # a bracket of arity 2 or more reaches the residual
+            linear = {p: {b.name: c for b, c in L.apply(1, [elements[p]]).items()}
+                      if p in elements else {} for p in expected}
+            reached["bracket"] += expected != linear
+    assert mismatches == []
+    assert reached["nonzero"] >= 100 and reached["bracket"] >= 50, reached
+
+
+# ------------------------------------------------ two roads to one verdict
+
+def lie_brackets(name):
+    """Structure constants {(i, j): {k: c}} of [e_i, e_j] = sum_k c e_k, i < j."""
+    if name == "so3":
+        return {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+    if name == "aff1":
+        return {(0, 1): {1: 1}}
+    # gl(2) on E11, E12, E21, E22: [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    out = {}
+    for x, (i, j) in enumerate(units):
+        for y, (k, l) in enumerate(units[x + 1:], x + 1):
+            value = Counter()
+            if j == k:
+                value[units.index((i, l))] += 1
+            if l == i:
+                value[units.index((k, j))] -= 1
+            out[(x, y)] = {z: c for z, c in value.items() if c}
+    return out
+
+
+def rational_inverse(P):
+    """The inverse of a square Fraction matrix, or None when it is singular."""
+    n = len(P)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(P)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def changed_basis(brackets, dim, rng):
+    """The structure constants in the basis e'_i = sum_a P[a][i] e_a, for a
+    seeded invertible rational P."""
+    while True:
+        P = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(dim)]
+             for _ in range(dim)]
+        inverse = rational_inverse(P)
+        if inverse is not None:
+            break
+    full = {}
+    for (a, b), value in brackets.items():
+        full[(a, b)] = value
+        full[(b, a)] = {c: -x for c, x in value.items()}
+    out = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        value = {}
+        for k in range(dim):
+            c = sum(inverse[k][m] * P[a][i] * P[b][j] * x
+                    for (a, b), image in full.items() for m, x in image.items())
+            if c:
+                value[k] = c
+        out[(i, j)] = value
+    return out
+
+
+def jacobi_holds(brackets, dim):
+    """Whether [[e_i, e_j], e_l] summed cyclically vanishes on every triple."""
+    def bracket(i, j):
+        if i == j:
+            return {}
+        if i < j:
+            return brackets.get((i, j), {})
+        return {k: -c for k, c in brackets.get((j, i), {}).items()}
+    for i, j, l in itertools.combinations(range(dim), 3):
+        total = Counter()
+        for x, y, z in ((i, j, l), (j, l, i), (l, i, j)):
+            for k, c in bracket(x, y).items():
+                for m, d in bracket(k, z).items():
+                    total[m] += c * d
+        if any(total.values()):
+            return False
+    return True
+
+
+def seeded_lie_models():
+    """(label, structure constants, dim): four seeded changes of basis each of
+    so(3), gl(2) and the two-dimensional non-abelian algebra, and a copy of
+    each with one structure constant moved by 1."""
+    rng = random.Random(20261023)
+    models = []
+    for name, dim in (("so3", 3), ("gl2", 4), ("aff1", 2)):
+        for copy in range(4):
+            brackets = changed_basis(lie_brackets(name), dim, rng)
+            models.append((f"{name} {copy}", brackets, dim))
+            moved = {pair: dict(value) for pair, value in brackets.items()}
+            pair = rng.choice(sorted(moved))
+            k = rng.randrange(dim)
+            moved[pair][k] = moved[pair].get(k, 0) + 1
+            models.append((f"{name} {copy} moved", moved, dim))
+    return models
+
+
+def test_master_equation_and_identities_agree_on_seeded_lie_algebras(tmp_path):
+    # solve lifts (S, S) through the antibracket; check-linfty reads the
+    # extracted brackets; the Jacobi sum is computed here, apart from both
+    verdicts = Counter()
+    for label, brackets, dim in seeded_lie_models():
+        names = tuple(str(i + 1) for i in range(dim))
+        structure = {(names[k], names[i], names[j]): LocalFunction.constant(c)
+                     for (i, j), value in brackets.items() for k, c in value.items() if c}
+        spec = ModelSpec(spatial_dim=0, fields=(), gauge_indices=names,
+                         lagrangian=LocalFunction.zero(), structure_functions=structure)
+        path = tmp_path / "lie.bv"
+        path.write_text(print_model(spec), encoding="utf-8")
+        solved, solve_out = run_command(["solve", str(path), "-K", "3"])
+        checked, check_out = run_command(["check-linfty", str(path), "-n", "3"])
+        holds = jacobi_holds(brackets, dim)
+        assert {solved, checked} <= {0, 1}, (label, solve_out, check_out)
+        assert (solved == 0) == (checked == 0) == holds, (label, solve_out, check_out)
+        if not holds:
+            assert "residual[obstruction[2]] = " in solve_out, (label, solve_out)
+            failures = [line for line in check_out.splitlines() if line.startswith("residual")]
+            assert failures and all(line.startswith("residual[identity[n=3; ")
+                                    for line in failures), (label, check_out)
+        verdicts[("moved" in label, holds)] += 1
+    assert verdicts[(False, True)] == 12, verdicts
+    assert verdicts[(True, False)] >= 3 and verdicts[(True, True)] >= 3, verdicts
 
 
 def test_mc_residual_degree_gates():

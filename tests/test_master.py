@@ -285,6 +285,46 @@ def test_kt_matches_the_full_bracket_on_every_fixture():
     assert checked >= 1900 and jet_checked >= 800, (checked, jet_checked)
 
 
+def family_kt_sources(m: ModelSpec, S: BVAction):
+    """The kt sources family by family, over every family the model
+    declares: the pair (z, z*) with a the antifield number of z* gives
+    (S_{a-1}, z*) = dR S_{a-1}/dz, kept when it does not vanish."""
+    declared = sorted([field(a) for a in m.fields] + [ghost(alpha) for alpha in m.gauge_indices])
+    out = []
+    for z in declared:
+        zs = z.conjugate()
+        source = antibracket(S.stratum(zs.antifield_number - 1), gen(zs), S.spatial_dim)
+        if source:
+            out.append((zs, source))
+    return tuple(out)
+
+
+def test_kt_sources_match_the_per_family_oracle():
+    # a family absent from its stratum (rotation's fields, with a zero
+    # lagrangian; the fields of an action staged at 0) yields no source
+    absent = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        m = parse_document(path.read_text(encoding="utf-8")).spec
+        actions = [build_stage_action(m, stage) for stage in range(default_stage(m) + 1)]
+        if check_noether(m).all_pass:
+            actions.append(solve_master(m, 3)[0])
+        for S in actions:
+            assert S.kt_sources == family_kt_sources(m, S), path.stem
+            sourced = {zs for zs, _ in S.kt_sources}
+            for zs in (antifield(a) for a in m.fields):
+                if zs.conjugate() not in families(S.stratum(0)):
+                    assert zs not in sourced, (path.stem, zs)
+                    absent += 1
+            for zs in (antighost(alpha) for alpha in m.gauge_indices):
+                if zs.conjugate() not in families(S.stratum(1)):
+                    assert zs not in sourced, (path.stem, zs)
+                    absent += 1
+    rotation = parse_document((FIXTURES / "rotation.bv").read_text(encoding="utf-8")).spec
+    S = build_stage_action(rotation, 2)
+    assert {zs.kind for zs, _ in S.kt_sources} == {antighost("1").kind}
+    assert absent >= 20, absent
+
+
 # ---------------------------------------------------------------- residuals
 
 def test_master_residual_of_curl_gauge_action_vanishes():
