@@ -1,10 +1,10 @@
 """Antibrackets and the BV Laplacian.
 
 The odd bracket pairs each field with its antifield and each ghost with
-its antighost.  Two regimes are provided: a pointwise bracket for
-finite (dimension-zero) models, where partial derivatives suffice, and
-a variational bracket for jet models, where the derivatives are Euler
-operators and equalities downstream are judged modulo total
+its antighost.  There is one bracket, and it reads the regime off the
+spatial dimension: a finite model is the dimension-zero case, where
+graded partials suffice; on a jet model the derivatives are Euler
+operators, and equalities downstream are judged modulo total
 divergences.  The bracket raises ghost number by one: (u, u*) = 1 lands
 in ghost number 0 = 0 + (-1) + 1.
 
@@ -25,7 +25,7 @@ from .jet import families, variational_derivative
 
 
 class JetModelRequiresVariationalBracket(ValueError):
-    """The pointwise bracket saw a prolonged generator."""
+    """The bracket of a finite model saw a prolonged generator."""
 
 
 class JetModelUnsupported(ValueError):
@@ -45,43 +45,28 @@ def _require_finite(f: LocalFunction, err: type[ValueError], what: str) -> None:
         raise err(f"{what} requires an unprolonged model; found {format_generator(min(prolonged))}")
 
 
-def _antibracket(f: LocalFunction, g: LocalFunction, derivative) -> LocalFunction:
-    """sum over pairs (z, z*) of dR f/dz * dL g/dz* - dR f/dz* * dL g/dz,
-    with ``derivative(f, z, side)`` the graded partial or Euler operator."""
+def antibracket(f: LocalFunction, g: LocalFunction, spatial_dim: int) -> LocalFunction:
+    """The odd bracket, summed over conjugate pairs:
+
+    (f, g) = sum over pairs (z, z*) of
+    dR f/dz * dL g/dz* - dR f/dz* * dL g/dz.
+
+    On a finite model (spatial dimension 0) the derivatives are graded
+    partials, and a prolonged generator is refused.  Above dimension 0
+    they are the Euler operators of the families, so any argument that
+    is itself a total divergence yields zero exactly.
+    """
+    if spatial_dim == 0:
+        _require_finite(f, JetModelRequiresVariationalBracket, "the pointwise bracket")
+        _require_finite(g, JetModelRequiresVariationalBracket, "the pointwise bracket")
+        derivative = graded_partial
+    else:
+        derivative = variational_derivative
     terms = []
     for z, zs in family_pairs(f, g):
         terms.append(derivative(f, z, "right") * derivative(g, zs, "left"))
         terms.append(-(derivative(f, zs, "right") * derivative(g, z, "left")))
     return sum_of(terms)
-
-
-def antibracket_pointwise(f: LocalFunction, g: LocalFunction) -> LocalFunction:
-    """The odd bracket on a finite model, summed over conjugate pairs.
-
-    (f, g) = sum over pairs (z, z*) of
-    dR f/dz * dL g/dz* - dR f/dz* * dL g/dz.
-    """
-    _require_finite(f, JetModelRequiresVariationalBracket, "the pointwise bracket")
-    _require_finite(g, JetModelRequiresVariationalBracket, "the pointwise bracket")
-    return _antibracket(f, g, graded_partial)
-
-
-def antibracket_variational(f: LocalFunction, g: LocalFunction) -> LocalFunction:
-    """The bracket on jet models, with Euler operators in place of partials.
-
-    The result is one canonical local function; downstream equalities
-    between brackets of functionals hold modulo total divergences.
-    Every term carries a variational derivative of each argument, so any
-    argument that is itself a total divergence yields zero exactly.
-    """
-    return _antibracket(f, g, variational_derivative)
-
-
-def antibracket(f: LocalFunction, g: LocalFunction, spatial_dim: int) -> LocalFunction:
-    """Dispatch on the model dimension: pointwise at zero, variational above."""
-    if spatial_dim == 0:
-        return antibracket_pointwise(f, g)
-    return antibracket_variational(f, g)
 
 
 def bv_laplacian(f: LocalFunction) -> LocalFunction:

@@ -146,8 +146,14 @@ MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_POWER_TERMS = 1000
 
+# Most term products one expression may take, over all its ``*`` and the
+# steps of its ``^`` expansions: the bounds above hold per operator, this
+# one for a chain of them.  No shipped model needs more than a hundred.
+MAX_TERM_PRODUCTS = 50_000
+
 # Highest order of a deformation entry ``t^K``: the deformation residual
-# sums over every composition of each order up to it.
+# is the bracket table evaluated at theta(t), and the truncated power
+# series products it takes grow with the order.
 MAX_DEFORMATION_ORDER = 12
 
 
@@ -158,6 +164,7 @@ class TokenStream:
         self._tokens = tokens
         self._pos = 0
         self.depth = 0
+        self.products = 0
 
     @property
     def current(self) -> Token:
@@ -173,6 +180,16 @@ class TokenStream:
         if self.current.kind == kind:
             return self.advance()
         return None
+
+    def multiply(self, left: LocalFunction, right: LocalFunction, op: Token) -> LocalFunction:
+        """``left * right``, charged to the expression's budget of term
+        products and refused at ``op`` before it is built when over it."""
+        self.products += len(left.terms()) * len(right.terms())
+        if self.products > MAX_TERM_PRODUCTS:
+            raise SemanticError(
+                f"the expression needs more than {MAX_TERM_PRODUCTS} term products",
+                op.line, op.column)
+        return left * right
 
     def expect(self, kind: str, expected: str) -> Token:
         tok = self.current
@@ -226,9 +243,22 @@ def parse_atom(stream: TokenStream) -> Generator:
     return Generator(kind, family, jet)
 
 
-def _power(base: LocalFunction, exp_tok: Token) -> LocalFunction:
-    """``base`` to the exponent ``exp_tok``, refused when the expansion may be too large."""
+def _optional_power(stream: TokenStream, base: LocalFunction,
+                    odd: Generator | None = None) -> LocalFunction:
+    """``base``, raised to the exponent of a ``^`` that follows it.
+
+    The power is refused when the odd generator ``odd`` would carry it,
+    or when its expansion may be too large; each step of the expansion
+    is charged to the stream's budget at the ``^``.
+    """
+    op = stream.accept("CARET")
+    if op is None:
+        return base
+    exp_tok = stream.expect("INT", "a nonnegative integer exponent")
     exponent = int(exp_tok.text)
+    if odd is not None and exponent > 1:
+        raise SemanticError(f"odd generator {format_generator(odd)} cannot carry power {exponent}",
+                            exp_tok.line, exp_tok.column)
     if exponent > MAX_EXPONENT:
         raise SemanticError(
             f"exponent {exponent} exceeds {MAX_EXPONENT}", exp_tok.line, exp_tok.column)
@@ -238,7 +268,10 @@ def _power(base: LocalFunction, exp_tok: Token) -> LocalFunction:
         raise SemanticError(
             f"a {t}-term expression to the power {exponent} may expand to"
             f" {bound} terms, more than {MAX_POWER_TERMS}", exp_tok.line, exp_tok.column)
-    return base ** exponent
+    out = LocalFunction.one()
+    for _ in range(exponent):
+        out = stream.multiply(out, base, op)
+    return out
 
 
 def _parse_primary(stream: TokenStream) -> LocalFunction:
@@ -255,15 +288,7 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
         return LocalFunction.constant(Fraction(numerator))
     if tok.kind == "IDENT":
         g = parse_atom(stream)
-        if stream.accept("CARET"):
-            exp_tok = stream.expect("INT", "a nonnegative integer exponent")
-            exponent = int(exp_tok.text)
-            if g.is_odd and exponent > 1:
-                raise SemanticError(
-                    f"odd generator {format_generator(g)} cannot carry power {exponent}",
-                    exp_tok.line, exp_tok.column)
-            return _power(LocalFunction.from_generator(g), exp_tok)
-        return LocalFunction.from_generator(g)
+        return _optional_power(stream, LocalFunction.from_generator(g), g if g.is_odd else None)
     if tok.kind == "LPAREN":
         if stream.depth == MAX_NESTING:
             raise ExpressionSyntaxError(
@@ -273,10 +298,7 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
         inner = _parse_sum(stream)
         stream.depth -= 1
         stream.expect("RPAREN", "')'")
-        if stream.accept("CARET"):
-            exp_tok = stream.expect("INT", "a nonnegative integer exponent")
-            return _power(inner, exp_tok)
-        return inner
+        return _optional_power(stream, inner)
     got = tok.text or "end of input"
     raise ExpressionSyntaxError(
         f"expected a rational, a generator, or '(', found {got!r}",
@@ -285,8 +307,8 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
 
 def _parse_term(stream: TokenStream) -> LocalFunction:
     value = _parse_primary(stream)
-    while stream.accept("STAR"):
-        value = value * _parse_primary(stream)
+    while op := stream.accept("STAR"):
+        value = stream.multiply(value, _parse_primary(stream), op)
     return value
 
 

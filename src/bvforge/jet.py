@@ -2,9 +2,10 @@
 
 This module provides the jet-space differential operators (prolongation,
 total derivatives, Euler-Lagrange derivatives, and the Euler operators of
-every family of a function at once), the divergence test that judges the
-master-equation residual, the monomial ansatz, and the model-level
-Noether identity check.
+every family of a function at once), the functional projection that the
+master-equation residual and the lift read on every model (a finite
+model is the dimension-zero case, with no divergences), the monomial
+ansatz, and the model-level Noether identity check.
 """
 
 from __future__ import annotations
@@ -214,16 +215,15 @@ def euler_lagrange(f: LocalFunction, a: str) -> LocalFunction:
     return variational_derivative(f, field(a), "left")
 
 
-def functional_vanishes(f: LocalFunction, spatial_dim: int) -> bool:
-    """Internal divergence test over the full generator content of f.
-
-    Used by the bracket and master-equation layers, whose strata carry
-    ghosts and antifields.  At spatial dimension zero there are no
-    divergences, so the functional vanishes only if f itself does.
-    """
+def functional_parts(f: LocalFunction, spatial_dim: int) -> dict:
+    """The nonzero parts that decide f as a functional, over its full
+    generator content; f vanishes as a functional exactly when it has
+    none.  At spatial dimension zero there are no divergences, so the one
+    part is f itself, keyed by ``()``; above, the parts are the Euler
+    derivatives of f, keyed by family."""
     if spatial_dim == 0:
-        return f.is_zero
-    return not euler_derivatives(f)
+        return {} if f.is_zero else {(): f}
+    return euler_derivatives(f)
 
 
 def families(*fs: LocalFunction) -> list[Generator]:

@@ -39,10 +39,17 @@ class DegreeMismatch(ValueError):
 
 @dataclass(frozen=True)
 class BasisElement:
-    """A named basis vector of the graded space carrying the brackets."""
+    """A named basis vector of the graded space carrying the brackets;
+    the hash of (name, degree) is computed once, at construction."""
 
     name: str
     degree: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.degree)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def parity(self) -> int:
@@ -342,16 +349,10 @@ class IdentityCheckReport:
     n_max: int
     checked: int
     failures: tuple[tuple[int, tuple[BasisElement, ...], Element], ...]
-    jacobi_checked: int
-    jacobi_failures: tuple[tuple[tuple[BasisElement, ...], Element], ...]
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    @property
-    def jacobi_passed(self) -> bool:
-        return not self.jacobi_failures
 
 
 def identity_residual(L: LInftyStructure, inputs: Sequence[BasisElement]) -> Element:
@@ -412,8 +413,6 @@ def check_linfty(L: LInftyStructure, n_max: int) -> IdentityCheckReport:
         n_max=n_max,
         checked=count,
         failures=tuple(failures),
-        jacobi_checked=comb(len(L.basis) + 2, 3) if n_max >= 3 else 0,
-        jacobi_failures=tuple((tup, r) for n, tup, r in failures if n == 3),
     )
 
 

@@ -40,8 +40,7 @@ from .jet import (
     all_multi_indices,
     check_noether,
     enumerate_basis_monomials,
-    euler_derivatives,
-    functional_vanishes,
+    functional_parts,
     total_derivative_multi,
     variational_derivative,
 )
@@ -206,7 +205,7 @@ def master_residual(S: BVAction) -> dict[int, LocalFunction]:
     br = antibracket(S.total, S.total, S.spatial_dim)
     out: dict[int, LocalFunction] = {}
     for k, part in decompose_by_antifield_number(br).items():
-        if not functional_vanishes(part, S.spatial_dim):
+        if functional_parts(part, S.spatial_dim):
             out[k] = part
     return out
 
@@ -270,11 +269,10 @@ def _solve_lift(
     with D the least common denominator of the coefficients of S_0, S_1
     and -1/2 R.  Both sides are scaled by one nonzero integer, so the
     solution, rank and nullity are those of the unscaled system, while
-    every coefficient in it is an int.  The divergence
-    freedom is handled by applying every Euler operator to both sides
-    before coefficient matching: one ``euler_derivatives`` call per side
-    gives the families it holds.  At dimension zero the sides are
-    matched directly.
+    every coefficient in it is an int.  Both sides are matched part by
+    part, over ``functional_parts``: at dimension zero that is the sides
+    themselves, above it their Euler derivatives family by family, which
+    handles the divergence freedom.
     """
     candidates = correction_candidates(m, stratum + 1)
     if not candidates:
@@ -285,15 +283,10 @@ def _solve_lift(
     cleared = BVAction.from_total(scale * S.total, S.spatial_dim, S.solved_up_to)
     kt_cols = [kt_differential(cleared, cand) for cand in candidates]
     target = scale * half_R
-
-    if m.spatial_dim == 0:
-        blocks = [(target, kt_cols)]
-    else:
-        projected = [euler_derivatives(f) for f in (target, *kt_cols)]
-        zero = LocalFunction.zero()
-        blocks = [(projected[0].get(z, zero), [col.get(z, zero) for col in projected[1:]])
-                  for z in sorted(set().union(*projected))]
-
+    parts = [functional_parts(f, m.spatial_dim) for f in (target, *kt_cols)]
+    zero = LocalFunction.zero()
+    blocks = [(parts[0].get(z, zero), [col.get(z, zero) for col in parts[1:]])
+              for z in sorted(set().union(*parts))]
     equations, rhs = match_coefficients(blocks)
     solution = solve_linear_system(equations, rhs, len(candidates))
     if solution is None:
@@ -345,10 +338,6 @@ class QuantumMasterReport:
     classical: LocalFunction
     delta: LocalFunction
     quantum_residual: LocalFunction
-
-    @property
-    def satisfied(self) -> bool:
-        return self.quantum_residual.is_zero
 
 
 def quantum_master_check(S: BVAction | LocalFunction) -> QuantumMasterReport:

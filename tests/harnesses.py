@@ -11,10 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from bvforge.algebra import LocalFunction, antifield, antighost, field, ghost
-from bvforge.bracket import antibracket_pointwise, bv_laplacian
+from bvforge.bracket import antibracket, bv_laplacian
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def gerstenhaber_harness(
     bracket raises ghost number by one.  Sample zero is the degenerate
     constant triple.  Counterexamples are reported verbatim.
     """
-    br = bracket if bracket is not None else antibracket_pointwise
+    br = bracket if bracket is not None else partial(antibracket, spatial_dim=0)
     rng = random.Random(seed)
     failures: list[HarnessFailure] = []
     checks = 0
@@ -140,7 +141,7 @@ def bv_identity_harness(samples: int = 500, seed: int = 20260817) -> HarnessRepo
             a = _random_homogeneous(rng)
             b = _random_homogeneous(rng)
         sign = -1 if a.parity() else 1
-        lhs = antibracket_pointwise(a, b)
+        lhs = antibracket(a, b, 0)
         rhs = sign * bv_laplacian(a * b) - sign * (bv_laplacian(a) * b) - a * bv_laplacian(b)
         checks += 1
         if lhs != rhs:

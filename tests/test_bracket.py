@@ -22,8 +22,6 @@ from bvforge.bracket import (
     JetModelRequiresVariationalBracket,
     JetModelUnsupported,
     antibracket,
-    antibracket_pointwise,
-    antibracket_variational,
     bv_laplacian,
     family_pairs,
 )
@@ -48,18 +46,18 @@ def random_monomial_lf(rng, pool=POINT_POOL, max_len=4):
 # ---------------------------------------------------------------- pairings
 
 def test_generator_pairings():
-    assert antibracket_pointwise(gen(U), gen(US)) == LocalFunction.one()
-    assert antibracket_pointwise(gen(US), gen(U)) == -LocalFunction.one()
-    assert antibracket_pointwise(gen(C), gen(CS)) == LocalFunction.one()
-    assert antibracket_pointwise(gen(CS), gen(C)) == -LocalFunction.one()
+    assert antibracket(gen(U), gen(US), 0) == LocalFunction.one()
+    assert antibracket(gen(US), gen(U), 0) == -LocalFunction.one()
+    assert antibracket(gen(C), gen(CS), 0) == LocalFunction.one()
+    assert antibracket(gen(CS), gen(C), 0) == -LocalFunction.one()
 
 
 def test_cross_family_pairings_vanish():
-    assert antibracket_pointwise(gen(U), gen(VS)).is_zero
-    assert antibracket_pointwise(gen(U), gen(CS)).is_zero
-    assert antibracket_pointwise(gen(C), gen(US)).is_zero
-    assert antibracket_pointwise(gen(U), gen(V)).is_zero
-    assert antibracket_pointwise(gen(US), gen(VS)).is_zero
+    assert antibracket(gen(U), gen(VS), 0).is_zero
+    assert antibracket(gen(U), gen(CS), 0).is_zero
+    assert antibracket(gen(C), gen(US), 0).is_zero
+    assert antibracket(gen(U), gen(V), 0).is_zero
+    assert antibracket(gen(US), gen(VS), 0).is_zero
 
 
 def test_bracket_is_bilinear():
@@ -68,8 +66,8 @@ def test_bracket_is_bilinear():
         f = random_monomial_lf(rng)
         g = random_monomial_lf(rng)
         h = random_monomial_lf(rng)
-        lhs = antibracket_pointwise(2 * f + g, h)
-        rhs = 2 * antibracket_pointwise(f, h) + antibracket_pointwise(g, h)
+        lhs = antibracket(2 * f + g, h, 0)
+        rhs = 2 * antibracket(f, h, 0) + antibracket(g, h, 0)
         assert lhs == rhs
 
 
@@ -81,7 +79,7 @@ def test_bracket_raises_ghost_number_by_one():
         g = random_monomial_lf(rng)
         if f.is_zero or g.is_zero:
             continue
-        out = antibracket_pointwise(f, g)
+        out = antibracket(f, g, 0)
         if out.is_zero:
             continue
         found += 1
@@ -91,7 +89,7 @@ def test_bracket_raises_ghost_number_by_one():
 
 def test_pointwise_bracket_rejects_jets():
     with pytest.raises(JetModelRequiresVariationalBracket):
-        antibracket_pointwise(gen(field("1", (1,))), gen(US))
+        antibracket(gen(field("1", (1,))), gen(US), 0)
 
 
 def test_graded_antisymmetry_exact():
@@ -102,7 +100,7 @@ def test_graded_antisymmetry_exact():
         if f.is_zero or g.is_zero:
             continue
         sign = -1 if ((f.parity() + 1) * (g.parity() + 1)) % 2 else 1
-        assert antibracket_pointwise(f, g) == sign * -antibracket_pointwise(g, f)
+        assert antibracket(f, g, 0) == sign * -antibracket(g, f, 0)
 
 
 def test_graded_jacobi_exact():
@@ -114,9 +112,9 @@ def test_graded_jacobi_exact():
         if f.is_zero or g.is_zero or h.is_zero:
             continue
         sign = -1 if ((f.parity() + 1) * (g.parity() + 1)) % 2 else 1
-        lhs = antibracket_pointwise(f, antibracket_pointwise(g, h))
-        rhs = antibracket_pointwise(antibracket_pointwise(f, g), h) \
-            + sign * antibracket_pointwise(g, antibracket_pointwise(f, h))
+        lhs = antibracket(f, antibracket(g, h, 0), 0)
+        rhs = antibracket(antibracket(f, g, 0), h, 0) \
+            + sign * antibracket(g, antibracket(f, h, 0), 0)
         assert lhs == rhs
 
 
@@ -129,8 +127,8 @@ def test_bracket_is_a_derivation_of_the_product():
         if f.is_zero or g.is_zero:
             continue
         sign = -1 if ((f.parity() + 1) * g.parity()) % 2 else 1
-        lhs = antibracket_pointwise(f, g * h)
-        rhs = antibracket_pointwise(f, g) * h + sign * (g * antibracket_pointwise(f, h))
+        lhs = antibracket(f, g * h, 0)
+        rhs = antibracket(f, g, 0) * h + sign * (g * antibracket(f, h, 0))
         assert lhs == rhs
 
 
@@ -138,22 +136,22 @@ def test_bracket_is_a_derivation_of_the_product():
 
 def test_variational_bracket_on_derivative_coupling():
     S = gen(antifield("1")) * gen(ghost("1", (1,)))
-    assert antibracket_variational(S, S).is_zero
+    assert antibracket(S, S, 1).is_zero
 
 
 def test_variational_bracket_reproduces_integration_by_parts():
     f = gen(antifield("1", (1,))) * gen(ghost("1"))
-    out = antibracket_variational(f, gen(U))
+    out = antibracket(f, gen(U), 1)
     assert out == -gen(ghost("1", (1,)))
     assert out == -total_derivative(gen(ghost("1")), 1)
     # even arguments of this shape enter symmetrically
-    assert antibracket_variational(gen(U), f) == out
+    assert antibracket(gen(U), f, 1) == out
 
 
 def test_variational_bracket_field_only_arguments_vanish():
     f = gen(U) * gen(field("1", (1,)))
     g = gen(field("2", (1, 1))) ** 2
-    assert antibracket_variational(f, g).is_zero
+    assert antibracket(f, g, 1).is_zero
 
 
 def test_variational_equals_pointwise_without_jets():
@@ -161,7 +159,8 @@ def test_variational_equals_pointwise_without_jets():
     for _ in range(60):
         f = random_monomial_lf(rng)
         g = random_monomial_lf(rng)
-        assert antibracket_variational(f, g) == antibracket_pointwise(f, g)
+        for d in (1, 2):
+            assert antibracket(f, g, 0) == antibracket(f, g, d), (f, g, d)
     assert antibracket(gen(U), gen(US), 0) == LocalFunction.one()
     assert antibracket(gen(U), gen(US), 2) == LocalFunction.one()
 
@@ -176,8 +175,8 @@ def test_variational_bracket_annihilates_divergences():
         j = random_monomial_lf(rng, pool=jet_pool, max_len=3)
         g = random_monomial_lf(rng, pool=jet_pool, max_len=3)
         div = total_derivative(j, 1)
-        assert antibracket_variational(div, g).is_zero
-        assert antibracket_variational(g, div).is_zero
+        assert antibracket(div, g, 1).is_zero
+        assert antibracket(g, div, 1).is_zero
 
 
 # ---------------------------------------------------------------- Laplacian
@@ -250,12 +249,12 @@ def test_bv_identity_harness_passes():
 
 def test_bv_identity_explicit_pairs():
     a, b = gen(U), gen(US)
-    lhs = antibracket_pointwise(a, b)
+    lhs = antibracket(a, b, 0)
     rhs = bv_laplacian(a * b) - bv_laplacian(a) * b - a * bv_laplacian(b)
     assert lhs == rhs == LocalFunction.one()
     # field-only pairs are silent on both sides
     a, b = gen(U), gen(V) * gen(V)
-    assert antibracket_pointwise(a, b).is_zero
+    assert antibracket(a, b, 0).is_zero
     assert bv_laplacian(a * b).is_zero
 
 

@@ -228,6 +228,21 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
     assert out.startswith("error: line 3, column ")
 
 
+def test_chained_products_of_powers_are_refused_at_once(tmp_path):
+    # each power is within MAX_POWER_TERMS, but their product would have
+    # 53130 terms from millions of term products; whatever the deg bound
+    sextet = "(u[1]+u[2]+u[3]+u[4]+u[5]+u[6])^5"
+    for deg in (40, 3):
+        path = tmp_path / f"h_prod_{deg}.bv"
+        path.write_text(f"dimension 0\nfields 1 2 3 4 5 6\nbounds jet=0 deg={deg}\n"
+                        f"lagrangian {'*'.join([sextet] * 4)}\n")
+        start = time.monotonic()
+        status, out = run_command(["el", str(path)])
+        assert time.monotonic() - start < 1.0
+        assert (status, out) == (
+            2, "error: line 4, column 45: the expression needs more than 50000 term products\n")
+
+
 def test_unbounded_exponents_are_refused(tmp_path):
     power = tmp_path / "power.bv"
     power.write_text("dimension 0\nfields 1\nlagrangian u[1]^100000000\n")

@@ -18,6 +18,7 @@ from bvforge.expr import (
     MAX_EXPONENT,
     MAX_NESTING,
     MAX_POWER_TERMS,
+    MAX_TERM_PRODUCTS,
     ExpressionSyntaxError,
     SemanticError,
     format_local_function,
@@ -219,10 +220,10 @@ def test_powers_are_bounded_before_expansion(monkeypatch):
     assert parse_expression(f"u[1]^{MAX_EXPONENT}") == u1 ** MAX_EXPONENT
     assert parse_expression("(u[1] - u[1])^5").is_zero
 
-    def refuse(self, n):
+    def refuse(self, other):
         raise AssertionError("a refused power was expanded")
 
-    monkeypatch.setattr(LocalFunction, "__pow__", refuse)
+    monkeypatch.setattr(LocalFunction, "__mul__", refuse)
     with pytest.raises(SemanticError, match=f"exponent 100000000 exceeds {MAX_EXPONENT}") as err:
         parse_expression("2*u[1]^100000000")
     assert (err.value.line, err.value.column) == (1, 8)
@@ -234,3 +235,21 @@ def test_powers_are_bounded_before_expansion(monkeypatch):
                                             f" to {comb(e + 2, 2)} terms") as err:
         parse_expression(f"(u[1] + u[2] + u[3])^{e}")
     assert (err.value.line, err.value.column) == (1, 22)
+
+
+def test_term_products_are_bounded_per_expression():
+    # u[1]^100 takes 100 one-term products, so n of them summed take 100 n
+    assert MAX_TERM_PRODUCTS % 100 == 0
+    n = MAX_TERM_PRODUCTS // 100
+    powers = " + ".join(["u[1]^100"] * n)
+    assert parse_expression(powers) == n * lf(field("1")) ** 100
+    with pytest.raises(SemanticError, match=f"more than {MAX_TERM_PRODUCTS} term products") as err:
+        parse_expression(powers + " + u[1]^100")
+    assert (err.value.line, err.value.column) == (1, len(powers) + 8)
+    # a product of sums takes the product of their term counts, at its '*'
+    head = " + ".join(["u[1]^100"] * (n - 1)) + " + "
+    sums = ["(" + " + ".join(f"u[{i}]" for i in range(1, k + 1)) + ")" for k in (10, 11)]
+    with pytest.raises(SemanticError, match="term products") as err:
+        parse_expression(head + "*".join(sums), first_line=4)
+    assert (err.value.line, err.value.column) == (4, len(head) + len(sums[0]) + 1)
+    assert len(parse_expression(head + sums[0] + "*" + sums[0]).terms()) == 55 + 1

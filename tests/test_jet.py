@@ -23,7 +23,7 @@ from bvforge.algebra import (
     sum_of,
 )
 from bvforge import master
-from bvforge.bracket import antibracket_variational, family_pairs
+from bvforge.bracket import antibracket, family_pairs
 from bvforge.jet import (
     BaseCoordinateProlongation,
     IndexOutOfRange,
@@ -34,7 +34,7 @@ from bvforge.jet import (
     euler_derivatives,
     euler_lagrange,
     families,
-    functional_vanishes,
+    functional_parts,
     prolong,
     total_derivative,
     total_derivative_multi,
@@ -302,7 +302,7 @@ def test_euler_derivatives_match_the_per_multi_index_oracle():
             for z in families(f):
                 assert variational_derivative(f, z, side) == old_variational_derivative(f, z, side), (
                     f, z, side)
-        assert antibracket_variational(f, g) == old_antibracket_variational(f, g), (f, g)
+        assert antibracket(f, g, dim) == old_antibracket_variational(f, g), (f, g)
     assert min(seen.values()) >= 25, seen
 
 
@@ -333,17 +333,42 @@ def test_functionals_equivalent_examples():
 def test_functional_vanishes_spans_all_sectors():
     f = gen(antifield("1")) * gen(ghost("g", (1,)))
     div = total_derivative(f, 1)
-    assert functional_vanishes(div, spatial_dim=1)
-    assert not functional_vanishes(f, spatial_dim=1)
+    assert not functional_parts(div, spatial_dim=1)
+    assert functional_parts(f, spatial_dim=1)
 
 
 def test_functional_vanishes_dimension_zero_is_exact_equality():
     f = gen(U) * gen(antifield("1"))
-    assert not functional_vanishes(f, spatial_dim=0)
-    assert functional_vanishes(f - f, spatial_dim=0)
+    assert functional_parts(f, spatial_dim=0)
+    assert not functional_parts(f - f, spatial_dim=0)
     # constants integrate to zero only in positive dimension
-    assert functional_vanishes(LocalFunction.one(), spatial_dim=1)
-    assert not functional_vanishes(LocalFunction.one(), spatial_dim=0)
+    assert not functional_parts(LocalFunction.one(), spatial_dim=1)
+    assert functional_parts(LocalFunction.one(), spatial_dim=0)
+
+
+def old_functional_vanishes(f, spatial_dim):
+    """The divergence test as a yes/no verdict, before the parts: the oracle."""
+    if spatial_dim == 0:
+        return f.is_zero
+    return not euler_derivatives(f)
+
+
+def test_functional_parts_match_the_old_divergence_test():
+    rng = random.Random(20261021)
+    verdicts = {(dim, vanishes): 0 for dim in (0, 1, 2) for vanishes in (False, True)}
+    for dim in (0, 1, 2):
+        samples = [LocalFunction.constant(c) for c in (0, 1, Fraction(-3, 2))]
+        for _ in range(60):
+            f = random_graded_function(rng, dim=dim)
+            samples += [f, f - f, total_derivative(f, rng.randint(1, dim)) if dim else 2 * f]
+        for f in samples:
+            parts = functional_parts(f, dim)
+            vanishes = old_functional_vanishes(f, dim)
+            assert (not parts) == vanishes, (f, dim)
+            if dim == 0:
+                assert parts == ({} if vanishes else {(): f})
+            verdicts[dim, vanishes] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 # ---------------------------------------------------------------- model validation

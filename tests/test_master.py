@@ -24,6 +24,7 @@ from bvforge.algebra import (
     ghost,
     sum_of,
 )
+import bvforge.jet
 from bvforge import master
 from bvforge.bracket import JetModelUnsupported, antibracket
 from bvforge.cli import run_command
@@ -33,7 +34,7 @@ from bvforge.jet import (
     check_noether,
     enumerate_basis_monomials,
     families,
-    functional_vanishes,
+    functional_parts,
     variational_derivative,
 )
 from bvforge.master import (
@@ -50,6 +51,7 @@ from bvforge.master import (
     quantum_master_check,
     solve_master,
 )
+from bvforge.linsolve import match_coefficients
 from bvforge.modelfile import parse_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -249,7 +251,7 @@ def test_kt_squares_to_zero_modulo_divergence():
     f = gen(antighost("e"))
     once = kt_differential(S1, f)
     twice = kt_differential(S1, once)
-    assert functional_vanishes(twice, m.spatial_dim)
+    assert not functional_parts(twice, m.spatial_dim)
 
 
 def old_kt_differential(S, f):
@@ -440,7 +442,7 @@ def test_solved_actions_square_to_zero_on_random_arguments():
         f = LocalFunction.from_terms([(tuple((g, 1) for g in flat), Fraction(rng.randint(1, 3)))])
         inner = antibracket(S.total, f, 2)
         outer = antibracket(S.total, inner, 2)
-        assert functional_vanishes(outer, 2)
+        assert not functional_parts(outer, 2)
 
 
 # ---------------------------------------------------------------- candidates
@@ -610,7 +612,7 @@ def test_jet_lift_takes_euler_derivatives_only_by_families_present(monkeypatch, 
     # each one-walk Euler call of the lift returns exactly the families
     # its argument holds whose one-family derivative does not vanish
     matches = []
-    original = master.euler_derivatives
+    original = bvforge.jet.euler_derivatives
 
     def recording(f):
         out = original(f)
@@ -618,7 +620,7 @@ def test_jet_lift_takes_euler_derivatives_only_by_families_present(monkeypatch, 
         matches.append(list(out) == nonzero)
         return out
 
-    monkeypatch.setattr(master, "euler_derivatives", recording)
+    monkeypatch.setattr(bvforge.jet, "euler_derivatives", recording)
     _solve_open_algebra_on_a_line(tmp_path)
     assert matches
     assert all(matches)
@@ -628,8 +630,9 @@ def test_kt_reads_one_derivative_per_source(monkeypatch, tmp_path):
     # kt differentiates a candidate only by the z* of its sources, never
     # by the all-family walk that the divergence projection takes
     inside, euler_calls, families_read = [], [], []
-    originals = {name: getattr(master, name) for name in
-                 ("kt_differential", "euler_derivatives", "variational_derivative")}
+    originals = {name: getattr(module, name) for module, name in
+                 ((master, "kt_differential"), (bvforge.jet, "euler_derivatives"),
+                  (master, "variational_derivative"))}
 
     def kt(S, f):
         sources = {zs for zs, _ in S.kt_sources}
@@ -650,7 +653,7 @@ def test_kt_reads_one_derivative_per_source(monkeypatch, tmp_path):
         return originals["variational_derivative"](f, z, side)
 
     monkeypatch.setattr(master, "kt_differential", kt)
-    monkeypatch.setattr(master, "euler_derivatives", euler)
+    monkeypatch.setattr(bvforge.jet, "euler_derivatives", euler)
     monkeypatch.setattr(master, "variational_derivative", variational)
     _solve_open_algebra_on_a_line(tmp_path)
     assert not euler_calls
@@ -668,6 +671,50 @@ def test_large_jet_lift_keeps_its_report(tmp_path):
     assert status == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "7c47a5877b769544195534fa7ce361aff461166802b26731ae53cbea8e6ebc31")
+
+
+def old_finite_lift_system(m, S, R, stratum):
+    """The system of a dimension-0 lift as it was built before the
+    functional projection, the sides matched directly in one block: the
+    oracle."""
+    candidates = correction_candidates(m, stratum + 1)
+    half_R = Fraction(-1, 2) * R
+    scale = math.lcm(*(c.denominator for f in (S.stratum(0), S.stratum(1), half_R)
+                       for _, c in f.terms()))
+    cleared = BVAction.from_total(scale * S.total, S.spatial_dim, S.solved_up_to)
+    return match_coefficients(
+        [(scale * half_R, [kt_differential(cleared, cand) for cand in candidates])])
+
+
+def test_finite_lifts_match_the_single_block_oracle(monkeypatch):
+    # every lift of every finite fixture, and of the open algebra at
+    # deg=9 and at a deg=3 too low to lift it, matches its sides through
+    # ``functional_parts`` into the system the one direct block gave
+    solve_lift, match = master._solve_lift, master.match_coefficients
+    systems, checked = [], []
+
+    def recording_match(blocks):
+        systems.append(match(blocks))
+        return systems[-1]
+
+    def checking_lift(m, S, R, stratum):
+        systems.clear()
+        out = solve_lift(m, S, R, stratum)
+        if systems:
+            assert systems == [old_finite_lift_system(m, S, R, stratum)], (m, stratum)
+            checked.append((m.max_poly_degree, out[0] is not None))
+        return out
+
+    monkeypatch.setattr(master, "match_coefficients", recording_match)
+    monkeypatch.setattr(master, "_solve_lift", checking_lift)
+    specs = [parse_document(path.read_text(encoding="utf-8")).spec
+             for path in sorted(FIXTURES.glob("*.bv"))]
+    open_algebra = parse_document((FIXTURES / "open_algebra.bv").read_text(encoding="utf-8")).spec
+    specs += [replace(open_algebra, max_poly_degree=deg) for deg in (9, 3)]
+    for m in specs:
+        if m.spatial_dim == 0 and check_noether(m).all_pass:
+            solve_master(m, 4)
+    assert {(4, True), (9, True), (3, False)} <= set(checked), checked
 
 
 def test_jet_lift_reaches_every_probed_kernel_through_its_bindings(monkeypatch, tmp_path):
@@ -702,7 +749,7 @@ def test_quantum_check_on_one_pair_action():
     assert report.classical.is_zero
     assert report.delta == LocalFunction.one()
     assert report.quantum_residual == -LocalFunction.one()
-    assert not report.satisfied
+    assert not report.quantum_residual.is_zero
 
 
 def test_quantum_check_on_rotation_ghost_action():
@@ -710,11 +757,11 @@ def test_quantum_check_on_rotation_ghost_action():
     report = quantum_master_check(S2)
     assert report.classical.is_zero
     assert report.delta.is_zero
-    assert report.satisfied
+    assert report.quantum_residual.is_zero
 
 
 def test_quantum_check_trivial_and_gated():
     report = quantum_master_check(LocalFunction.zero())
-    assert report.satisfied
+    assert report.quantum_residual.is_zero
     with pytest.raises(JetModelUnsupported):
         quantum_master_check(build_stage_action(curl_model(), 1))
