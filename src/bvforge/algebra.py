@@ -16,7 +16,8 @@ commute or anticommute according to their parities, odd generators
 square to zero, and every product is kept in a canonical form: the
 factors of each monomial are sorted by a fixed total order on
 generators and the Koszul sign of the sorting permutation is absorbed
-into the rational coefficient.
+into the rational coefficient.  Each generator is made once, so two
+occurrences of the same symbol are one object and compare by identity.
 
 A coefficient is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise, never a float.  Explicit
@@ -32,7 +33,6 @@ A term is a (factors, coefficient) pair.  ``term_bidegree`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import ItemsView, Iterable, Mapping, NamedTuple, Sequence
@@ -47,16 +47,8 @@ class GeneratorKind(Enum):
 
     @property
     def rank(self) -> int:
-        return _KIND_RANK[self]
+        return list(GeneratorKind).index(self)  # the term order ranks kinds as listed
 
-
-_KIND_RANK = {
-    GeneratorKind.BASE: 0,
-    GeneratorKind.FIELD: 1,
-    GeneratorKind.ANTIFIELD: 2,
-    GeneratorKind.GHOST: 3,
-    GeneratorKind.ANTIGHOST: 4,
-}
 
 _KIND_BIDEGREE = {
     GeneratorKind.BASE: (0, 0),
@@ -87,43 +79,63 @@ class Bidegree(NamedTuple):
         return self.total % 2
 
 
-@dataclass(frozen=True, order=False)
+# Every generator made so far, keyed by (kind, family, jet) as given and sorted.
+_GENERATORS: dict[tuple, "Generator"] = {}
+
+
 class Generator:
     """A single coordinate symbol, possibly carrying a jet multi-index.
 
     ``family`` is the label of the field/ghost family (or the spatial
     direction for a base coordinate, as a string).  ``jet`` is kept
-    sorted; multi-indices are symmetric because total derivatives
-    commute.
-
-    ``bidegree``, ``parity``, ``sort_key`` and the hash are computed once,
-    at construction.  The hash reads the family as the integer of its
-    UTF-8 bytes, so it, and with it the order of every set of
-    generators, is the same under every PYTHONHASHSEED.
+    sorted, since total derivatives commute.  ``Generator(kind, family,
+    jet)`` returns the one object made for that symbol, so equality is
+    identity and no attribute can be set.  The hash, computed with
+    ``bidegree``, ``parity`` and ``sort_key`` when it is made, reads the
+    family as the integer of its UTF-8 bytes, so the order of every set
+    of generators is the same under every PYTHONHASHSEED.
     """
 
-    kind: GeneratorKind
-    family: str
-    jet: tuple[int, ...] = ()
+    __slots__ = ("kind", "family", "jet", "bidegree", "parity", "sort_key", "_hash")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.family, str) or not self.family:
+    def __new__(cls, kind: GeneratorKind, family: str, jet: Iterable[int] = ()) -> "Generator":
+        jet = tuple(jet)
+        try:
+            return _GENERATORS[kind, family, jet]
+        except (KeyError, TypeError):  # not made yet, or unhashable input refused below
+            pass
+        if not isinstance(family, str) or not family:
             raise ValueError("generator family must be a nonempty string")
-        jet = tuple(self.jet)
         if any((not isinstance(i, int)) or i < 1 for i in jet):
             raise ValueError("jet indices must be integers >= 1")
-        if self.kind is GeneratorKind.BASE and jet:
+        if kind is GeneratorKind.BASE and jet:
             raise ValueError("base coordinates carry no jet index")
-        jet = tuple(sorted(jet))
-        bidegree = Bidegree(*_KIND_BIDEGREE[self.kind])
-        key = (self.kind.rank, self.family, len(jet), jet)
-        family = int.from_bytes(self.family.encode(), "little")
-        for name, value in (("jet", jet), ("bidegree", bidegree), ("parity", bidegree.parity),
-                            ("sort_key", key), ("_hash", hash((key[0], family, jet)))):
+        ordered = tuple(sorted(jet))
+        if ordered != jet:
+            return _GENERATORS.setdefault((kind, family, jet), cls(kind, family, ordered))
+        self = object.__new__(cls)
+        bidegree = Bidegree(*_KIND_BIDEGREE[kind])
+        key = (kind.rank, family, len(jet), jet)
+        number = int.from_bytes(family.encode(), "little")
+        for name, value in zip(cls.__slots__, (kind, family, jet, bidegree, bidegree.parity,
+                                               key, hash((key[0], number, jet)))):
             object.__setattr__(self, name, value)
+        _GENERATORS[kind, family, jet] = self
+        return self
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"a generator is shared and cannot change its {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a copy or a pickle is the one shared object
+        return Generator, (self.kind, self.family, self.jet)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Generator(kind={self.kind!r}, family={self.family!r}, jet={self.jet!r})"
 
     @property
     def ghost_number(self) -> int:
@@ -156,19 +168,19 @@ def base(i: int) -> Generator:
 
 
 def field(family: str, jet: Iterable[int] = ()) -> Generator:
-    return Generator(GeneratorKind.FIELD, family, tuple(jet))
+    return Generator(GeneratorKind.FIELD, family, jet)
 
 
 def antifield(family: str, jet: Iterable[int] = ()) -> Generator:
-    return Generator(GeneratorKind.ANTIFIELD, family, tuple(jet))
+    return Generator(GeneratorKind.ANTIFIELD, family, jet)
 
 
 def ghost(family: str, jet: Iterable[int] = ()) -> Generator:
-    return Generator(GeneratorKind.GHOST, family, tuple(jet))
+    return Generator(GeneratorKind.GHOST, family, jet)
 
 
 def antighost(family: str, jet: Iterable[int] = ()) -> Generator:
-    return Generator(GeneratorKind.ANTIGHOST, family, tuple(jet))
+    return Generator(GeneratorKind.ANTIGHOST, family, jet)
 
 
 Factors = tuple[tuple[Generator, int], ...]

@@ -146,9 +146,10 @@ MAX_NESTING = 100
 MAX_EXPONENT = 100
 MAX_POWER_TERMS = 1000
 
-# Most term products one expression may take, over all its ``*`` and the
-# steps of its ``^`` expansions: the bounds above hold per operator, this
-# one for a chain of them.  No shipped model needs more than a hundred.
+# Most term products one expression, or one document in all, may take
+# over its ``*`` and the steps of its ``^`` expansions: the bounds above
+# hold per operator, this one for a chain of them.  No shipped model
+# needs more than a hundred.
 MAX_TERM_PRODUCTS = 50_000
 
 # Highest order of a deformation entry ``t^K``: the deformation residual
@@ -158,13 +159,18 @@ MAX_DEFORMATION_ORDER = 12
 
 
 class TokenStream:
-    """Cursor over a token list with uniform error reporting."""
+    """Cursor over token lists with uniform error reporting and one budget of term products."""
 
     def __init__(self, tokens: list[Token]):
+        self.products = 0
+        self.restart(tokens)
+
+    def restart(self, tokens: list[Token]) -> "TokenStream":
+        """Read ``tokens`` from the start; the products spent stay spent."""
         self._tokens = tokens
         self._pos = 0
         self.depth = 0
-        self.products = 0
+        return self
 
     @property
     def current(self) -> Token:
@@ -182,7 +188,7 @@ class TokenStream:
         return None
 
     def multiply(self, left: LocalFunction, right: LocalFunction, op: Token) -> LocalFunction:
-        """``left * right``, charged to the expression's budget of term
+        """``left * right``, charged to the stream's budget of term
         products and refused at ``op`` before it is built when over it."""
         self.products += len(left.terms()) * len(right.terms())
         if self.products > MAX_TERM_PRODUCTS:

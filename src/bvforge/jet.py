@@ -5,7 +5,9 @@ total derivatives, Euler-Lagrange derivatives, and the Euler operators of
 every family of a function at once), the functional projection that the
 master-equation residual and the lift read on every model (a finite
 model is the dimension-zero case, with no divergences), the monomial
-ansatz, and the model-level Noether identity check.
+ansatz, and the model-level Noether identity check.  A prolonged
+generator, and the unprolonged one that names a family, is the one
+object ``algebra`` makes for that symbol.
 """
 
 from __future__ import annotations
@@ -43,36 +45,12 @@ def _check_direction(i: int, spatial_dim: int | None) -> None:
         raise IndexOutOfRange(f"direction {i} exceeds spatial dimension {spatial_dim}")
 
 
-# One shared object per (generator, direction): the total derivatives of
-# a lift meet the same few prolongations over and over, so they are built
-# once.  The table holds only generators, which are immutable values, and
-# grows with the generators a model can reach, not with its monomials.
-_PROLONGATIONS: dict[tuple[Generator, int], Generator] = {}
-# The unprolonged generator that names each generator's family, shared
-# the same way.
-_FAMILIES: dict[Generator, Generator] = {}
-
-
 def prolong(g: Generator, i: int, spatial_dim: int | None = None) -> Generator:
     """Append one total-derivative direction to a generator's multi-index."""
     if g.kind is GeneratorKind.BASE:
         raise BaseCoordinateProlongation(f"cannot prolong base coordinate {g}")
     _check_direction(i, spatial_dim)
-    return _prolonged(g, i)
-
-
-def _prolonged(g: Generator, i: int) -> Generator:
-    out = _PROLONGATIONS.get((g, i))
-    if out is None:
-        out = _PROLONGATIONS[(g, i)] = g.with_jet(g.jet + (i,))
-    return out
-
-
-def _family(g: Generator) -> Generator:
-    out = _FAMILIES.get(g)
-    if out is None:
-        out = _FAMILIES[g] = g.with_jet(()) if g.jet else g
-    return out
+    return g.with_jet(g.jet + (i,))
 
 
 def total_derivative(f: LocalFunction, i: int, spatial_dim: int | None = None) -> LocalFunction:
@@ -106,7 +84,7 @@ def _leibniz_terms(factors: Factors, c: Fraction, i: int, x_i: str):
             if g.family == x_i:
                 yield head + factors[pos + 1:], ce
             continue
-        h = _prolonged(g, i)
+        h = g.with_jet(g.jet + (i,))
         key = h.sort_key
         odd = g.parity
         sign = False
@@ -115,7 +93,7 @@ def _leibniz_terms(factors: Factors, c: Fraction, i: int, x_i: str):
             if odd and factors[j][0].parity:
                 sign = not sign
             j += 1
-        if j < n and factors[j][0].sort_key == key:
+        if j < n and factors[j][0] is h:
             if odd:
                 continue
             new = head + factors[pos + 1:j] + ((h, factors[j][1] + 1),) + factors[j + 1:]
@@ -160,7 +138,7 @@ def euler_derivatives(f: LocalFunction) -> dict[Generator, LocalFunction]:
                 negate ^= odd_before
                 odd_before = not odd_before
             # stripping one z_J is injective on canonical monomials
-            partials.setdefault(_family(g), {}).setdefault(g.jet, {})[new] = -ce if negate else ce
+            partials.setdefault(g.with_jet(()), {}).setdefault(g.jet, {})[new] = -ce if negate else ce
     out = {}
     for z in sorted(partials):
         e = _fold(partials[z])
@@ -229,7 +207,7 @@ def functional_parts(f: LocalFunction, spatial_dim: int) -> dict:
 def families(*fs: LocalFunction) -> list[Generator]:
     """One unprolonged generator per (kind, family) present in the fs,
     base coordinates excluded, in the generator order."""
-    return sorted({_family(g) for f in fs for g in f.generators()
+    return sorted({g.with_jet(()) for f in fs for g in f.generators()
                    if g.kind is not GeneratorKind.BASE})
 
 

@@ -91,15 +91,14 @@ def _split_sections(text: str) -> dict[str, tuple[int, str, list[tuple[int, str]
     return sections
 
 
-def _entry_stream(raw: str, lineno: int) -> TokenStream:
-    return TokenStream(tokenize(raw.split("#", 1)[0], first_line=lineno))
+def _entry_stream(stream: TokenStream, raw: str, lineno: int) -> TokenStream:
+    return stream.restart(tokenize(raw.split("#", 1)[0], first_line=lineno))
 
 
-def _scalar_stream(section: tuple[int, str, list]) -> TokenStream:
-    """Token cursor over a header line, positioned after the keyword."""
+def _scalar_stream(stream: TokenStream, section: tuple[int, str, list]) -> TokenStream:
+    """The document's cursor over a header line, positioned after the keyword."""
     lineno, raw, _ = section
-    stream = _entry_stream(raw, lineno)
-    stream.advance()
+    _entry_stream(stream, raw, lineno).advance()
     return stream
 
 
@@ -160,11 +159,11 @@ class _Checker:
             raise SemanticError(
                 f"direction {i} exceeds dimension {self.dimension}", line, column)
 
-    def field_family(self, name: str, line: int, column: int) -> None:
+    def field_label(self, name: str, line: int, column: int) -> None:
         if name not in self.fields:
             raise SemanticError(f"unknown field family {name!r}", line, column)
 
-    def gauge_family(self, name: str, line: int, column: int) -> None:
+    def gauge_label(self, name: str, line: int, column: int) -> None:
         if name not in self.gauge:
             raise SemanticError(f"unknown gauge index {name!r}", line, column)
 
@@ -181,7 +180,7 @@ class _Checker:
             if g.kind is GeneratorKind.BASE:
                 self.direction(int(g.family), line, 1)
             elif g.kind is GeneratorKind.FIELD:
-                self.field_family(g.family, line, 1)
+                self.field_label(g.family, line, 1)
                 self.jet(g.jet, line)
             else:
                 raise SemanticError(
@@ -202,9 +201,9 @@ class _Checker:
                 raise SemanticError(
                     "deformation entries must not carry jet indices", line, 1)
             if g.kind in (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD):
-                self.field_family(g.family, line, 1)
+                self.field_label(g.family, line, 1)
             elif g.kind in (GeneratorKind.GHOST, GeneratorKind.ANTIGHOST):
-                self.gauge_family(g.family, line, 1)
+                self.gauge_label(g.family, line, 1)
             else:
                 raise SemanticError(
                     "base coordinates do not belong in a deformation entry", line, 1)
@@ -231,7 +230,7 @@ class _Table:
     print_empty: bool
 
 
-_FIELD, _GAUGE = _Checker.field_family, _Checker.gauge_family
+_FIELD, _GAUGE = _Checker.field_label, _Checker.gauge_label
 _TABLES = (
     _Table("generators", "r", "generator", (_FIELD, _GAUGE), True, "gauge_coefficients", False),
     _Table("structure", "c", "structure", (_GAUGE,) * 3, False, "structure_functions", True),
@@ -274,10 +273,12 @@ def _parse_bounds(stream: TokenStream, lineno: int) -> tuple[int, int]:
 
 def parse_document(text: str) -> ModelDocument:
     sections = _split_sections(text)
+    # one cursor, and with it one budget of term products, for every line
+    stream = TokenStream([])
 
     dimension = 0
     if "dimension" in sections:
-        stream = _scalar_stream(sections["dimension"])
+        _scalar_stream(stream, sections["dimension"])
         dim_tok = stream.expect("INT", "a nonnegative integer dimension")
         stream.expect("EOF", "end of line")
         dimension = int(dim_tok.text)
@@ -285,24 +286,24 @@ def parse_document(text: str) -> ModelDocument:
     max_jet_order, max_poly_degree = 3, 4
     if "bounds" in sections:
         max_jet_order, max_poly_degree = _parse_bounds(
-            _scalar_stream(sections["bounds"]), sections["bounds"][0])
+            _scalar_stream(stream, sections["bounds"]), sections["bounds"][0])
 
     fields: tuple[str, ...] = ()
     if "fields" in sections:
         fields = _parse_families(
-            _scalar_stream(sections["fields"]), sections["fields"][0], "fields")
+            _scalar_stream(stream, sections["fields"]), sections["fields"][0], "fields")
 
     gauge: tuple[str, ...] = ()
     if "gauge" in sections:
         gauge = _parse_families(
-            _scalar_stream(sections["gauge"]), sections["gauge"][0], "gauge")
+            _scalar_stream(stream, sections["gauge"]), sections["gauge"][0], "gauge")
 
     checker = _Checker(dimension, fields, gauge, max_jet_order)
 
     lagrangian = LocalFunction.zero()
     if "lagrangian" in sections:
         lineno = sections["lagrangian"][0]
-        lagrangian = parse_remaining_expression(_scalar_stream(sections["lagrangian"]))
+        lagrangian = parse_remaining_expression(_scalar_stream(stream, sections["lagrangian"]))
         checker.field_sector_expression(lagrangian, lineno)
 
     tables: dict[str, dict] = {}
@@ -311,7 +312,7 @@ def parse_document(text: str) -> ModelDocument:
             continue
         entries: dict[tuple, LocalFunction] = {}
         for lineno, raw in sections[table.name][2]:
-            stream = _entry_stream(raw, lineno)
+            _entry_stream(stream, raw, lineno)
             tokens, jet = _parse_key(stream, table)
             for check, tok in zip(table.slots, tokens):
                 check(checker, tok.text, tok.line, tok.column)
@@ -327,7 +328,7 @@ def parse_document(text: str) -> ModelDocument:
     deformation: dict[int, LocalFunction] = {}
     if "deformation" in sections:
         for lineno, raw in sections["deformation"][2]:
-            stream = _entry_stream(raw, lineno)
+            _entry_stream(stream, raw, lineno)
             _expect_head(stream, "t", "deformation")
             stream.expect("CARET", "'^'")
             power_tok = stream.expect("INT", "a positive power")

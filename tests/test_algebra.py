@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,12 +113,52 @@ def test_jet_indices_are_sorted_on_construction():
 
 
 def test_generator_validation():
-    with pytest.raises(ValueError):
-        Generator(GeneratorKind.BASE, "1", (1,))
-    with pytest.raises(ValueError):
-        field("1", (0,))
-    with pytest.raises(ValueError):
-        Generator(GeneratorKind.FIELD, "")
+    field("1", (1,))  # a generator already made lets no bad twin through
+    for make, message in (
+            (lambda: Generator(GeneratorKind.BASE, "1", (1,)), "base coordinates carry no jet index"),
+            (lambda: field("1", (0,)), "jet indices must be integers >= 1"),
+            (lambda: field("1", (1, "2")), "jet indices must be integers >= 1"),
+            (lambda: field("1", ([1],)), "jet indices must be integers >= 1"),
+            (lambda: Generator(GeneratorKind.FIELD, ""), "generator family must be a nonempty string"),
+            (lambda: Generator(GeneratorKind.FIELD, 1), "generator family must be a nonempty string"),
+            (lambda: Generator(GeneratorKind.FIELD, ["1"]), "generator family must be a nonempty string")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+
+def test_each_generator_is_made_once():
+    assert field("1", (2, 1)) is field("1", (1, 2))
+    assert Generator(GeneratorKind.FIELD, "1", [2, 1]) is field("1", (1, 2))
+    assert Generator(kind=GeneratorKind.GHOST, family="a") is ghost("a", ())
+    for g in (base(2), field("1", (1, 2)), antifield("a", (1,)), ghost("10"), antighost("b", (2,))):
+        assert g.with_jet(g.jet) is g
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        if g.kind is not GeneratorKind.BASE:
+            assert g.conjugate().conjugate() is g
+    assert field("1") != antifield("1") and field("1") != "u[1]"
+    # a shared generator cannot change
+    g = field("1", (1,))
+    with pytest.raises(AttributeError):
+        g.jet = (2,)
+    with pytest.raises(AttributeError):
+        g.color = "red"
+    with pytest.raises(AttributeError):
+        del g.family
+    assert (g.kind, g.family, g.jet) == (GeneratorKind.FIELD, "1", (1,))
+
+
+def test_generator_repr_and_hash_are_pinned():
+    assert repr(field("1", (2, 1))) == "Generator(kind=<GeneratorKind.FIELD: 'u'>, family='1', jet=(1, 2))"
+    assert repr(base(3)) == "Generator(kind=<GeneratorKind.BASE: 'x'>, family='3', jet=())"
+    # the hash reads the family's bytes as an integer, so no PYTHONHASHSEED moves it
+    pinned = {base(1): -4145398843972620368, field("1"): 5924488089694121678,
+              field("1", (2, 1)): 24021415824814992, antifield("a", (1,)): 4548456055515557302,
+              ghost("10"): 7453856097301915297, antighost("b10", (1, 1, 2)): 2196020495105258229}
+    for g, value in pinned.items():
+        assert hash(g) == hash((g.kind.rank, int.from_bytes(g.family.encode(), "little"), g.jet))
+        if sys.maxsize > 2 ** 32:  # the values of a 64-bit build
+            assert hash(g) == value
 
 
 def test_bidegrees_and_parities():

@@ -90,6 +90,8 @@ def test_bracket_raises_ghost_number_by_one():
 def test_pointwise_bracket_rejects_jets():
     with pytest.raises(JetModelRequiresVariationalBracket):
         antibracket(gen(field("1", (1,))), gen(US), 0)
+    with pytest.raises(JetModelRequiresVariationalBracket):
+        antibracket(gen(US), gen(field("1", (1,))), 0)
 
 
 def test_graded_antisymmetry_exact():

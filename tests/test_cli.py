@@ -15,6 +15,7 @@ import pytest
 
 from bvforge import cli
 from bvforge.cli import main, run_command
+from bvforge.expr import MAX_TERM_PRODUCTS, TokenStream
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -241,6 +242,94 @@ def test_chained_products_of_powers_are_refused_at_once(tmp_path):
         assert time.monotonic() - start < 1.0
         assert (status, out) == (
             2, "error: line 4, column 45: the expression needs more than 50000 term products\n")
+
+
+def test_the_term_product_budget_spans_the_whole_document(tmp_path):
+    # one entry takes about 33.5k term products, within the budget; the
+    # second crosses the budget of the document at its '*'
+    sextet = "(u[1]+u[2]+u[3]+u[4]+u[5]+u[6])"
+    entries = [f"  r[{a}, {alpha}] = {sextet}^4*{sextet}^5"
+               for a in range(1, 7) for alpha in range(1, 5)]
+    head = "dimension 0\nfields 1 2 3 4 5 6\ngauge 1 2 3 4\nbounds jet=0 deg=9\ngenerators\n"
+    path = tmp_path / "entries.bv"
+    path.write_text(head + "\n".join(entries) + "\n")
+    start = time.monotonic()
+    status, out = run_command(["el", str(path)])
+    assert time.monotonic() - start < 1.0
+    column = entries[1].index("*") + 1
+    assert (status, out) == (
+        2, f"error: line 7, column {column}: the expression needs more than 50000 term products\n")
+    path.write_text(head + entries[0] + "\n")
+    assert run_command(["el", str(path)])[0] == 0
+
+
+_SEXTET = "(" + "+".join(f"u[{a}]" for a in range(1, 7)) + ")"
+
+
+def _random_expression(rng: random.Random, depth: int, atoms: tuple[str, ...]) -> str:
+    """Nested sums, products and powers; now and then an atom the field sector refuses."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(("C[1]", "ustar[2]", "x[2]", "u[1; 2]") if rng.random() < 0.03 else atoms)
+    parts = [_random_expression(rng, depth - 1, atoms) for _ in range(rng.randint(2, 4))]
+    if roll < 0.6:
+        return "(" + rng.choice((" + ", " - ")).join(parts) + ")"
+    if roll < 0.85:
+        return "*".join(parts)
+    return f"({parts[0]})^{rng.randint(0, 8)}"
+
+
+def _random_document(rng: random.Random) -> str:
+    dim = rng.randint(0, 1)
+    atoms = ("u[1]", "u[2]", "u[3]", "2", "3/2", "1/3", "0") + dim * ("x[1]", "u[1; 1]", "u[2; 1 1]", "u[3; 1]")
+
+    def value(depth: int) -> str:
+        # a product of two powers of a sextet: cheap, costly but accepted, or over the budget
+        if rng.random() < 0.06:
+            k = rng.choice((2, 3, 6))
+            return f"{_SEXTET}^{k}*{_SEXTET}^{k}"
+        return _random_expression(rng, depth, atoms)
+
+    lines = [f"dimension {dim}", "fields 1 2 3 4 5 6", "gauge 1",
+             f"bounds jet={rng.randint(1, 2)} deg={rng.randint(0, 6)}", "lagrangian " + value(3)]
+    if rng.random() < 0.5:
+        lines += ["generators", "  r[1, 1] = " + value(2)]
+        if dim:
+            lines.append("  r[2, 1; 1] = " + value(2))
+    text = "\n".join(lines) + "\n"
+    if rng.random() < 0.1:  # a syntax slip
+        i = rng.randrange(len(text))
+        text = text[:i] + text[i + 1:]
+    return text
+
+
+def test_seeded_documents_end_in_a_status_within_the_budget(tmp_path, monkeypatch):
+    spent = [0]
+    multiply = TokenStream.multiply
+
+    def counting(self, left, right, op):
+        out = multiply(self, left, right, op)
+        spent[0] += len(left.terms()) * len(right.terms())
+        return out
+
+    monkeypatch.setattr(TokenStream, "multiply", counting)
+    rng = random.Random(20)
+    path = tmp_path / "seeded.bv"
+    outcomes, peak = Counter(), 0
+    for _ in range(300):
+        path.write_text(_random_document(rng))
+        for command in ("el", "build"):
+            spent[0] = 0
+            start = time.monotonic()
+            status, out = run_command([command, str(path)])
+            assert time.monotonic() - start < 2.0
+            assert status in (0, 1, 2) and "Traceback" not in out
+            assert spent[0] <= MAX_TERM_PRODUCTS
+            peak = max(peak, spent[0])
+            outcomes[status, "term products" in out] += 1
+    # the documents reach every outcome: reports, refusals, and the budget
+    assert outcomes[0, False] and outcomes[2, False] and outcomes[2, True]
+    assert peak > 1000
 
 
 def test_unbounded_exponents_are_refused(tmp_path):

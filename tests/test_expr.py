@@ -80,6 +80,14 @@ def test_jet_indices_normalize_to_sorted_order():
     assert g.jet == (1, 2, 3)
 
 
+def test_a_parsed_atom_is_the_generator_the_helper_makes():
+    for text, g in (("x[2]", base(2)), ("u[1; 2 1]", field("1", (1, 2))),
+                    ("ustar[2; 1]", antifield("2", (1,))), ("C[alpha; 1 1]", ghost("alpha", (1, 1))),
+                    ("Cstar[e]", antighost("e"))):
+        (parsed,) = parse_expression(text).generators()
+        assert parsed is g
+
+
 def test_unknown_generator_name_is_semantic():
     with pytest.raises(SemanticError, match="unknown generator name 'v'"):
         parse_expression("v[1]")

@@ -219,6 +219,12 @@ def test_prolongations_are_shared():
     assert prolong(field("1"), 1) is prolong(field("1"), 1)
     [(factors, _)] = total_derivative(gen(field("1")), 1).terms()
     assert factors[0][0] is prolong(U, 1)
+    g = ghost("a", (2,))
+    assert prolong(g, 1) is ghost("a", (1, 2)) is prolong(ghost("a", (1,)), 2)
+    # generators compare by identity, so these lists hold the very objects
+    f = gen(field("1", (1, 1))) * gen(g) + gen(antifield("1"))
+    assert families(f) == [field("1"), antifield("1"), ghost("a")]
+    assert list(euler_derivatives(gen(U1) ** 2)) == [U]
 
 
 # ---------------------------------------------------------------- Euler operator
