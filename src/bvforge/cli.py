@@ -20,7 +20,7 @@ from pathlib import Path
 from .algebra import LocalFunction
 from .bracket import JetModelUnsupported, antibracket, bv_laplacian
 from .expr import format_generator, format_local_function, format_signed_sum
-from .jet import ModelSpec, check_noether, euler_lagrange
+from .jet import ModelSpec, check_field_label, check_jet_order, check_noether, euler_lagrange
 from .linfty import Element, LInftyStructure, check_linfty, extract_brackets, mc_residual
 from .master import (BVAction, build_stage_action, default_stage, master_residual,
                      quantum_master_check, solve_master)
@@ -103,9 +103,7 @@ def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
             raise ValueError(f"bad bounds {text!r} (duplicate bound {key!r})")
         overrides[key] = int(value)
     if "jet" in overrides:
-        used = _model_jet_order(m)
-        if used > overrides["jet"]:
-            raise ValueError(f"jet order {used} exceeds bound {overrides['jet']}")
+        check_jet_order(_model_jet_order(m), overrides["jet"])
     return replace(
         m,
         max_jet_order=overrides.get("jet", m.max_jet_order),
@@ -159,8 +157,7 @@ def _theta_elements(L: LInftyStructure, deformation: dict[int, LocalFunction]) -
 def _cmd_el(doc: ModelDocument, args, report: Report) -> None:
     m = doc.spec
     if args.field is not None:
-        if args.field not in m.fields:
-            raise ValueError(f"unknown field family {args.field!r}")
+        check_field_label(args.field, m.fields)
         report.results.append(
             ("", format_local_function(euler_lagrange(m.lagrangian, args.field))))
         return

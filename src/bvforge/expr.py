@@ -193,7 +193,7 @@ class TokenStream:
         self.products += len(left.terms()) * len(right.terms())
         if self.products > MAX_TERM_PRODUCTS:
             raise SemanticError(
-                f"the expression needs more than {MAX_TERM_PRODUCTS} term products",
+                f"the document needs more than {MAX_TERM_PRODUCTS} term products",
                 op.line, op.column)
         return left * right
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Collection, Sequence
 
 from .algebra import (
     Factors,
@@ -42,7 +44,7 @@ def _check_direction(i: int, spatial_dim: int | None) -> None:
     if not isinstance(i, int) or i < 1:
         raise IndexOutOfRange(f"spatial directions start at 1, got {i}")
     if spatial_dim is not None and i > spatial_dim:
-        raise IndexOutOfRange(f"direction {i} exceeds spatial dimension {spatial_dim}")
+        raise IndexOutOfRange(f"direction {i} exceeds dimension {spatial_dim}")
 
 
 def prolong(g: Generator, i: int, spatial_dim: int | None = None) -> Generator:
@@ -266,7 +268,104 @@ def enumerate_basis_monomials(
 
 # ------------------------------------------------------------------ models
 
-GaugeKey = tuple[str, str, tuple[int, ...]]
+def check_field_label(name: str, fields: Collection[str]) -> None:
+    if name not in fields:
+        raise ValueError(f"unknown field family {name!r}")
+
+
+def check_jet_order(order: int, bound: int | None) -> None:  # None is no bound
+    if bound is not None and order > bound:
+        raise ValueError(f"jet order {order} exceeds bound {bound}")
+
+
+@dataclass(frozen=True)
+class ModelNames:
+    """The labels and ranges that model data may use, and the one check of
+    each, raising ``ValueError`` in the words a model document reports.
+    ``ModelSpec`` prefixes them with the entry's name, and the parser
+    gives them the entry's position.  The labels are sets, so a label
+    costs one lookup; a jet bound of None is no bound."""
+
+    dimension: int
+    fields: frozenset[str]
+    gauge: frozenset[str]
+    max_jet_order: int | None = None
+
+    def direction(self, i: int) -> None:
+        _check_direction(i, self.dimension)
+
+    def field_label(self, name: str) -> None:
+        check_field_label(name, self.fields)
+
+    def gauge_label(self, name: str) -> None:
+        if name not in self.gauge:
+            raise ValueError(f"unknown gauge index {name!r}")
+
+    def jet(self, jet: Sequence[int]) -> None:
+        for i in jet:
+            self.direction(i)
+        check_jet_order(len(jet), self.max_jet_order)
+
+    def field_sector(self, f: LocalFunction) -> None:
+        for g in sorted(f.generators()):  # a refusal does not depend on the hash seed
+            if g.kind is GeneratorKind.BASE:
+                self.direction(int(g.family))
+            elif g.kind is GeneratorKind.FIELD:
+                self.field_label(g.family)
+                self.jet(g.jet)
+            else:
+                raise ValueError(f"{g.kind.value} atoms do not belong in the field sector")
+
+
+@dataclass(frozen=True)
+class ModelTable:
+    """A table of model entries: the ``ModelSpec`` attribute it fills, the
+    name of an entry, the check of each key label, whether the key ends
+    in a multi-index, and the key slot pairs the entries are
+    antisymmetric in."""
+
+    attr: str
+    name: str
+    slots: tuple[Callable[[ModelNames, str], None], ...]
+    jet: bool = False
+    pairs: tuple[tuple[int, int], ...] = ()
+
+    @cached_property
+    def _swaps(self) -> tuple[tuple[itemgetter, int], ...]:
+        """Getters of the key with each set of n pairs swapped, and (-1)^n; none swapped first."""
+        out = [(tuple(range(len(self.slots) + self.jet)), 1)]
+        for i, j in self.pairs:  # i < j
+            out += [(k[:i] + (k[j],) + k[i + 1:j] + (k[i],) + k[j + 1:], -sign) for k, sign in out]
+        return tuple((itemgetter(*k), sign) for k, sign in out)
+
+    def lookup(self, entries: dict, key: tuple) -> LocalFunction:
+        """The value at ``key`` that the entries imply by antisymmetry."""
+        for swap, sign in self._swaps:
+            if swap(key) in entries:
+                return sign * entries[swap(key)]
+        return LocalFunction.zero()
+
+    def check_value(self, names: ModelNames, earlier: dict, key: tuple, value: LocalFunction) -> None:
+        """Refuse a value outside the field sector, a nonzero diagonal entry, and
+        one that disagrees with an earlier entry (not ``key``) under any swaps."""
+        names.field_sector(value)
+        for i, j in self.pairs:
+            if key[i] == key[j] and not value.is_zero:
+                raise ValueError("a diagonal entry must vanish")
+        for swap, sign in self._swaps[1:]:
+            partner = earlier.get(swap(key))
+            if partner is not None and partner != sign * value:
+                raise ValueError(f"entries {swap(key)} and {key} are not antisymmetric")
+
+
+GAUGE_COEFFICIENTS = ModelTable("gauge_coefficients", "gauge coefficient",
+                                (ModelNames.field_label, ModelNames.gauge_label), jet=True)
+STRUCTURE_FUNCTIONS = ModelTable("structure_functions", "structure function",
+                                 (ModelNames.gauge_label,) * 3, pairs=((1, 2),))
+CLOSURE_FUNCTIONS = ModelTable("closure_functions", "closure function",
+                               (ModelNames.field_label,) * 2 + (ModelNames.gauge_label,) * 2,
+                               pairs=((0, 1), (2, 3)))
+MODEL_TABLES = (GAUGE_COEFFICIENTS, STRUCTURE_FUNCTIONS, CLOSURE_FUNCTIONS)
 
 
 @dataclass
@@ -280,14 +379,17 @@ class ModelSpec:
     the last two slots; the optional on-shell closure functions nu are
     keyed (a, b, alpha, beta) and are antisymmetric in (a, b) and in
     (alpha, beta) separately.  ``max_jet_order`` and ``max_poly_degree``
-    bound every monomial ansatz built from this model.
+    bound every monomial ansatz built from this model.  The lagrangian
+    and each entry, in order, pass the checks of ``ModelNames`` with no
+    jet bound and of their ``ModelTable``, or a ValueError names it.
     """
 
     spatial_dim: int
     fields: tuple[str, ...]
     gauge_indices: tuple[str, ...]
     lagrangian: LocalFunction
-    gauge_coefficients: dict[GaugeKey, LocalFunction] = dataclass_field(default_factory=dict)
+    gauge_coefficients: dict[tuple[str, str, tuple[int, ...]], LocalFunction] = dataclass_field(
+        default_factory=dict)
     structure_functions: dict[tuple[str, str, str], LocalFunction] | None = None
     closure_functions: dict[tuple[str, str, str, str], LocalFunction] | None = None
     max_jet_order: int = 3
@@ -304,66 +406,27 @@ class ModelSpec:
             raise ValueError("duplicate gauge identifiers")
         if self.max_jet_order < 0 or self.max_poly_degree < 0:
             raise ValueError("ansatz bounds must be >= 0")
-        self._check_field_sector(self.lagrangian, "lagrangian")
-        cleaned: dict[GaugeKey, LocalFunction] = {}
-        for (a, alpha, jet), coeff in self.gauge_coefficients.items():
-            jet = tuple(sorted(jet))
-            if a not in self.fields:
-                raise ValueError(f"gauge coefficient names unknown field {a!r}")
-            if alpha not in self.gauge_indices:
-                raise ValueError(f"gauge coefficient names unknown gauge index {alpha!r}")
-            for i in jet:
-                _check_direction(i, self.spatial_dim)
-            self._check_field_sector(coeff, f"gauge coefficient ({a},{alpha},{jet})")
-            if not coeff.is_zero:
-                cleaned[(a, alpha, jet)] = coeff
-        self.gauge_coefficients = cleaned
-        gauge, fields = (self.gauge_indices, "gauge index"), (self.fields, "field")
-        for what, table, slots in (("structure function", self.structure_functions, (gauge,) * 3),
-                                   ("closure function", self.closure_functions,
-                                    (fields, fields, gauge, gauge))):
-            for key, value in (table or {}).items():
-                if len(key) != len(slots):
-                    raise ValueError(f"{what} key {key} needs {len(slots)} entries")
-                for name, (names, label) in zip(key, slots):
-                    if name not in names:
-                        raise ValueError(f"{what} {key} names unknown {label} {name!r}")
-                self._check_field_sector(value, f"{what} {key}")
-        if self.structure_functions is not None:
-            self._validate_antisymmetric_pairing(
-                self.structure_functions, slots=(1, 2), what="structure functions")
-        if self.closure_functions is not None:
-            self._validate_antisymmetric_pairing(
-                self.closure_functions, slots=(0, 1), what="closure functions")
-            self._validate_antisymmetric_pairing(
-                self.closure_functions, slots=(2, 3), what="closure functions")
-
-    def _check_field_sector(self, f: LocalFunction, what: str) -> None:
-        for g in sorted(f.generators()):
-            if g.kind is GeneratorKind.BASE:
-                if int(g.family) > self.spatial_dim:
-                    raise ValueError(f"{what} uses base coordinate beyond dimension {self.spatial_dim}")
-            elif g.kind is GeneratorKind.FIELD:
-                if g.family not in self.fields:
-                    raise ValueError(f"{what} uses unknown field family {g.family!r}")
-                for i in g.jet:
-                    _check_direction(i, self.spatial_dim)
-            else:
-                raise ValueError(f"{what} must contain only base coordinates and fields")
-
-    @staticmethod
-    def _validate_antisymmetric_pairing(table, slots, what: str) -> None:
-        i, j = slots
-        for key, value in table.items():
-            if key[i] == key[j]:
-                if not value.is_zero:
-                    raise ValueError(f"{what}: diagonal entry {key} must vanish")
-                continue
-            swapped = list(key)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            partner = table.get(tuple(swapped))
-            if partner is not None and partner != -value:
-                raise ValueError(f"{what}: entries {key} and {tuple(swapped)} are not antisymmetric")
+        names = ModelNames(self.spatial_dim, frozenset(self.fields), frozenset(self.gauge_indices))
+        table = key = None
+        try:
+            names.field_sector(self.lagrangian)
+            for table in MODEL_TABLES:
+                earlier: dict[tuple, LocalFunction] = {}
+                for key, value in (getattr(self, table.attr) or {}).items():
+                    labels = key[:-1] if table.jet else key
+                    if len(labels) != len(table.slots):
+                        raise ValueError(f"the key needs {len(table.slots) + table.jet} entries")
+                    for check, label in zip(table.slots, labels):
+                        check(names, label)
+                    names.jet(key[-1] if table.jet else ())
+                    table.check_value(names, earlier, key, value)
+                    earlier[key] = value
+        except ValueError as err:
+            what = "lagrangian" if key is None else f"{table.name} {key}"
+            raise ValueError(f"{what}: {err}") from None
+        self.gauge_coefficients = {(a, alpha, tuple(sorted(jet))): coeff
+                                   for (a, alpha, jet), coeff in self.gauge_coefficients.items()
+                                   if not coeff.is_zero}
 
     # -- lookup with implied antisymmetry --
 
@@ -371,24 +434,10 @@ class ModelSpec:
         return self.gauge_coefficients.get((a, alpha, tuple(sorted(jet))), LocalFunction.zero())
 
     def structure_function(self, gamma: str, alpha: str, beta: str) -> LocalFunction:
-        table = self.structure_functions or {}
-        if (gamma, alpha, beta) in table:
-            return table[(gamma, alpha, beta)]
-        if (gamma, beta, alpha) in table:
-            return -table[(gamma, beta, alpha)]
-        return LocalFunction.zero()
+        return STRUCTURE_FUNCTIONS.lookup(self.structure_functions or {}, (gamma, alpha, beta))
 
     def closure_function(self, a: str, b: str, alpha: str, beta: str) -> LocalFunction:
-        table = self.closure_functions or {}
-        for key, sign in (
-            ((a, b, alpha, beta), 1),
-            ((b, a, alpha, beta), -1),
-            ((a, b, beta, alpha), -1),
-            ((b, a, beta, alpha), 1),
-        ):
-            if key in table:
-                return sign * table[key]
-        return LocalFunction.zero()
+        return CLOSURE_FUNCTIONS.lookup(self.closure_functions or {}, (a, b, alpha, beta))
 
     def gauge_multi_indices(self, a: str, alpha: str) -> list[tuple[int, ...]]:
         return sorted(jet for (f, g, jet) in self.gauge_coefficients if f == a and g == alpha)

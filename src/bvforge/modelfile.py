@@ -21,9 +21,10 @@ are followed by one entry per line:
       t^1 = C[1]
 
 Sections may appear in any order, each at most once; ``#`` starts a
-comment.  Parsing validates family names, jet directions, sector
-content, and the declared ansatz bounds, and reports every rejection
-with the source position.
+comment.  Each entry is checked as it is read, by the same checks
+``ModelSpec`` makes (``jet.ModelNames`` and the antisymmetry of its
+table), with the document's jet bound; every refusal names the line of
+its entry, and a refused key label its column.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .expr import (
     parse_remaining_expression,
     tokenize,
 )
-from .jet import ModelSpec
+from .jet import (CLOSURE_FUNCTIONS, GAUGE_COEFFICIENTS, STRUCTURE_FUNCTIONS, ModelNames,
+                  ModelSpec, ModelTable)
 
 __all__ = ["ModelDocument", "parse_document", "parse_model", "print_model"]
 
@@ -127,14 +129,14 @@ def _parse_key(stream: TokenStream, table: _Table) -> tuple[tuple[Token, ...], t
     families = [_family_token(stream)]
     while stream.accept("COMMA"):
         families.append(_family_token(stream))
-    if len(families) != len(table.slots):
+    if len(families) != len(table.data.slots):
         tok = stream.current
         raise SemanticError(
-            f"section {table.name!r} keys take {len(table.slots)} family labels,"
+            f"section {table.name!r} keys take {len(table.data.slots)} family labels,"
             f" got {len(families)}", tok.line, tok.column)
     jet: tuple[int, ...] = ()
     if stream.accept("SEMI"):
-        if not table.jet:
+        if not table.data.jet:
             tok = stream.current
             raise SemanticError(
                 f"section {table.name!r} keys carry no jet index", tok.line, tok.column)
@@ -144,98 +146,54 @@ def _parse_key(stream: TokenStream, table: _Table) -> tuple[tuple[Token, ...], t
     return tuple(families), jet
 
 
-class _Checker:
-    """Shared semantic checks with document positions."""
+def _at(line: int, column: int, check: Callable[..., None], *args) -> None:
+    """Run one check on model data; its refusal is reported at (line, column)."""
+    try:
+        check(*args)
+    except ValueError as err:
+        raise SemanticError(str(err), line, column) from err
 
-    def __init__(self, dimension: int, fields: tuple[str, ...],
-                 gauge: tuple[str, ...], max_jet_order: int):
-        self.dimension = dimension
-        self.fields = set(fields)
-        self.gauge = set(gauge)
-        self.max_jet_order = max_jet_order
 
-    def direction(self, i: int, line: int, column: int) -> None:
-        if i > self.dimension:
-            raise SemanticError(
-                f"direction {i} exceeds dimension {self.dimension}", line, column)
-
-    def field_label(self, name: str, line: int, column: int) -> None:
-        if name not in self.fields:
-            raise SemanticError(f"unknown field family {name!r}", line, column)
-
-    def gauge_label(self, name: str, line: int, column: int) -> None:
-        if name not in self.gauge:
-            raise SemanticError(f"unknown gauge index {name!r}", line, column)
-
-    def jet(self, jet: tuple[int, ...], line: int) -> None:
-        for i in jet:
-            self.direction(i, line, 1)
-        if len(jet) > self.max_jet_order:
-            raise SemanticError(
-                f"jet order {len(jet)} exceeds bound {self.max_jet_order}", line, 1)
-
-    def field_sector_expression(self, f: LocalFunction, line: int) -> None:
-        """Only base coordinates and fields, within bounds."""
-        for g in sorted(f.generators()):
-            if g.kind is GeneratorKind.BASE:
-                self.direction(int(g.family), line, 1)
-            elif g.kind is GeneratorKind.FIELD:
-                self.field_label(g.family, line, 1)
-                self.jet(g.jet, line)
-            else:
-                raise SemanticError(
-                    f"{g.kind.value} atoms do not belong in the field sector",
-                    line, 1)
-
-    def linear_complex_expression(self, f: LocalFunction, line: int) -> None:
-        """A combination of single unjetted atoms over the whole complex."""
-        if f.constant_term() != 0:
-            raise SemanticError(
-                "deformation entries have no constant part", line, 1)
-        for factors, _ in f.sorted_terms():
-            if len(factors) != 1 or factors[0][1] != 1:
-                raise SemanticError(
-                    "deformation entries must be linear in the generators", line, 1)
-            g = factors[0][0]
-            if g.jet:
-                raise SemanticError(
-                    "deformation entries must not carry jet indices", line, 1)
-            if g.kind in (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD):
-                self.field_label(g.family, line, 1)
-            elif g.kind in (GeneratorKind.GHOST, GeneratorKind.ANTIGHOST):
-                self.gauge_label(g.family, line, 1)
-            else:
-                raise SemanticError(
-                    "base coordinates do not belong in a deformation entry", line, 1)
+def _check_deformation(names: ModelNames, f: LocalFunction, line: int) -> None:
+    """A combination of single unjetted atoms over the whole complex."""
+    if f.constant_term() != 0:
+        raise SemanticError("deformation entries have no constant part", line, 1)
+    for factors, _ in f.sorted_terms():
+        if len(factors) != 1 or factors[0][1] != 1:
+            raise SemanticError("deformation entries must be linear in the generators", line, 1)
+        g = factors[0][0]
+        if g.jet:
+            raise SemanticError("deformation entries must not carry jet indices", line, 1)
+        if g.kind in (GeneratorKind.FIELD, GeneratorKind.ANTIFIELD):
+            _at(line, 1, names.field_label, g.family)
+        elif g.kind in (GeneratorKind.GHOST, GeneratorKind.ANTIGHOST):
+            _at(line, 1, names.gauge_label, g.family)
+        else:
+            raise SemanticError("base coordinates do not belong in a deformation entry", line, 1)
 
 
 @dataclass(frozen=True)
 class _Table:
-    """A section of keyed entries ``head[k1, k2, ...; jet] = value``.
+    """The section of a model table, with entries ``head[k1, k2, ...; jet] = value``.
 
-    ``slots`` checks each key family in turn.  ``jet`` says whether a key
-    may carry a jet suffix; the suffix then ends the dictionary key.
-    ``attr`` names the ModelSpec attribute the entries fill.  An empty
-    table prints when ``print_empty`` is set: an empty ``structure`` or
-    ``closure`` section declares a closed algebra, while an empty
-    ``generators`` section declares nothing.
+    ``data`` is the table's ``jet.ModelTable``; a jet suffix, where it
+    allows one, ends the dictionary key.  ``noun`` names an entry in the
+    duplicate refusal.  An empty table prints when ``print_empty`` is set:
+    an empty ``structure`` or ``closure`` section declares a closed
+    algebra, while an empty ``generators`` section declares nothing.
     """
 
     name: str
     head: str
     noun: str
-    slots: tuple[Callable[[_Checker, str, int, int], None], ...]
-    jet: bool
-    attr: str
     print_empty: bool
+    data: ModelTable
 
 
-_FIELD, _GAUGE = _Checker.field_label, _Checker.gauge_label
 _TABLES = (
-    _Table("generators", "r", "generator", (_FIELD, _GAUGE), True, "gauge_coefficients", False),
-    _Table("structure", "c", "structure", (_GAUGE,) * 3, False, "structure_functions", True),
-    _Table("closure", "nu", "closure", (_FIELD, _FIELD, _GAUGE, _GAUGE), False,
-           "closure_functions", True),
+    _Table("generators", "r", "generator", False, GAUGE_COEFFICIENTS),
+    _Table("structure", "c", "structure", True, STRUCTURE_FUNCTIONS),
+    _Table("closure", "nu", "closure", True, CLOSURE_FUNCTIONS),
 )
 _TABLE_SECTIONS = (*(t.name for t in _TABLES), "deformation")
 _SECTION_KEYWORDS = ("dimension", "fields", "gauge", "bounds", "lagrangian", *_TABLE_SECTIONS)
@@ -298,13 +256,12 @@ def parse_document(text: str) -> ModelDocument:
         gauge = _parse_families(
             _scalar_stream(stream, sections["gauge"]), sections["gauge"][0], "gauge")
 
-    checker = _Checker(dimension, fields, gauge, max_jet_order)
+    names = ModelNames(dimension, frozenset(fields), frozenset(gauge), max_jet_order)
 
     lagrangian = LocalFunction.zero()
     if "lagrangian" in sections:
-        lineno = sections["lagrangian"][0]
         lagrangian = parse_remaining_expression(_scalar_stream(stream, sections["lagrangian"]))
-        checker.field_sector_expression(lagrangian, lineno)
+        _at(sections["lagrangian"][0], 1, names.field_sector, lagrangian)
 
     tables: dict[str, dict] = {}
     for table in _TABLES:
@@ -314,16 +271,16 @@ def parse_document(text: str) -> ModelDocument:
         for lineno, raw in sections[table.name][2]:
             _entry_stream(stream, raw, lineno)
             tokens, jet = _parse_key(stream, table)
-            for check, tok in zip(table.slots, tokens):
-                check(checker, tok.text, tok.line, tok.column)
-            checker.jet(jet, lineno)
-            key = tuple(tok.text for tok in tokens) + ((jet,) if table.jet else ())
+            for check, tok in zip(table.data.slots, tokens):
+                _at(tok.line, tok.column, check, names, tok.text)
+            _at(lineno, 1, names.jet, jet)
+            key = tuple(tok.text for tok in tokens) + ((jet,) if table.data.jet else ())
             if key in entries:
                 raise SemanticError(f"duplicate {table.noun} entry {key}", lineno, 1)
             value = parse_remaining_expression(stream)
-            checker.field_sector_expression(value, lineno)
+            _at(lineno, 1, table.data.check_value, names, entries, key, value)
             entries[key] = value
-        tables[table.attr] = entries
+        tables[table.data.attr] = entries
 
     deformation: dict[int, LocalFunction] = {}
     if "deformation" in sections:
@@ -346,21 +303,18 @@ def parse_document(text: str) -> ModelDocument:
                     power_tok.line, power_tok.column)
             stream.expect("EQUALS", "'='")
             value = parse_remaining_expression(stream)
-            checker.linear_complex_expression(value, lineno)
+            _check_deformation(names, value, lineno)
             deformation[power] = value
 
-    try:
-        spec = ModelSpec(
-            spatial_dim=dimension,
-            fields=fields,
-            gauge_indices=gauge,
-            lagrangian=lagrangian,
-            max_jet_order=max_jet_order,
-            max_poly_degree=max_poly_degree,
-            **tables,
-        )
-    except ValueError as err:
-        raise SemanticError(str(err), 1, 1) from err
+    spec = ModelSpec(
+        spatial_dim=dimension,
+        fields=fields,
+        gauge_indices=gauge,
+        lagrangian=lagrangian,
+        max_jet_order=max_jet_order,
+        max_poly_degree=max_poly_degree,
+        **tables,
+    )
     return ModelDocument(spec=spec, deformation=deformation)
 
 
@@ -380,12 +334,12 @@ def print_model(m: ModelSpec, deformation: dict[int, LocalFunction] | None = Non
     lines.append(f"bounds jet={m.max_jet_order} deg={m.max_poly_degree}")
     lines.append(f"lagrangian {format_local_function(m.lagrangian)}")
     for table in _TABLES:
-        entries = getattr(m, table.attr)
+        entries = getattr(m, table.data.attr)
         if entries is None or not (entries or table.print_empty):
             continue
         lines.append(table.name)
         for key in sorted(entries):
-            families, jet = (key[:-1], key[-1]) if table.jet else (key, ())
+            families, jet = (key[:-1], key[-1]) if table.data.jet else (key, ())
             suffix = f"; {' '.join(str(i) for i in jet)}" if jet else ""
             value = format_local_function(entries[key])
             lines.append(f"  {table.head}[{', '.join(families)}{suffix}] = {value}")

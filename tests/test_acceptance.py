@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from bvforge.algebra import (
     LocalFunction,
     antifield,
@@ -30,7 +32,8 @@ from bvforge.algebra import (
 from bvforge.bracket import antibracket, bv_laplacian
 from bvforge.cli import run_command
 from bvforge.expr import format_local_function, parse_expression
-from bvforge.jet import ModelSpec, all_multi_indices, check_noether, euler_lagrange, total_derivative
+from bvforge.jet import (STRUCTURE_FUNCTIONS, ModelNames, ModelSpec, all_multi_indices,
+                         check_noether, euler_lagrange, total_derivative)
 from bvforge.linfty import (
     BasisElement,
     Element,
@@ -549,6 +552,31 @@ def test_the_package_imports_only_the_standard_library():
             foreign += [f"{path.name}: {name}" for name in modules
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_each_model_data_refusal_is_written_once():
+    # the checks on model data live in jet.ModelNames and jet.ModelTable;
+    # a second copy of one of their refusals elsewhere would drift from it
+    names = ModelNames(1, frozenset({"1"}), frozenset({"e"}), max_jet_order=1)
+    one = LocalFunction.one()
+    refusals = [
+        (names.field_label, ("9",), "unknown field family"),
+        (names.gauge_label, ("9",), "unknown gauge index"),
+        (names.direction, (0,), "spatial directions start at"),
+        (names.direction, (2,), "exceeds dimension"),
+        (names.jet, ((1, 1),), "exceeds bound"),
+        (names.field_sector, (gen(ghost("e")),), "atoms do not belong in the field sector"),
+        (STRUCTURE_FUNCTIONS.check_value, (names, {}, ("e", "1", "1"), one),
+         "a diagonal entry must vanish"),
+        (STRUCTURE_FUNCTIONS.check_value, (names, {("e", "1", "2"): one}, ("e", "2", "1"), one),
+         "are not antisymmetric"),
+    ]
+    package = Path(__file__).parents[1] / "src" / "bvforge"
+    source = "".join(path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py")))
+    for check, args, words in refusals:
+        with pytest.raises(ValueError, match=words):
+            check(*args)
+        assert source.count(words) == 1, words
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -122,6 +122,13 @@ def test_bracket_delta_and_qme_vanish_on_the_ghost_model():
     assert out == "(S, S) = 0\ndelta(S) = 0\nPASS\n"
 
 
+def test_qme_fails_on_a_lie_algebra_that_is_not_unimodular():
+    # [e1, e2] = e2: Jacobi holds, so (S, S) = 0, but tr ad e1 = 1 gives delta(S) = C[1]
+    assert run_command(["qme", fx("aff1.bv")]) == (
+        1, "(S, S) = 0\ndelta(S) = C[1]\nresidual[quantum] = -C[1]\nFAIL\n")
+    assert run_command(["solve", fx("aff1.bv")]) == (0, "PASS\n")
+
+
 def test_extract_reads_the_structure_constants():
     status, out = run_command(["extract", fx("so3_ghost.bv"), "-n", "2"])
     assert status == 0
@@ -241,7 +248,7 @@ def test_chained_products_of_powers_are_refused_at_once(tmp_path):
         status, out = run_command(["el", str(path)])
         assert time.monotonic() - start < 1.0
         assert (status, out) == (
-            2, "error: line 4, column 45: the expression needs more than 50000 term products\n")
+            2, "error: line 4, column 45: the document needs more than 50000 term products\n")
 
 
 def test_the_term_product_budget_spans_the_whole_document(tmp_path):
@@ -258,7 +265,7 @@ def test_the_term_product_budget_spans_the_whole_document(tmp_path):
     assert time.monotonic() - start < 1.0
     column = entries[1].index("*") + 1
     assert (status, out) == (
-        2, f"error: line 7, column {column}: the expression needs more than 50000 term products\n")
+        2, f"error: line 7, column {column}: the document needs more than 50000 term products\n")
     path.write_text(head + entries[0] + "\n")
     assert run_command(["el", str(path)])[0] == 0
 
@@ -537,6 +544,7 @@ ALL_COMMANDS = [
 # before the Monomial record was retired: each (command, format, exit
 # status, output) enters the digest NUL-separated, in COMMANDS order
 SURFACE_DIGESTS = {
+    "aff1.bv": "6075cc2f530ae27883c891ab4c1a7cce28de352ebfd4382b828068802b54f0e5",
     "divergence.bv": "9da9977e7009315a030f45513d082519741c3772a74b2a0e9f7bc2cb22afe03b",
     "gl3.bv": "7379ee0dee480dfa607396d3963ea0160c4fff48ad0f51318d526964abf6b69f",
     "mc_fail.bv": "b7a2b753646df0e0908bdd313f9171c849b1107aaa4ec0c048e2e974f324b9f8",

@@ -483,13 +483,13 @@ def test_model_validation_checks_structure_and_closure_tables():
         ({("9", "1", "2"): one}, None, "structure function .* unknown gauge index '9'"),
         ({("1", "1", "x"): one}, None, "unknown gauge index 'x'"),
         ({("1", "2"): one}, None, "needs 3 entries"),
-        ({("1", "1", "2"): ghosted}, None, "only base coordinates and fields"),
+        ({("1", "1", "2"): ghosted}, None, "structure function .* C atoms do not belong"),
         ({("1", "1", "2"): gen(field("3"))}, None, "unknown field family '3'"),
-        ({("1", "1", "2"): gen(base(2))}, None, "beyond dimension 1"),
-        (None, {("1", "3", "1", "2"): one}, "closure function .* unknown field '3'"),
+        ({("1", "1", "2"): gen(base(2))}, None, "direction 2 exceeds dimension 1"),
+        (None, {("1", "3", "1", "2"): one}, "closure function .* unknown field family '3'"),
         (None, {("1", "2", "1", "9"): one}, "unknown gauge index '9'"),
         (None, {("1", "2", "1"): one}, "needs 4 entries"),
-        (None, {("1", "2", "1", "2"): ghosted}, "only base coordinates and fields"),
+        (None, {("1", "2", "1", "2"): ghosted}, "closure function .* C atoms do not belong"),
     ):
         with pytest.raises(ValueError, match=message):
             spec(structure, closure)

@@ -18,7 +18,7 @@ from bvforge import cli, linfty
 from bvforge.algebra import (Generator, LocalFunction, antifield, antighost, field, gen,
                              ghost, graded_partial, inversion_parity, sum_of,
                              term_bidegree)
-from bvforge.bracket import JetModelUnsupported, antibracket
+from bvforge.bracket import JetModelUnsupported, antibracket, bv_laplacian
 from bvforge.cli import run_command
 from bvforge.expr import format_generator
 from bvforge.jet import ModelSpec
@@ -1500,6 +1500,32 @@ def test_master_equation_and_identities_agree_on_seeded_lie_algebras(tmp_path):
         verdicts[("moved" in label, holds)] += 1
     assert verdicts[(False, True)] == 12, verdicts
     assert verdicts[(True, False)] >= 3 and verdicts[(True, True)] >= 3, verdicts
+
+
+def test_laplacian_of_a_lie_action_is_the_trace_of_ad(tmp_path):
+    # Delta S = sum_j tr(ad e_j) C^j, and Jacobi gives (S, S) = 0, so qme
+    # passes exactly on the unimodular algebras
+    path = tmp_path / "lie.bv"
+    verdicts = Counter()
+    for label, brackets, dim in seeded_lie_models():
+        if not jacobi_holds(brackets, dim):
+            continue
+        names = tuple(str(i + 1) for i in range(dim))
+        structure = {(names[k], names[i], names[j]): LocalFunction.constant(c)
+                     for (i, j), value in brackets.items() for k, c in value.items() if c}
+        spec = ModelSpec(spatial_dim=0, fields=(), gauge_indices=names,
+                         lagrangian=LocalFunction.zero(), structure_functions=structure)
+        # tr(ad e_j) = sum_k c^k_{jk}, with the table holding i < j only
+        traces = [sum(brackets.get((j, k), {}).get(k, 0) - brackets.get((k, j), {}).get(k, 0)
+                      for k in range(dim)) for j in range(dim)]
+        S = solve_master(spec, 3)[0].total
+        assert bv_laplacian(S) == sum_of(t * gen(ghost(names[j])) for j, t in enumerate(traces)), label
+        path.write_text(print_model(spec), encoding="utf-8")
+        status, out = run_command(["qme", str(path)])
+        unimodular = not any(traces)
+        assert status == (0 if unimodular else 1), (label, out)
+        verdicts[label.split()[0], unimodular] += 1
+    assert verdicts == {("so3", True): 4, ("gl2", True): 4, ("aff1", False): 8}, verdicts
 
 
 def test_mc_residual_degree_gates():

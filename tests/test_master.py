@@ -26,7 +26,7 @@ from bvforge.algebra import (
 )
 import bvforge.jet
 from bvforge import master
-from bvforge.bracket import JetModelUnsupported, antibracket
+from bvforge.bracket import JetModelUnsupported, antibracket, bv_laplacian
 from bvforge.cli import run_command
 from bvforge.jet import (
     ModelSpec,
@@ -758,6 +758,61 @@ def test_quantum_check_on_rotation_ghost_action():
     assert report.classical.is_zero
     assert report.delta.is_zero
     assert report.quantum_residual.is_zero
+
+
+QUANTUM_POOL = (field("1"), antifield("1"), field("2"), antifield("2"),
+                ghost("1"), antighost("1"), ghost("2"), antighost("2"))
+
+
+def random_of_parity(rng: random.Random, parity: int) -> LocalFunction:
+    """A nonzero sum of up to four monomials over QUANTUM_POOL, all of one parity."""
+    f = LocalFunction.zero()
+    while f.is_zero:
+        for _ in range(rng.randint(1, 4)):
+            flat = [rng.choice(QUANTUM_POOL) for _ in range(rng.randint(1, 4))]
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            mono = LocalFunction.from_terms([(tuple((g, 1) for g in flat), c)])
+            if not mono.is_zero and mono.parity() == parity:
+                f = f + mono
+    return f
+
+
+def quantum_square_defect(S, f, c=-2, laplacian=bv_laplacian, factor=2) -> LocalFunction:
+    """(Delta + c (S, .))^2 f - factor ((S, S) - Delta S, f), with the
+    residual as ``quantum_master_check`` reads it.  The defect vanishes for
+    every S and f exactly when the square of Delta_S = Delta - 2 (S, .) is
+    twice the bracket with the residual, so Delta_S^2 = 0 is the quantum
+    master equation."""
+    def twisted(g):
+        return laplacian(g) + c * antibracket(S, g, 0)
+    residual = quantum_master_check(S).quantum_residual
+    return twisted(twisted(f)) - factor * antibracket(residual, f, 0)
+
+
+def test_the_twisted_laplacian_squares_to_the_quantum_residual():
+    probes = [gen(g) for g in QUANTUM_POOL]
+    fixtures = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        m = parse_document(path.read_text(encoding="utf-8")).spec
+        if m.spatial_dim or not check_noether(m).all_pass:
+            continue
+        S = solve_master(m, 3)[0].total
+        for f in probes + [gen(z) for z in families(S)] + [S, S * gen(ghost("1"))]:
+            assert quantum_square_defect(S, f).is_zero, (path.stem, f)
+        fixtures += 1
+    assert fixtures >= 8
+    rng = random.Random(20261020)
+    mutants = {"c = -1": {"c": -1}, "flipped Laplacian": {"laplacian": lambda g: -bv_laplacian(g)},
+               "no factor 2": {"factor": 1}}
+    caught = dict.fromkeys(mutants, 0)
+    for _ in range(40):
+        S = random_of_parity(rng, 0)
+        for parity in (0, 1):
+            f = random_of_parity(rng, parity)
+            assert quantum_square_defect(S, f).is_zero, (S, f)
+            for name, mutant in mutants.items():
+                caught[name] += not quantum_square_defect(S, f, **mutant).is_zero
+    assert min(caught.values()) >= 10, caught
 
 
 def test_quantum_check_trivial_and_gated():

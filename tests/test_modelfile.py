@@ -1,7 +1,10 @@
 """Model documents: section parsing, validation, and round trips."""
 
 import hashlib
+import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 
 from bvforge.algebra import LocalFunction, antighost, field, ghost
 from bvforge.cli import run_command
-from bvforge.expr import MAX_DEFORMATION_ORDER, ExpressionSyntaxError, SemanticError
+from bvforge.expr import (MAX_DEFORMATION_ORDER, ExpressionSyntaxError, SemanticError,
+                          parse_expression)
 from bvforge.jet import ModelSpec
 from bvforge.modelfile import parse_document, parse_model, print_model
 
@@ -200,6 +204,154 @@ def test_non_ascii_digits_are_refused_with_a_position():
     assert (err.value.line, err.value.column) == (3, 14)
 
 
+# ------------------------------------------------- one validator, every line
+
+HEAD = "dimension 1\nfields 1 2\ngauge 1 2\nbounds jet=1 deg=4\n"
+
+# (table section, entries as (ModelSpec key, value), the refusal's column
+# and words): the last entry is the one refused; section None is the
+# lagrangian.  A refused key label keeps its column, the rest take 1.
+REFUSALS = [
+    ("generators", [(("1", "1", ()), "1"), (("9", "1", ()), "1")], 5, "unknown field family '9'"),
+    ("generators", [(("1", "1", ()), "1"), (("2", "f", ()), "1")], 8, "unknown gauge index 'f'"),
+    ("generators", [(("1", "1", ()), "1"), (("2", "1", (0,)), "1")], 1,
+     "spatial directions start at 1, got 0"),
+    ("closure", [(("1", "2", "1", "2"), "u[1; 2]")], 1, "direction 2 exceeds dimension 1"),
+    ("structure", [(("2", "1", "2"), "u[1]"), (("1", "1", "2"), "C[1]")], 1,
+     "C atoms do not belong in the field sector"),
+    (None, [((), "x[2]*u[1]")], 1, "direction 2 exceeds dimension 1"),
+    ("structure", [(("1", "2", "2"), "1")], 1, "a diagonal entry must vanish"),
+    ("structure", [(("1", "1", "2"), "1"), (("1", "2", "1"), "1")], 1,
+     "entries ('1', '1', '2') and ('1', '2', '1') are not antisymmetric"),
+    ("closure", [(("1", "2", "1", "2"), "1"), (("2", "1", "2", "1"), "2")], 1,
+     "entries ('1', '2', '1', '2') and ('2', '1', '2', '1') are not antisymmetric"),
+]
+_HEADS = {"generators": ("r", "gauge_coefficients"), "structure": ("c", "structure_functions"),
+          "closure": ("nu", "closure_functions")}
+
+
+def _entry_line(head: str, key: tuple, value: str) -> str:
+    labels, jet = (key[:-1], key[-1]) if head == "r" else (key, ())
+    suffix = f"; {' '.join(map(str, jet))}" if jet else ""
+    return f"  {head}[{', '.join(labels)}{suffix}] = {value}"
+
+
+@pytest.mark.parametrize("section, entries, column, words", REFUSALS)
+def test_parser_and_model_spec_refuse_alike(section, entries, column, words):
+    # the document refuses the last entry at its own line, and ModelSpec,
+    # given the same data, in the same words after the entry's name
+    if section is None:
+        text = HEAD + f"lagrangian {entries[0][1]}\n"
+        kwargs = {"lagrangian": parse_expression(entries[0][1])}
+    else:
+        head, attr = _HEADS[section]
+        text = HEAD + section + "\n" + "".join(_entry_line(head, k, v) + "\n" for k, v in entries)
+        kwargs = {"lagrangian": LocalFunction.zero(),
+                  attr: {k: parse_expression(v) for k, v in entries}}
+    with pytest.raises(SemanticError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column, err.value.reason) == (text.count("\n"), column, words)
+    with pytest.raises(ValueError) as err:
+        ModelSpec(spatial_dim=1, fields=("1", "2"), gauge_indices=("1", "2"), **kwargs)
+    assert str(err.value).endswith(f": {words}"), str(err.value)
+    assert not isinstance(err.value, SemanticError)
+
+
+def test_refusals_that_model_spec_once_made_name_their_line(tmp_path):
+    path = tmp_path / "model.bv"
+    documents = [
+        ("dimension 1\nfields 1\ngauge e\ngenerators\n  r[1, e; 0] = 1\n",
+         "error: line 5, column 1: spatial directions start at 1, got 0\n"),
+        ("dimension 0\ngauge 1 2\nstructure\n  c[1, 1, 2] = 1\n  c[1, 2, 1] = 1\n",
+         "error: line 5, column 1: entries ('1', '1', '2') and ('1', '2', '1')"
+         " are not antisymmetric\n"),
+        # nu[2, 1, 2, 1] is nu[1, 2, 1, 2] with both pairs swapped, so the two must agree
+        ("dimension 0\nfields 1 2\ngauge 1 2\nclosure\n  nu[1, 2, 1, 2] = 1\n"
+         "  nu[2, 1, 2, 1] = 2\n",
+         "error: line 6, column 1: entries ('1', '2', '1', '2') and ('2', '1', '2', '1')"
+         " are not antisymmetric\n"),
+    ]
+    for text, refusal in documents:
+        path.write_text(text, encoding="utf-8")
+        assert run_command(["el", str(path)]) == (2, refusal)
+    one, two = LocalFunction.one(), LocalFunction.constant(2)
+    with pytest.raises(ValueError, match="closure function .* are not antisymmetric"):
+        ModelSpec(spatial_dim=0, fields=("1", "2"), gauge_indices=("1", "2"),
+                  lagrangian=LocalFunction.zero(),
+                  closure_functions={("1", "2", "1", "2"): one, ("2", "1", "2", "1"): two})
+
+
+_VALUES = ("1", "-u[1]", "2*u[2; 1]", "x[1]*u[3]", "1/2*u[1]^2 + u[3; 1 1]")
+
+
+def _bad_entry(table: str, earlier: list, rng: random.Random) -> str:
+    """One entry of ``table`` that the checks refuse, given the entries above it."""
+    if table == "generators":
+        return rng.choice(["  r[7, 1] = 1", "  r[1, 7] = 1", "  r[1, 2; 0] = 1", "  r[1, 2; 3] = 1",
+                           "  r[2, 3; 1 1 1] = 1", "  r[3, 3] = C[1]", "  r[3, 1] = u[7]",
+                           "  r[2, 2] = x[3]", "  r[1, 1] = ustar[1]", "  r[1, 3] = u[1; 1 2 2]"])
+    structure = table == "structure"
+    kind = rng.choice(["unknown", "diagonal"] + (["swap"] if earlier else []))
+    if kind == "unknown":
+        return "  c[1, 1, 9] = 1" if structure else "  nu[1, 2, 1, 9] = 1"
+    if kind == "diagonal":
+        return "  c[1, 2, 2] = u[1]" if structure else "  nu[3, 3, 1, 2] = 1"
+    key, value = rng.choice(earlier)
+    if structure:
+        head, swapped, n = "c", (key[0], key[2], key[1]), 1
+    else:
+        swap_fields, swap_gauge = rng.choice([(True, False), (False, True), (True, True)])
+        a, b, alpha, beta = key
+        head = "nu"
+        swapped = ((b, a) if swap_fields else (a, b)) + ((beta, alpha) if swap_gauge else (alpha, beta))
+        n = swap_fields + swap_gauge
+    # the earlier value v asks for (-1)^n v here; (-1)^n (v + 1) is never it
+    sign = "-" if n % 2 else ""
+    return f"  {head}[{', '.join(swapped)}] = {sign}({value} + 1)"
+
+
+_REASONS = ("unknown field family", "unknown gauge index", "spatial directions start",
+            "exceeds dimension", "exceeds bound", "field sector", "diagonal", "not antisymmetric")
+
+
+def test_a_seeded_bad_entry_is_refused_at_its_own_line():
+    rng = random.Random(20261020)
+    gauge_keys = [(a, alpha, jet) for a in "123" for alpha in "123"
+                  for jet in ("", "; 1", "; 2", "; 1 2")]
+    structure_keys = [(g, a, b) for g in "123" for a, b in itertools.combinations("123", 2)]
+    closure_keys = [(a, b, al, be) for a, b in itertools.combinations("123", 2)
+                    for al, be in itertools.combinations("123", 2)]
+    lines_seen, reasons = set(), Counter()
+    for _ in range(200):
+        lines = ["dimension 2", "fields 1 2 3", "gauge 1 2 3", "bounds jet=2 deg=4",
+                 f"lagrangian {rng.choice(_VALUES)}"]
+        entries = {}
+        for table, keys in (("generators", gauge_keys), ("structure", structure_keys),
+                            ("closure", closure_keys)):
+            lines.append(table)
+            chosen = rng.sample(keys, rng.randint(1, 5))
+            entries[table] = []
+            for key in chosen:
+                value = rng.choice(_VALUES)
+                if table == "generators":
+                    lines.append(f"  r[{key[0]}, {key[1]}{key[2]}] = {value}")
+                else:
+                    lines.append(f"  {'c' if table == 'structure' else 'nu'}[{', '.join(key)}] = {value}")
+                entries[table].append((len(lines), key, value))
+        assert parse_document("\n".join(lines) + "\n").spec.closure_functions
+        table = rng.choice(sorted(entries))
+        at, _, _ = rng.choice(entries[table])
+        earlier = [(key, value) for line, key, value in entries[table] if line < at]
+        lines[at - 1] = _bad_entry(table, earlier, rng)
+        with pytest.raises(SemanticError) as err:
+            parse_document("\n".join(lines) + "\n")
+        assert err.value.line == at, ("\n".join(lines), str(err.value))
+        lines_seen.add(at)
+        reasons[next(r for r in _REASONS if r in err.value.reason)] += 1
+    assert len(lines_seen) >= 15, lines_seen
+    assert all(reasons[r] >= 5 for r in _REASONS), reasons
+
+
 # ------------------------------------------------------------ round trip
 
 FULL_SO3_DOC = """
@@ -267,6 +419,7 @@ def test_deformation_order_is_bounded():
 # sha256 of print_model for each shipped fixture; every structured report
 # names its model by this digest
 MODEL_DIGESTS = {
+    "aff1.bv": "061eae41b80a3d739c51e7944012432a703a942926f2934431fb644b932e1f50",
     "divergence.bv": "2ca6b2bf3cf33abc8d063aea8e05bb060c36ce5a631b192418ef7bbc5f6faa0f",
     "gl3.bv": "8a7e9fc3add49d32f819735745077fe703ecb1c31426788e0635fbef0e595394",
     "mc_fail.bv": "926d63d0b04fa401e8c137a93a2c43d7c31d3f3cb4bdfba536367d4fc99e554f",
