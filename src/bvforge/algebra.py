@@ -93,10 +93,13 @@ class Generator:
     identity and no attribute can be set.  The hash, computed with
     ``bidegree``, ``parity`` and ``sort_key`` when it is made, reads the
     family as the integer of its UTF-8 bytes, so the order of every set
-    of generators is the same under every PYTHONHASHSEED.
+    of generators is the same under every PYTHONHASHSEED.  ``unprolonged``
+    is the generator of the family with no jet, and ``prolonged(i)`` the
+    next one along direction i, each made once and then kept.
     """
 
-    __slots__ = ("kind", "family", "jet", "bidegree", "parity", "sort_key", "_hash")
+    __slots__ = ("kind", "family", "jet", "bidegree", "parity", "sort_key", "_hash",
+                 "unprolonged", "_prolonged")
 
     def __new__(cls, kind: GeneratorKind, family: str, jet: Iterable[int] = ()) -> "Generator":
         jet = tuple(jet)
@@ -118,7 +121,8 @@ class Generator:
         key = (kind.rank, family, len(jet), jet)
         number = int.from_bytes(family.encode(), "little")
         for name, value in zip(cls.__slots__, (kind, family, jet, bidegree, bidegree.parity,
-                                               key, hash((key[0], number, jet)))):
+                                               key, hash((key[0], number, jet)),
+                                               cls(kind, family) if jet else self, {})):
             object.__setattr__(self, name, value)
         _GENERATORS[kind, family, jet] = self
         return self
@@ -159,8 +163,12 @@ class Generator:
             raise ValueError("base coordinates have no conjugate")
         return Generator(kind, self.family, self.jet)
 
-    def with_jet(self, jet: tuple[int, ...]) -> "Generator":
-        return Generator(self.kind, self.family, jet)
+    def prolonged(self, i: int) -> "Generator":
+        """The generator with direction i appended to the jet."""
+        h = self._prolonged.get(i)
+        if h is None:
+            h = self._prolonged[i] = Generator(self.kind, self.family, self.jet + (i,))
+        return h
 
 
 def base(i: int) -> Generator:
@@ -186,7 +194,7 @@ def antighost(family: str, jet: Iterable[int] = ()) -> Generator:
 Factors = tuple[tuple[Generator, int], ...]
 Term = tuple[Factors, Fraction]
 
-_VANISHING: Term = ((), Fraction(0))
+_VANISHING: Term = ((), 0)
 
 
 def term_bidegree(factors: Factors) -> Bidegree:
@@ -251,7 +259,8 @@ def add_terms(data: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
     """Add (key, coefficient) pairs into ``data`` in place and return it.
 
     A zero coefficient never enters and a key whose coefficient sums to
-    zero is dropped, so ``data`` holds exactly the nonzero sums.
+    zero is dropped, so ``data`` holds exactly the nonzero sums, each an
+    ``int`` when it is integral.
     """
     get = data.get
     for key, c in pairs:
@@ -259,7 +268,7 @@ def add_terms(data: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
         if old is not None:
             c = old + c
         if c:
-            data[key] = c
+            data[key] = c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
         elif old is not None:
             del data[key]
     return data
@@ -270,12 +279,13 @@ def _canonical_terms(terms: Iterable[Term]) -> dict[Factors, Fraction]:
     return add_terms({}, map(normalize, terms))
 
 
-def coerce_coefficient(value) -> Fraction:
-    """An exact rational coefficient as a ``Fraction``; floats and the rest raise TypeError."""
+def coerce_coefficient(value) -> int | Fraction:
+    """An exact rational coefficient: an ``int`` (a bool too) when it is integral and
+    a ``Fraction`` otherwise; floats and the rest raise TypeError."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -389,23 +399,15 @@ class LocalFunction:
     def __mul__(self, other) -> "LocalFunction":
         if isinstance(other, (int, Fraction)):
             c = coerce_coefficient(other)
-            if not c:
-                return LocalFunction.zero()
-            data = {}
-            for f, k in self._terms.items():
-                k *= c
-                data[f] = k.numerator if k.denominator == 1 else k  # an int when integral
-            return LocalFunction(data, _internal=True)
+            return LocalFunction(add_terms({}, ((f, k * c) for f, k in self._terms.items())),
+                                 _internal=True)
         if not isinstance(other, LocalFunction):
             return NotImplemented
         right = other._terms.items()
         return LocalFunction.from_terms(
             (f1 + f2, c1 * c2) for f1, c1 in self._terms.items() for f2, c2 in right)
 
-    def __rmul__(self, other) -> "LocalFunction":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar on the left, and scalars are even
 
     def __pow__(self, n: int) -> "LocalFunction":
         if not isinstance(n, int) or n < 0:
@@ -484,7 +486,7 @@ def graded_partial(f: LocalFunction, z: Generator, side: str = "left") -> LocalF
         for pos, (g, e) in enumerate(factors):
             if g == z:
                 new = factors[:pos] + ((g, e - 1),) * (e > 1) + factors[pos + 1:]
-                c = coeff * e
+                c = coerce_coefficient(coeff * e) if e > 1 else coeff
                 if zp:
                     if prefix_parity % 2:
                         c = -c

@@ -291,7 +291,7 @@ def _parse_primary(stream: TokenStream) -> LocalFunction:
             if denominator == 0:
                 raise SemanticError("zero denominator", den_tok.line, den_tok.column)
             return LocalFunction.constant(Fraction(numerator, denominator))
-        return LocalFunction.constant(Fraction(numerator))
+        return LocalFunction.constant(numerator)
     if tok.kind == "IDENT":
         g = parse_atom(stream)
         return _optional_power(stream, LocalFunction.from_generator(g), g if g.is_odd else None)

@@ -26,6 +26,7 @@ from .algebra import (
     LocalFunction,
     add_terms,
     base,
+    coerce_coefficient,
     field,
     graded_partial,
     sum_of,
@@ -52,7 +53,7 @@ def prolong(g: Generator, i: int, spatial_dim: int | None = None) -> Generator:
     if g.kind is GeneratorKind.BASE:
         raise BaseCoordinateProlongation(f"cannot prolong base coordinate {g}")
     _check_direction(i, spatial_dim)
-    return g.with_jet(g.jet + (i,))
+    return g.prolonged(i)
 
 
 def total_derivative(f: LocalFunction, i: int, spatial_dim: int | None = None) -> LocalFunction:
@@ -86,7 +87,7 @@ def _leibniz_terms(factors: Factors, c: Fraction, i: int, x_i: str):
             if g.family == x_i:
                 yield head + factors[pos + 1:], ce
             continue
-        h = g.with_jet(g.jet + (i,))
+        h = g.prolonged(i)
         key = h.sort_key
         odd = g.parity
         sign = False
@@ -132,7 +133,8 @@ def euler_derivatives(f: LocalFunction) -> dict[Generator, LocalFunction]:
             if g.kind is GeneratorKind.BASE:
                 continue
             if e > 1:
-                new, ce = factors[:pos] + ((g, e - 1),) + factors[pos + 1:], c * e
+                new = factors[:pos] + ((g, e - 1),) + factors[pos + 1:]
+                ce = coerce_coefficient(c * e)
             else:
                 new, ce = factors[:pos] + factors[pos + 1:], c
             negate = len(g.jet) % 2
@@ -140,7 +142,7 @@ def euler_derivatives(f: LocalFunction) -> dict[Generator, LocalFunction]:
                 negate ^= odd_before
                 odd_before = not odd_before
             # stripping one z_J is injective on canonical monomials
-            partials.setdefault(g.with_jet(()), {}).setdefault(g.jet, {})[new] = -ce if negate else ce
+            partials.setdefault(g.unprolonged, {}).setdefault(g.jet, {})[new] = -ce if negate else ce
     out = {}
     for z in sorted(partials):
         e = _fold(partials[z])
@@ -209,7 +211,7 @@ def functional_parts(f: LocalFunction, spatial_dim: int) -> dict:
 def families(*fs: LocalFunction) -> list[Generator]:
     """One unprolonged generator per (kind, family) present in the fs,
     base coordinates excluded, in the generator order."""
-    return sorted({g.with_jet(()) for f in fs for g in f.generators()
+    return sorted({g.unprolonged for f in fs for g in f.generators()
                    if g.kind is not GeneratorKind.BASE})
 
 
@@ -267,6 +269,11 @@ def enumerate_basis_monomials(
 
 
 # ------------------------------------------------------------------ models
+
+def check_unique_labels(labels: Sequence[str], kind: str) -> None:
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate {kind} identifiers")
+
 
 def check_field_label(name: str, fields: Collection[str]) -> None:
     if name not in fields:
@@ -400,10 +407,8 @@ class ModelSpec:
             raise ValueError("spatial dimension must be >= 0")
         self.fields = tuple(self.fields)
         self.gauge_indices = tuple(self.gauge_indices)
-        if len(set(self.fields)) != len(self.fields):
-            raise ValueError("duplicate field identifiers")
-        if len(set(self.gauge_indices)) != len(self.gauge_indices):
-            raise ValueError("duplicate gauge identifiers")
+        check_unique_labels(self.fields, "field")
+        check_unique_labels(self.gauge_indices, "gauge")
         if self.max_jet_order < 0 or self.max_poly_degree < 0:
             raise ValueError("ansatz bounds must be >= 0")
         names = ModelNames(self.spatial_dim, frozenset(self.fields), frozenset(self.gauge_indices))

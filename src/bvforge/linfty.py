@@ -8,7 +8,8 @@ into a tower of quadratic identities between those brackets, one for each
 arity.  This module extracts the brackets from an action, verifies the
 identity tower on abstract structures, and evaluates deformation
 residuals order by order in a formal parameter.  The grading is the
-physics one: every bracket has degree -1.
+physics one: every bracket has degree -1.  A coefficient is an ``int``
+when it is integral, so integral brackets compose in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class Element:
 
     Coefficients must be exact: ints or Fractions.  Anything else, a float
     or a string included, raises ``TypeError``, as it does for
-    ``LocalFunction``.
+    ``LocalFunction``.  A coefficient is kept as an ``int`` when it is
+    integral; ``coefficient`` reads it back as a ``Fraction``.
     """
 
     __slots__ = ("_coeffs",)
@@ -72,7 +74,7 @@ class Element:
     def __init__(self, coeffs: Mapping[BasisElement, Fraction] | None = None, *,
                  _internal: bool = False):
         if _internal:
-            # the caller hands over a fresh dict of nonzero Fractions
+            # the caller hands over a fresh dict of nonzero coefficients, ints when integral
             self._coeffs = coeffs
         else:
             self._coeffs = add_terms({}, ((b, coerce_coefficient(c))
@@ -96,7 +98,7 @@ class Element:
                             key=lambda bc: (bc[0].degree, bc[0].name)))
 
     def coefficient(self, b: BasisElement) -> Fraction:
-        return self._coeffs.get(b, Fraction(0))
+        return Fraction(self._coeffs.get(b, 0))
 
     def support(self) -> tuple[BasisElement, ...]:
         return tuple(b for b, _ in self.items())
@@ -119,7 +121,7 @@ class Element:
 
     def __mul__(self, scalar) -> "Element":
         s = coerce_coefficient(scalar)
-        return Element({b: s * c for b, c in self._coeffs.items()} if s else {},
+        return Element(add_terms({}, ((b, s * c) for b, c in self._coeffs.items())),
                        _internal=True)
 
     __rmul__ = __mul__
@@ -135,6 +137,9 @@ class Element:
             return "Element(0)"
         body = " + ".join(f"{c}*{b.name}" for b, c in self.items())
         return f"Element({body})"
+
+
+_ZERO = Element.zero()
 
 
 class LInftyStructure:
@@ -223,7 +228,7 @@ class LInftyStructure:
             value = table.get(key)
             if value is None:
                 continue
-            coeff = Fraction(sign)
+            coeff = sign
             for _, c in combo:
                 coeff *= c
             add_terms(out, ((b, coeff * c) for b, c in value._coeffs.items()))
@@ -248,9 +253,6 @@ class LInftyStructure:
         of each input b in both blocks go left: prod over those b of
         C(mult_T(b), mult_K(b)) of them.
         """
-        table = self._identity_tables.get(n)
-        if table is not None:
-            return table
         sums: dict[tuple[BasisElement, ...], dict[BasisElement, Fraction]] = {}
         for k in range(1, n + 1):
             m = n - k + 1
@@ -330,7 +332,7 @@ def extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
                 continue
             weight = side_sign if n % 2 else -side_sign
             key = tuple(to_basis[z] for z, e in factors for _ in range(e))
-            entries.setdefault(n, {}).setdefault(key, {})[to_basis[g]] = (
+            entries.setdefault(n, {}).setdefault(key, {})[to_basis[g]] = coerce_coefficient(
                 weight * c * prod(factorial(e) for _, e in factors))
 
     return LInftyStructure(
@@ -368,15 +370,18 @@ def identity_residual(L: LInftyStructure, inputs: Sequence[BasisElement]) -> Ele
     every pair of tensor entries once (``LInftyStructure._identity_table``).
     It is graded symmetric, so inputs out of basis order take the Koszul
     sign of their reordering.  An arity with no nonzero residual returns
-    zero without looking at the inputs.
+    zero without looking at the inputs, and a vanishing residual is one
+    shared zero ``Element``: the call allocates nothing.
     """
-    table = L._identity_table(len(inputs))
+    table = L._identity_tables.get(len(inputs))
+    if table is None:
+        table = L._identity_table(len(inputs))
     if not table:
-        return Element.zero()
+        return _ZERO
     key, sign = L._canonical(tuple(inputs))
     value = table.get(key)
     if value is None:
-        return Element.zero()
+        return _ZERO
     return value if sign == 1 else -value
 
 
@@ -461,7 +466,7 @@ def mc_residual(
     for power, component in theta.items():
         if power <= order:
             for b, c in component._coeffs.items():
-                series.setdefault(b, [Fraction(0)] * (order + 1))[power] = c
+                series.setdefault(b, [0] * (order + 1))[power] = c
     sums: dict[int, dict[BasisElement, Fraction]] = {m: {} for m in range(1, order + 1)}
     for n, table in L.tensors.items():
         if n > order:
@@ -470,7 +475,7 @@ def mc_residual(
             if not all(b in series for b in key):
                 continue
             # the key's monomial in theta(t), each power of theta_b over e_b!
-            monomial = [Fraction(1)] + [Fraction(0)] * order
+            monomial = [1] + [0] * order
             for b, run in itertools.groupby(key):
                 e = len(tuple(run))
                 for _ in range(e):

@@ -45,7 +45,7 @@ from .expr import (
     tokenize,
 )
 from .jet import (CLOSURE_FUNCTIONS, GAUGE_COEFFICIENTS, STRUCTURE_FUNCTIONS, ModelNames,
-                  ModelSpec, ModelTable)
+                  ModelSpec, ModelTable, check_unique_labels)
 
 __all__ = ["ModelDocument", "parse_document", "parse_model", "print_model"]
 
@@ -199,13 +199,16 @@ _TABLE_SECTIONS = (*(t.name for t in _TABLES), "deformation")
 _SECTION_KEYWORDS = ("dimension", "fields", "gauge", "bounds", "lagrangian", *_TABLE_SECTIONS)
 
 
-def _parse_families(stream: TokenStream, lineno: int, what: str) -> tuple[str, ...]:
+def _parse_families(stream: TokenStream, sections: dict, what: str, kind: str) -> tuple[str, ...]:
+    """The family labels of section ``what``, none when it is absent."""
+    if what not in sections:
+        return ()
+    _scalar_stream(stream, sections[what])
     names: list[str] = []
     while stream.current.kind in ("IDENT", "INT"):
         names.append(stream.advance().text)
     stream.expect("EOF", f"family labels only in section {what!r}")
-    if len(set(names)) != len(names):
-        raise SemanticError(f"duplicate {what} identifiers", lineno, 1)
+    _at(sections[what][0], 1, check_unique_labels, names, kind)
     return tuple(names)
 
 
@@ -246,15 +249,8 @@ def parse_document(text: str) -> ModelDocument:
         max_jet_order, max_poly_degree = _parse_bounds(
             _scalar_stream(stream, sections["bounds"]), sections["bounds"][0])
 
-    fields: tuple[str, ...] = ()
-    if "fields" in sections:
-        fields = _parse_families(
-            _scalar_stream(stream, sections["fields"]), sections["fields"][0], "fields")
-
-    gauge: tuple[str, ...] = ()
-    if "gauge" in sections:
-        gauge = _parse_families(
-            _scalar_stream(stream, sections["gauge"]), sections["gauge"][0], "gauge")
+    fields = _parse_families(stream, sections, "fields", "field")
+    gauge = _parse_families(stream, sections, "gauge", "gauge")
 
     names = ModelNames(dimension, frozenset(fields), frozenset(gauge), max_jet_order)
 

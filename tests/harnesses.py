@@ -1,4 +1,5 @@
-"""Randomized property-test harnesses for the antibracket and the Laplacian.
+"""Randomized property-test harnesses for the antibracket and the Laplacian,
+and the check of the coefficient contract.
 
 Each harness draws random homogeneous local functions over a three-pair
 finite model from a fixed seed and checks an identity exactly, so a
@@ -9,10 +10,11 @@ library itself samples nothing at random.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 from bvforge.algebra import LocalFunction, antifield, antighost, field, ghost
 from bvforge.bracket import antibracket, bv_laplacian
@@ -147,3 +149,14 @@ def bv_identity_harness(samples: int = 500, seed: int = 20260817) -> HarnessRepo
         if lhs != rhs:
             failures.append(HarnessFailure("bv-compatibility", idx, (a, b), lhs, rhs))
     return HarnessReport(samples=samples, checks=checks, failures=tuple(failures))
+
+
+def assert_ints_when_integral(coefficients: Iterable) -> Counter:
+    """Check that every stored coefficient is an ``int`` exactly when it is
+    integral and a ``Fraction`` otherwise, never a bool or a float; count
+    the coefficients of each type."""
+    seen: Counter = Counter()
+    for c in coefficients:
+        assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
+        seen[type(c).__name__] += 1
+    return seen

@@ -6,9 +6,11 @@ import copy
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from harnesses import assert_ints_when_integral
 
 from bvforge.algebra import (
     Bidegree,
@@ -19,6 +21,7 @@ from bvforge.algebra import (
     antifield,
     antighost,
     base,
+    coerce_coefficient,
     decompose_by_antifield_number,
     field,
     gen,
@@ -131,7 +134,7 @@ def test_each_generator_is_made_once():
     assert Generator(GeneratorKind.FIELD, "1", [2, 1]) is field("1", (1, 2))
     assert Generator(kind=GeneratorKind.GHOST, family="a") is ghost("a", ())
     for g in (base(2), field("1", (1, 2)), antifield("a", (1,)), ghost("10"), antighost("b", (2,))):
-        assert g.with_jet(g.jet) is g
+        assert Generator(g.kind, g.family, g.jet) is g
         assert copy.copy(g) is g and copy.deepcopy(g) is g
         assert pickle.loads(pickle.dumps(g)) is g
         if g.kind is not GeneratorKind.BASE:
@@ -146,6 +149,26 @@ def test_each_generator_is_made_once():
     with pytest.raises(AttributeError):
         del g.family
     assert (g.kind, g.family, g.jet) == (GeneratorKind.FIELD, "1", (1,))
+
+
+def test_prolongation_links_are_the_shared_generators():
+    for g in (field("1"), field("1", (2, 1)), antifield("a", (1,)), ghost("10"),
+              antighost("b", (2,))):
+        assert g.unprolonged is Generator(g.kind, g.family)
+        assert g.unprolonged.unprolonged is g.unprolonged
+        for i in (1, 2, 3):
+            h = g.prolonged(i)
+            assert h is g.prolonged(i) is Generator(g.kind, g.family, g.jet + (i,))
+            assert h.unprolonged is g.unprolonged and h.jet == tuple(sorted(g.jet + (i,)))
+    assert base(1).unprolonged is base(1)
+    assert ghost("a", (2,)).prolonged(1) is ghost("a", (1,)).prolonged(2) is ghost("a", (1, 2))
+    for bad in (0, -1, "1"):
+        with pytest.raises(ValueError, match="jet indices must be integers >= 1"):
+            field("1").prolonged(bad)
+    with pytest.raises(ValueError, match="base coordinates carry no jet index"):
+        base(1).prolonged(1)
+    with pytest.raises(AttributeError):
+        field("1").unprolonged = field("2")
 
 
 def test_generator_repr_and_hash_are_pinned():
@@ -521,3 +544,41 @@ def test_sum_of_agrees_with_a_fold_of_the_two_term_add():
         cancelled += sum(len(f.terms()) for f in fs) > len(total.terms())
     assert cancelled > 100
     assert sum_of([]) == LocalFunction.zero()
+
+
+# ---------------------------------------------------------------- coefficients
+
+def test_coerce_coefficient_keeps_integral_values_as_ints():
+    for value, expected in ((True, 1), (False, 0), (7, 7), (Fraction(4, 2), 2), (Fraction(-3), -3)):
+        c = coerce_coefficient(value)
+        assert type(c) is int and c == expected, value
+    assert type(coerce_coefficient(Fraction(-2, 4))) is Fraction
+    assert coerce_coefficient(Fraction(-2, 4)) == Fraction(-1, 2)
+    for bad in (0.5, 1.0, "1", "1/2", None):
+        with pytest.raises(TypeError):
+            coerce_coefficient(bad)
+    assert type(LocalFunction.constant(True).constant_term()) is int
+    assert type(LocalFunction({(): Fraction(6, 3)}).constant_term()) is int
+
+
+def test_local_functions_store_ints_exactly_when_integral():
+    # sums, products, scalar multiples and partials of random functions
+    # whose coefficients include integral Fractions such as 4/2
+    rng = random.Random(20261020)
+    scalars = (2, -1, True, Fraction(1, 2), Fraction(4, 2), Fraction(-2, 3), Fraction(3, 3))
+    seen = Counter()
+    for _ in range(200):
+        f, g = random_local_function(rng), random_local_function(rng)
+        s = rng.choice(scalars)
+        z = rng.choice(POOL)
+        results = [f, f + g, f - g, f * g, s * f, f * s, -f, f + f, 2 * f - f,
+                   f * Fraction(1, 2) + f * Fraction(1, 2), f ** 2, sum_of((f, g, f)),
+                   LocalFunction.constant(s), graded_partial(f * f + f * g, z, "left"),
+                   graded_partial(f * g, z, "right"),
+                   *decompose_by_antifield_number(f * g).values()]
+        for h in results:
+            seen += assert_ints_when_integral(c for _, c in h.terms())
+    assert seen["int"] > 1000 and seen["Fraction"] > 1000, seen
+    sums = add_terms({}, [("a", Fraction(1, 2)), ("a", Fraction(1, 2)), ("b", Fraction(6, 3))])
+    assert sums == {"a": 1, "b": 2}
+    assert assert_ints_when_integral(sums.values()) == {"int": 2}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +42,7 @@ from bvforge.jet import (
     variational_derivative,
 )
 from bvforge.modelfile import parse_document
+from harnesses import assert_ints_when_integral
 from gauge import (
     NonFieldGeneratorPresent,
     apply_evolutionary,
@@ -225,6 +227,21 @@ def test_prolongations_are_shared():
     f = gen(field("1", (1, 1))) * gen(g) + gen(antifield("1"))
     assert families(f) == [field("1"), antifield("1"), ghost("a")]
     assert list(euler_derivatives(gen(U1) ** 2)) == [U]
+
+
+def test_derivatives_store_ints_exactly_when_integral():
+    # 1/2 u^2 and the like give integral Fractions under e * c
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(150):
+        f = random_graded_function(rng) * random_graded_function(rng)
+        f = f + random_field_function(rng) ** 2
+        results = [total_derivative(f, 1), total_derivative_multi(f, (1, 2)),
+                   *euler_derivatives(f).values(), variational_derivative(f, field("1"), "right"),
+                   euler_lagrange(f, "1")]
+        for h in results:
+            seen += assert_ints_when_integral(c for _, c in h.terms())
+    assert seen["int"] > 1000 and seen["Fraction"] > 1000, seen
 
 
 # ---------------------------------------------------------------- Euler operator

@@ -38,6 +38,7 @@ from bvforge.linfty import (
 )
 from bvforge.master import BVAction, build_stage_action, solve_master
 from bvforge.modelfile import parse_document, print_model
+from harnesses import assert_ints_when_integral
 
 HALF = LocalFunction.constant(Fraction(1, 2))
 
@@ -938,6 +939,145 @@ def test_identity_weights_match_the_unshuffle_count():
             seen["repeated even"] += sum(any(a == b for a, b in zip(T, T[1:])) for T in table)
             seen[n] += bool(table)
     assert min(seen[n] for n in range(1, 6)) >= 5 and seen["repeated even"] >= 20, seen
+
+
+# ------------------------------------------------ the all-Fraction oracle
+# The structure's arithmetic carried out in Fractions throughout, the oracle
+# for the int coefficients: each product starts from Fraction(sign), no sum
+# is reduced to an int, and every vanishing tuple makes its own zero Element.
+
+def fraction_coefficient(value):
+    """``coerce_coefficient`` with every exact value kept as a ``Fraction``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def fraction_add_terms(data, pairs):
+    """``add_terms`` with every sum kept as it comes out, integral ``Fraction``s included."""
+    for key, c in pairs:
+        old = data.get(key)
+        if old is not None:
+            c = old + c
+        if c:
+            data[key] = c
+        elif old is not None:
+            del data[key]
+    return data
+
+
+def fraction_apply(self, n, args):
+    """``LInftyStructure.apply`` with each product started from ``Fraction(sign)``."""
+    if len(args) != n:
+        raise ValueError(f"arity {n} bracket applied to {len(args)} inputs")
+    table = self.tensors.get(n, {})
+    out = {}
+    for combo in itertools.product(*(arg._coeffs.items() for arg in args)):
+        key, sign = self._canonical(tuple(b for b, _ in combo))
+        value = table.get(key)
+        if value is None:
+            continue
+        coeff = Fraction(sign)
+        for _, c in combo:
+            coeff *= c
+        fraction_add_terms(out, ((b, coeff * c) for b, c in value._coeffs.items()))
+    return Element(out, _internal=True)
+
+
+def fraction_identity_residual(L, inputs):
+    """``identity_residual`` with a fresh zero ``Element`` for each vanishing tuple."""
+    table = L._identity_tables.get(len(inputs))
+    if table is None:
+        table = L._identity_table(len(inputs))
+    if not table:
+        return Element.zero()
+    key, sign = L._canonical(tuple(inputs))
+    value = table.get(key)
+    if value is None:
+        return Element.zero()
+    return value if sign == 1 else -value
+
+
+def sweep_arity(L):
+    """The highest arity through 5 whose sweep stays under the tuple bound."""
+    return max(n for n in range(1, 6)
+               if identity_tuple_count(len(L.basis), n) <= MAX_IDENTITY_TUPLES)
+
+
+def coefficients(elements):
+    return (c for element in elements for _, c in element.items())
+
+
+def test_the_fraction_oracle_gives_equal_tables_residuals_and_reports(monkeypatch):
+    structures = [L for L, _ in oracle_structures(random.Random(20261018))]
+    structures += [extract_brackets(fixture_action(name), 5) for name in FINITE_FIXTURES]
+    oracles = []
+    with monkeypatch.context() as patch:
+        patch.setattr(linfty, "coerce_coefficient", fraction_coefficient)
+        patch.setattr(linfty, "add_terms", fraction_add_terms)
+        patch.setattr(LInftyStructure, "apply", fraction_apply)
+        patch.setattr(linfty, "identity_residual", fraction_identity_residual)
+        for L in structures:
+            F = LInftyStructure(L.basis, {
+                n: {key: Element(dict(value.items())) for key, value in table.items()}
+                for n, table in L.tensors.items()})
+            n_max = sweep_arity(L)
+            tables = [F._identity_table(n) for n in range(1, n_max + 1)]
+            residuals, _ = oracle_report(F, n_max, fraction_identity_residual)
+            oracles.append((F, tables, residuals, check_linfty(F, n_max)))
+    seen = Counter()
+    for L, (F, tables, residuals, report) in zip(structures, oracles):
+        # the oracle computed in Fractions throughout
+        values = [v for t in (*F.tensors.values(), *tables) for v in t.values()]
+        assert all(type(c) is Fraction for c in coefficients(values))
+        assert F.tensors == L.tensors
+        for n, table in enumerate(tables, 1):
+            assert L._identity_table(n) == table, (L, n)
+        for n, tup, residual in residuals:
+            assert identity_residual(L, tup) == residual, (L, tup)
+        assert check_linfty(L, report.n_max) == report
+        seen["failing"] += not report.passed
+        seen["integral"] += any(c.denominator == 1 for c in coefficients(values))
+        seen["fractional"] += any(c.denominator != 1 for c in coefficients(values))
+    assert min(seen.values()) >= 5, seen
+
+
+def test_elements_and_brackets_store_ints_exactly_when_integral():
+    rng = random.Random(20261020)
+    b, c = BasisElement("b", 0), BasisElement("c", 0)
+    x = Element({b: Fraction(4, 2), c: Fraction(1, 2)})
+    y = Element.from_basis(c, Fraction(3, 2))
+    elements = [x, y, x + y, x - y, -x, x * Fraction(2), Fraction(2, 3) * y, True * x,
+                Element.from_basis(b, True), Element({b: True, c: 3})]
+    seen = assert_ints_when_integral(coefficients(elements))
+    assert (x + y).items() == ((b, 2), (c, 2))
+    structures = [L for L, _ in oracle_structures(rng)]
+    structures += [extract_brackets(fixture_action(name), 5) for name in FINITE_FIXTURES]
+    for L in structures:
+        seen += assert_ints_when_integral(coefficients(
+            v for table in L.tensors.values() for v in table.values()))
+        for n in range(1, sweep_arity(L) + 1):
+            seen += assert_ints_when_integral(coefficients(L._identity_table(n).values()))
+        # a Maurer-Cartan point in an even degree, where inputs may repeat
+        even = [b for b in L.basis if b.degree % 2 == 0]
+        if even:
+            d = rng.choice(even).degree
+            theta = {p: Element({b: Fraction(rng.choice((-2, 1, 4)), rng.randint(1, 2))
+                                 for b in L.basis if b.degree == d}) for p in (1, 2)}
+            seen += assert_ints_when_integral(coefficients(mc_residual(L, theta, 4).values()))
+    assert seen["int"] > 300 and seen["Fraction"] > 100, seen
+
+
+def test_vanishing_residuals_are_one_shared_zero():
+    L = broken_jacobi_structure()
+    vanishing = [tup for n in range(1, 5)
+                 for tup in itertools.combinations_with_replacement(L.basis, n)
+                 if identity_residual(L, tup).is_zero]
+    assert len(vanishing) > 10
+    assert len({id(identity_residual(L, tup)) for tup in vanishing}) == 1
+    assert not check_linfty(L, 4).passed
 
 
 def test_pruned_sweep_skips_compositions_without_tensors():

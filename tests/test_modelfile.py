@@ -16,6 +16,7 @@ from bvforge.expr import (MAX_DEFORMATION_ORDER, ExpressionSyntaxError, Semantic
                           parse_expression)
 from bvforge.jet import ModelSpec
 from bvforge.modelfile import parse_document, parse_model, print_model
+from harnesses import assert_ints_when_integral
 
 ABELIAN_DOC = """
 # two scalars with one shared shift symmetry
@@ -135,7 +136,7 @@ def test_deformation_allows_antighosts_and_sums():
     ("dimension 0\ngauge e\nlagrangian C[e]", "do not belong in the field sector"),
     ("dimension 0\nfields 1\nlagrangian ustar[1]", "do not belong in the field sector"),
     ("dimension 0\ngauge e\nlagrangian C[e]^2", "cannot carry power 2"),
-    ("dimension 0\nfields 1 1", "duplicate fields identifiers"),
+    ("dimension 0\nfields 1 1", "duplicate field identifiers"),
     ("dimension 0\ndimension 1", "duplicate section 'dimension'"),
     ("dimension 0\nfields 1\ngenerators\n  r[1, e] = 1\n  r[1, e] = 2",
      "unknown gauge index 'e'"),
@@ -149,6 +150,20 @@ def test_deformation_allows_antighosts_and_sums():
 def test_semantic_rejections(text, message):
     with pytest.raises(SemanticError, match=message):
         parse_document(text)
+
+
+def test_duplicate_labels_are_refused_alike_at_their_line():
+    for text, line, fields, gauge, message in (
+            ("dimension 0\nfields 1 2 1\ngauge e", 2, ("1", "2", "1"), ("e",),
+             "duplicate field identifiers"),
+            ("dimension 0\nfields 1\n\ngauge e f e", 4, ("1",), ("e", "f", "e"),
+             "duplicate gauge identifiers")):
+        with pytest.raises(SemanticError) as err:
+            parse_document(text)
+        assert (err.value.line, err.value.column, err.value.reason) == (line, 1, message)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ModelSpec(spatial_dim=0, fields=fields, gauge_indices=gauge,
+                      lagrangian=LocalFunction.zero())
 
 
 def test_duplicate_generator_entries_rejected():
@@ -350,6 +365,45 @@ def test_a_seeded_bad_entry_is_refused_at_its_own_line():
         reasons[next(r for r in _REASONS if r in err.value.reason)] += 1
     assert len(lines_seen) >= 15, lines_seen
     assert all(reasons[r] >= 5 for r in _REASONS), reasons
+
+
+_NUMBERS = ("1", "3", "4/2", "1/2", "6/3", "2/4", "3/3", "2/3", "5/10")
+_ATOMS = ("u[1]", "u[2; 1]", "x[1]", "u[3]", "u[1; 2]")
+
+
+def _coefficient_expression(rng: random.Random) -> str:
+    """A sum whose rationals multiply and add to integral values as often as not."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        n1, n2, a1, a2 = (rng.choice(_NUMBERS), rng.choice(_NUMBERS),
+                          rng.choice(_ATOMS), rng.choice(_ATOMS))
+        terms.append(rng.choice((f"{n1}*{a1}", f"{n1}*{n2}*{a1}*{a2}", f"({n1} + {n2})*{a1}",
+                                 f"{n1}*{a1} + {n2}*{a1}", f"{n1}*({a1} + {n2})^2", n1)))
+    return "".join(f" {rng.choice('+-')} {term}" for term in terms).lstrip(" +")
+
+
+def test_seeded_documents_store_ints_exactly_when_integral():
+    rng = random.Random(20261021)
+    seen = Counter()
+    for _ in range(60):
+        lines = ["dimension 2", "fields 1 2 3", "gauge 1 2 3", "bounds jet=2 deg=4",
+                 f"lagrangian {_coefficient_expression(rng)}", "generators"]
+        lines += [f"  r[{a}, {alpha}{jet}] = {_coefficient_expression(rng)}"
+                  for a, alpha, jet in rng.sample([(a, al, j) for a in "123" for al in "123"
+                                                   for j in ("", "; 1", "; 1 2")], 4)]
+        lines.append("structure")
+        lines += [f"  c[{g}, {a}, {b}] = {_coefficient_expression(rng)}" for g, (a, b) in
+                  rng.sample(list(itertools.product("123", itertools.combinations("123", 2))), 3)]
+        lines += ["closure", f"  nu[1, 2, 1, 3] = {_coefficient_expression(rng)}", "deformation",
+                  f"  t^1 = {rng.choice(_NUMBERS)}*u[1] + {rng.choice(_NUMBERS)}*C[2]"]
+        document = parse_document("\n".join(lines) + "\n")
+        spec = document.spec
+        functions = [spec.lagrangian, *spec.gauge_coefficients.values(),
+                     *spec.structure_functions.values(), *spec.closure_functions.values(),
+                     *document.deformation.values()]
+        for f in functions:
+            seen += assert_ints_when_integral(c for _, c in f.terms())
+    assert seen["int"] > 300 and seen["Fraction"] > 300, seen
 
 
 # ------------------------------------------------------------ round trip
