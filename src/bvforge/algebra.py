@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from operator import ge, gt, le, lt
 from typing import ItemsView, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -83,23 +84,22 @@ class Bidegree(NamedTuple):
 _GENERATORS: dict[tuple, "Generator"] = {}
 
 
-class Generator:
+class Generator(tuple):
     """A single coordinate symbol, possibly carrying a jet multi-index.
 
     ``family`` is the label of the field/ghost family (or the spatial
     direction for a base coordinate, as a string).  ``jet`` is kept
     sorted, since total derivatives commute.  ``Generator(kind, family,
-    jet)`` returns the one object made for that symbol, so equality is
-    identity and no attribute can be set.  The hash, computed with
-    ``bidegree``, ``parity`` and ``sort_key`` when it is made, reads the
-    family as the integer of its UTF-8 bytes, so the order of every set
-    of generators is the same under every PYTHONHASHSEED.  ``unprolonged``
-    is the generator of the family with no jet, and ``prolonged(i)`` the
-    next one along direction i, each made once and then kept.
+    jet)`` returns the one object made for that symbol, so a generator
+    equals itself only, never the plain tuple of its value, and no
+    attribute can be set.  The value is (kind rank, family read as the
+    integer of its UTF-8 bytes, jet): ``tuple.__hash__`` hashes it in C,
+    the same under every PYTHONHASHSEED.  A tuple takes no slots, so the
+    other attributes sit in the instance dict, set when it is made;
+    ``unprolonged`` is the generator of the family with no jet, and
+    ``prolonged(i)`` the next one along direction i, each made once and
+    then kept.  Generators order by ``sort_key``, the term order.
     """
-
-    __slots__ = ("kind", "family", "jet", "bidegree", "parity", "sort_key", "_hash",
-                 "unprolonged", "_prolonged")
 
     def __new__(cls, kind: GeneratorKind, family: str, jet: Iterable[int] = ()) -> "Generator":
         jet = tuple(jet)
@@ -116,14 +116,12 @@ class Generator:
         ordered = tuple(sorted(jet))
         if ordered != jet:
             return _GENERATORS.setdefault((kind, family, jet), cls(kind, family, ordered))
-        self = object.__new__(cls)
-        bidegree = Bidegree(*_KIND_BIDEGREE[kind])
-        key = (kind.rank, family, len(jet), jet)
-        number = int.from_bytes(family.encode(), "little")
-        for name, value in zip(cls.__slots__, (kind, family, jet, bidegree, bidegree.parity,
-                                               key, hash((key[0], number, jet)),
-                                               cls(kind, family) if jet else self, {})):
-            object.__setattr__(self, name, value)
+        self = tuple.__new__(cls, (kind.rank, int.from_bytes(family.encode(), "little"), jet))
+        b = Bidegree(*_KIND_BIDEGREE[kind])
+        vars(self).update(kind=kind, family=family, jet=jet, bidegree=b, parity=b.parity,
+                          is_odd=b.parity == 1, ghost_number=b.total, antifield_number=b.antighost,
+                          sort_key=(kind.rank, family, len(jet), jet),
+                          unprolonged=cls(kind, family) if jet else self, _prolonged={})
         _GENERATORS[kind, family, jet] = self
         return self
 
@@ -131,30 +129,23 @@ class Generator:
         raise AttributeError(f"a generator is shared and cannot change its {name!r}")
 
     __delattr__ = __setattr__
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other) -> bool:  # identity, since each is made once
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    # all four compare sort keys, so the order of the tuple values never applies
+    __lt__, __le__, __gt__, __ge__ = (
+        (lambda self, other, op=op: op(self.sort_key, other.sort_key)) for op in (lt, le, gt, ge))
 
     def __reduce__(self):  # a copy or a pickle is the one shared object
         return Generator, (self.kind, self.family, self.jet)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Generator(kind={self.kind!r}, family={self.family!r}, jet={self.jet!r})"
-
-    @property
-    def ghost_number(self) -> int:
-        return self.bidegree.total
-
-    @property
-    def antifield_number(self) -> int:
-        return self.bidegree.antighost
-
-    @property
-    def is_odd(self) -> bool:
-        return self.parity == 1
-
-    def __lt__(self, other: "Generator") -> bool:
-        return self.sort_key < other.sort_key
 
     def conjugate(self) -> "Generator":
         """The antibracket partner: u <-> ustar, C <-> Cstar (same family, same jet)."""
@@ -208,7 +199,7 @@ def term_bidegree(factors: Factors) -> Bidegree:
 
 def term_key(factors: Factors) -> tuple:
     """The position of a term with these factors in the canonical term order."""
-    return tuple((g.sort_key, e) for g, e in factors)
+    return tuple([(g.sort_key, e) for g, e in factors])
 
 
 def inversion_parity(keys: Sequence) -> int:
@@ -348,11 +339,11 @@ class LocalFunction:
         """The (factors, coefficient) pairs, in no particular order."""
         return self._terms.items()
 
-    def coefficient(self, factors: Factors) -> Fraction:
-        return self._terms.get(tuple(factors), Fraction(0))
+    def coefficient(self, factors: Factors) -> int | Fraction:  # the int 0 when absent
+        return self._terms.get(tuple(factors), 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self._terms.get((), 0)
 
     def generators(self) -> set[Generator]:
         return {g for factors in self._terms for g, _ in factors}
@@ -484,7 +475,7 @@ def graded_partial(f: LocalFunction, z: Generator, side: str = "left") -> LocalF
     for factors, coeff in f._terms.items():
         prefix_parity = 0
         for pos, (g, e) in enumerate(factors):
-            if g == z:
+            if g is z:
                 new = factors[:pos] + ((g, e - 1),) * (e > 1) + factors[pos + 1:]
                 c = coerce_coefficient(coeff * e) if e > 1 else coeff
                 if zp:

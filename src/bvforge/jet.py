@@ -316,7 +316,7 @@ class ModelNames:
     def field_sector(self, f: LocalFunction) -> None:
         for g in sorted(f.generators()):  # a refusal does not depend on the hash seed
             if g.kind is GeneratorKind.BASE:
-                self.direction(int(g.family))
+                self.direction(int(g.family) if g.family.isdecimal() else g.family)
             elif g.kind is GeneratorKind.FIELD:
                 self.field_label(g.family)
                 self.jet(g.jet)

@@ -8,17 +8,18 @@ free variable is set to zero, and the remaining unknowns are then fixed
 by the system itself, because the reduced row echelon form of a matrix
 is unique.  So the solution vector is a function of the system alone.
 
-``match_coefficients`` turns an identity between local functions with
-unknown coefficients into such a system, one equation per monomial.
+An ``ansatz`` sum_j a_j X_j is one local function: each unknown a_j is
+an even base coordinate ``#j`` that names no direction, so no derivative
+reaches it, and ``match_unknowns`` reads the equations off its image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .algebra import Factors, LocalFunction, add_terms, term_key
+from .algebra import Factors, Generator, GeneratorKind, LocalFunction, add_terms, term_key
 
 
 @dataclass(frozen=True)
@@ -89,26 +90,35 @@ def solve_linear_system(
     return LinearSolution(tuple(values), nullity=n - rank, rank=rank)
 
 
-def match_coefficients(
-    blocks: Iterable[tuple[LocalFunction, Sequence[LocalFunction]]],
-) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
-    """The equations of sum_j x_j columns[j] = target in every block.
+def unknown(j: int) -> Generator:
+    """The unknown a_j, labelled ``#j``: it sorts before every direction,
+    so it leads each monomial it is a factor of."""
+    return Generator(GeneratorKind.BASE, f"#{j}")
 
-    Each block is a (target, columns) pair, column j standing for the
-    unknown x_j.  A block contributes one equation per monomial that
-    occurs in its target or in any of its columns, in the canonical
-    monomial order.  Every column's terms are walked once.  Returns the
-    (equations, rhs) pair that ``solve_linear_system`` takes.
+
+def ansatz(columns: Sequence[LocalFunction]) -> LocalFunction:
+    """sum_j a_j columns[j], for columns free of unknowns."""
+    return LocalFunction({((unknown(j), 1),) + fac: c for j, col in enumerate(columns)
+                          for fac, c in col.terms()}, _internal=True)
+
+
+def match_unknowns(
+    target: Mapping[object, LocalFunction], generic: Mapping[object, LocalFunction],
+) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """The (equations, rhs) of generic = target, part by part in the order
+    of the part keys, each generic term holding one unknown a_j to the
+    first power, as the image of an ``ansatz`` does.  A part gives one
+    equation per monomial of its target or, stripped of its unknown, of
+    its generic side, in the term order, its unknowns ascending.
     """
     equations: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
-    for target, columns in blocks:
-        rows: dict[Factors, dict[int, Fraction]] = {fac: {} for fac, _ in target.terms()}
-        for j, col in enumerate(columns):
-            for fac, coeff in col.terms():
-                rows.setdefault(fac, {})[j] = coeff
-        value = dict(target.terms()).get
+    for z in sorted(target.keys() | generic.keys()):
+        value = dict(target[z].terms()) if z in target else {}
+        rows: dict[Factors, dict[int, Fraction]] = {fac: {} for fac in value}
+        for fac, coeff in generic[z].terms() if z in generic else ():
+            rows.setdefault(fac[1:], {})[int(fac[0][0].family[1:])] = coeff
         for fac in sorted(rows, key=term_key):
-            equations.append(rows[fac])
-            rhs.append(value(fac, 0))
+            equations.append(dict(sorted(rows[fac].items())))
+            rhs.append(value.get(fac, 0))
     return equations, rhs

@@ -44,7 +44,7 @@ from .jet import (
     total_derivative_multi,
     variational_derivative,
 )
-from .linsolve import match_coefficients, solve_linear_system
+from .linsolve import ansatz, match_unknowns, solve_linear_system
 
 # Most monomials one lift ansatz may hold.  The open algebra on a line at
 # jet=2 deg=4 needs 1530; at deg=30 its stratum-2 ansatz needs 19082.
@@ -265,12 +265,14 @@ def _solve_lift(
     """Solve kt(X) = -1/2 R for X at antifield number stratum + 1.
 
     Returns (correction or None, candidate count, solution nullity).
+    X is the generic ansatz sum_j a_j X_j over the candidates X_j, each
+    unknown a_j an even generator that no derivative reaches, so kt and
+    the functional projection are linear in the a_j and each runs once.
     kt is linear in S, so the system is solved as kt(D S)(X) = -D/2 R,
     with D the least common denominator of the coefficients of S_0, S_1
-    and -1/2 R.  Both sides are scaled by one nonzero integer, so the
-    solution, rank and nullity are those of the unscaled system, while
-    every coefficient in it is an int.  Both sides are matched part by
-    part, over ``functional_parts``: at dimension zero that is the sides
+    and -1/2 R: the same solution, rank and nullity, with every
+    coefficient an int.  Both sides are matched part by part, over
+    ``functional_parts``: at dimension zero that is the sides
     themselves, above it their Euler derivatives family by family, which
     handles the divergence freedom.
     """
@@ -281,13 +283,9 @@ def _solve_lift(
     scale = lcm(*(c.denominator for f in (S.stratum(0), S.stratum(1), half_R)
                   for _, c in f.terms()))
     cleared = BVAction.from_total(scale * S.total, S.spatial_dim, S.solved_up_to)
-    kt_cols = [kt_differential(cleared, cand) for cand in candidates]
-    target = scale * half_R
-    parts = [functional_parts(f, m.spatial_dim) for f in (target, *kt_cols)]
-    zero = LocalFunction.zero()
-    blocks = [(parts[0].get(z, zero), [col.get(z, zero) for col in parts[1:]])
-              for z in sorted(set().union(*parts))]
-    equations, rhs = match_coefficients(blocks)
+    equations, rhs = match_unknowns(
+        functional_parts(scale * half_R, m.spatial_dim),
+        functional_parts(kt_differential(cleared, ansatz(candidates)), m.spatial_dim))
     solution = solve_linear_system(equations, rhs, len(candidates))
     if solution is None:
         return None, len(candidates), 0

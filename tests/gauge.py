@@ -21,7 +21,8 @@ from bvforge.jet import (
     families,
     total_derivative_multi,
 )
-from bvforge.linsolve import match_coefficients, solve_linear_system
+from bvforge.linsolve import solve_linear_system
+from harnesses import match_coefficients
 
 
 class NonFieldGeneratorPresent(ValueError):

@@ -1,23 +1,34 @@
 """Randomized property-test harnesses for the antibracket and the Laplacian,
-and the check of the coefficient contract.
+the check of the coefficient contract, and the per-candidate lift system.
 
 Each harness draws random homogeneous local functions over a three-pair
 finite model from a fixed seed and checks an identity exactly, so a
 failure reproduces verbatim.  The tests import them from here; the
 library itself samples nothing at random.
+
+``match_coefficients`` and ``per_candidate_lift_system`` build the lift's
+linear system the way the package did before it lifted one generic
+ansatz: one kt column and one functional projection per candidate,
+matched column by column.  They are the oracle of that ansatz.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable
+from math import lcm
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
-from bvforge.algebra import LocalFunction, antifield, antighost, field, ghost
+from bvforge.algebra import Factors, LocalFunction, antifield, antighost, field, ghost, term_key
 from bvforge.bracket import antibracket, bv_laplacian
+from bvforge.jet import functional_parts
+from bvforge.master import BVAction, correction_candidates, kt_differential
 
 
 @dataclass(frozen=True)
@@ -160,3 +171,56 @@ def assert_ints_when_integral(coefficients: Iterable) -> Counter:
         assert type(c) is (int if c.denominator == 1 else Fraction), repr(c)
         seen[type(c).__name__] += 1
     return seen
+
+
+def match_coefficients(
+    blocks: Iterable[tuple[LocalFunction, Sequence[LocalFunction]]],
+) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """The equations of sum_j x_j columns[j] = target in every block.
+
+    Each block is a (target, columns) pair, column j standing for the
+    unknown x_j.  A block contributes one equation per monomial that
+    occurs in its target or in any of its columns, in the canonical
+    monomial order.  Every column's terms are walked once.  Returns the
+    (equations, rhs) pair that ``solve_linear_system`` takes.
+    """
+    equations: list[dict[int, Fraction]] = []
+    rhs: list[Fraction] = []
+    for target, columns in blocks:
+        rows: dict[Factors, dict[int, Fraction]] = {fac: {} for fac, _ in target.terms()}
+        for j, col in enumerate(columns):
+            for fac, coeff in col.terms():
+                rows.setdefault(fac, {})[j] = coeff
+        value = dict(target.terms()).get
+        for fac in sorted(rows, key=term_key):
+            equations.append(rows[fac])
+            rhs.append(value(fac, 0))
+    return equations, rhs
+
+
+def per_candidate_lift_system(m, S: BVAction, R: LocalFunction, stratum: int):
+    """The (equations, rhs) of the lift of R at ``stratum``, as
+    ``master._solve_lift`` built them with one kt column per candidate:
+    the sides cleared of denominators, each column projected on its own
+    through ``functional_parts``, and the parts matched block by block."""
+    candidates = correction_candidates(m, stratum + 1)
+    half_R = Fraction(-1, 2) * R
+    scale = lcm(*(c.denominator for f in (S.stratum(0), S.stratum(1), half_R)
+                  for _, c in f.terms()))
+    cleared = BVAction.from_total(scale * S.total, S.spatial_dim, S.solved_up_to)
+    kt_cols = [kt_differential(cleared, cand) for cand in candidates]
+    parts = [functional_parts(f, m.spatial_dim) for f in (scale * half_R, *kt_cols)]
+    zero = LocalFunction.zero()
+    return match_coefficients([(parts[0].get(z, zero), [col.get(z, zero) for col in parts[1:]])
+                               for z in sorted(set().union(*parts))])
+
+
+def bench_models():
+    """The benchmark's seeded job generator, ``bench/models.py``, as a module."""
+    module = sys.modules.get("bench_models")
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "bench" / "models.py"
+        spec = importlib.util.spec_from_file_location("bench_models", path)
+        module = sys.modules["bench_models"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module

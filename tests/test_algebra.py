@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 import random
 import sys
@@ -31,6 +32,7 @@ from bvforge.algebra import (
     sum_of,
     term_bidegree,
 )
+from bvforge.linsolve import unknown
 
 
 # ---------------------------------------------------------------- helpers
@@ -182,6 +184,36 @@ def test_generator_repr_and_hash_are_pinned():
         assert hash(g) == hash((g.kind.rank, int.from_bytes(g.family.encode(), "little"), g.jet))
         if sys.maxsize > 2 ** 32:  # the values of a 64-bit build
             assert hash(g) == value
+
+
+def test_generators_hash_in_c_and_equal_only_themselves():
+    # a generator is the tuple (kind rank, family as an integer, jet), so
+    # tuple.__hash__ hashes it without a Python frame; it equals itself only
+    g = field("1", (2, 1))
+    assert isinstance(g, tuple) and tuple(g) == (1, int.from_bytes(b"1", "little"), (1, 2))
+    gens = [base(1), base(2), unknown(0), unknown(12), g, field("1"), antifield("a", (1,)),
+            ghost("10"), antighost("b10", (1, 1, 2))]
+    for h in gens:
+        assert hash(h) == hash(tuple(h))
+        assert h == h and not h != h
+        assert h != tuple(h) and tuple(h) != h and not h == tuple(h) and not tuple(h) == h
+        assert h not in {tuple(h): 1} and tuple(h) not in {h: 1}
+    for a, b in itertools.product(gens, repeat=2):
+        assert (a == b) is (a is b)
+        assert ((a < b), (a <= b), (a > b), (a >= b)) == (
+            a.sort_key < b.sort_key, a.sort_key <= b.sort_key,
+            a.sort_key > b.sort_key, a.sort_key >= b.sort_key)
+    factors = tuple((h, 1) for h in sorted(gens) if not h.is_odd) + ((ghost("10"), 1),)
+    frames = []
+    sys.setprofile(lambda frame, event, arg: frames.append(frame.f_code.co_name)
+                   if event == "call" else None)
+    try:
+        hash(factors)
+        table = {factors: 1, factors[1:]: 2}
+        assert table[tuple(list(factors))] == 1 and tuple(list(factors[1:])) in table
+    finally:
+        sys.setprofile(None)
+    assert frames == []
 
 
 def test_bidegrees_and_parities():
@@ -480,6 +512,16 @@ def test_coefficient_lookup():
     assert f.coefficient(((u, 2),)) == 3
     assert f.constant_term() == Fraction(5, 7)
     assert f.coefficient(((u, 1),)) == 0
+
+
+def test_absent_terms_read_as_the_int_zero():
+    u = field("1")
+    for f in (LocalFunction.zero(), gen(u), 3 * gen(u) ** 2, gen(u) * Fraction(1, 2)):
+        for factors in ((), ((u, 3),), ((ghost("1"), 1),)):
+            assert type(f.coefficient(factors)) is int and f.coefficient(factors) == 0
+        assert type(f.constant_term()) is int and f.constant_term() == 0
+    assert type((gen(u) * 4).coefficient(((u, 1),))) is int
+    assert type(LocalFunction.constant(Fraction(1, 2)).constant_term()) is Fraction
 
 
 def test_homogeneity_queries():

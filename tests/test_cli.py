@@ -14,8 +14,12 @@ from pathlib import Path
 import pytest
 
 from bvforge import cli
+from bvforge.algebra import GeneratorKind, field, gen
 from bvforge.cli import main, run_command
 from bvforge.expr import MAX_TERM_PRODUCTS, TokenStream
+from bvforge.jet import ModelSpec
+from bvforge.linsolve import unknown
+from harnesses import bench_models
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -578,6 +582,61 @@ def test_reports_are_byte_identical_across_runs(fmt):
         first = run_command(full)
         second = run_command(full)
         assert first == second
+
+
+def test_bench_jobs_print_their_golden_reports(tmp_path):
+    # the 96 seeded benchmark jobs print the bytes bench/golden.json records
+    models = bench_models()
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "golden.json").read_text(
+        encoding="utf-8"))["reports"]
+    for workload in models.WORKLOADS:
+        assert sorted(map(int, golden[workload])) == list(range(32))
+        for seed in range(32):
+            job = models.make_job(workload, seed)
+            path = tmp_path / f"{workload}-{seed}.bv"
+            path.write_text(job.model_text, encoding="utf-8")
+            status, text = run_command(job.argv(str(path)))
+            assert (status, text) == (0, job.expected_report), (workload, seed)
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == golden[workload][str(seed)]
+
+
+def test_no_unknown_coefficient_leaves_a_lift(monkeypatch, tmp_path):
+    # the lift's unknowns a_j are base coordinates labelled #j; none of
+    # them reaches a correction, an action, a record or a report
+    solved = []
+    solve_master = cli.solve_master
+
+    def recording(m, K):
+        solved.append(solve_master(m, K))
+        return solved[-1]
+
+    def unknowns(f):
+        return {g for g in f.generators() if g.kind is GeneratorKind.BASE and not g.family.isdigit()}
+
+    monkeypatch.setattr(cli, "solve_master", recording)
+    reports = 0
+    for path in sorted(FIXTURES.glob("*.bv")):
+        for argv in (["solve"], ["residual"], ["bracket"], ["solve", "--bounds", "deg=3"]):
+            for fmt in ("text", "structured"):
+                status, out = run_command([argv[0], str(path), *argv[1:], "--format", fmt])
+                assert "#" not in out, (path.name, argv)
+                reports += status != 2
+    assert reports >= 60
+    lifted = 0
+    for final, records in solved:
+        functions = [final.total, *final.by_antifield_number.values(),
+                     *(final.residual_report or {}).values(), *(f for _, f in final.kt_sources)]
+        for record in records:
+            functions += [record.obstruction] + [record.correction] * (record.correction is not None)
+            lifted += record.lifted
+        assert not set().union(*map(unknowns, functions))
+    assert lifted >= 6
+    document = tmp_path / "unknown.bv"
+    document.write_text("dimension 1\nfields 1\ngauge 1\nlagrangian x[#0]*u[1]^2\n", encoding="utf-8")
+    assert run_command(["solve", str(document)]) == (
+        2, "error: line 4, column 14: expected a family label, found 'end of input'\n")
+    with pytest.raises(ValueError, match="^lagrangian: spatial directions start at 1, got #0$"):
+        ModelSpec(1, ("1",), (), gen(unknown(0)) * gen(field("1")))
 
 
 def test_main_writes_to_stdout_and_returns_status(capsys):

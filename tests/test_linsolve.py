@@ -3,7 +3,9 @@
 ``dense_solve`` is the straightforward Fraction row reduction the
 package used before the sparse solver.  It is kept here as the oracle:
 both must agree on the solution vector, the rank and the nullity, or
-both must report an inconsistent system.
+both must report an inconsistent system.  The equations of a generic
+ansatz are checked against ``harnesses.match_coefficients``, which
+matches one column per unknown.
 """
 
 from __future__ import annotations
@@ -14,10 +16,11 @@ from fractions import Fraction
 import pytest
 
 import bvforge.master
-from bvforge.algebra import LocalFunction, antifield, field, ghost, term_key
-from bvforge.linsolve import LinearSolution, match_coefficients, solve_linear_system
+from bvforge.algebra import GeneratorKind, LocalFunction, antifield, base, field, ghost, term_key
+from bvforge.linsolve import LinearSolution, ansatz, match_unknowns, solve_linear_system, unknown
 from bvforge.master import solve_master
 from bvforge.modelfile import parse_document
+from harnesses import match_coefficients
 
 
 def dense_solve(equations, rhs, num_unknowns):
@@ -171,10 +174,10 @@ def test_malformed_systems_are_rejected():
 POOL = [field("1"), field("2", (1,)), antifield("1"), ghost("1"), ghost("2")]
 
 
-def random_local_function(rng: random.Random) -> LocalFunction:
+def random_local_function(rng: random.Random, pool=POOL) -> LocalFunction:
     terms = []
     for _ in range(rng.randint(0, 4)):
-        factors = tuple((rng.choice(POOL), 1) for _ in range(rng.randint(0, 3)))
+        factors = tuple((rng.choice(pool), 1) for _ in range(rng.randint(0, 3)))
         terms.append((factors, Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
     return LocalFunction.from_terms(terms)
 
@@ -209,6 +212,36 @@ def test_match_coefficients_finds_the_combination():
     assert solution.values == (Fraction(3), Fraction(-1, 2), Fraction(0))
     assert solution.nullity == 1
     assert solve_linear_system(*match_coefficients([(target, [a, a])]), 2) is None
+
+
+def test_unknowns_are_even_shared_and_lead_every_monomial():
+    for j in (0, 1, 12, 281):
+        a = unknown(j)
+        assert a is unknown(j) and a.kind is GeneratorKind.BASE and a.family == f"#{j}"
+        assert a.parity == 0 and a.bidegree == (0, 0)
+        assert all(a < g for g in [base(1), base(2), *POOL])
+
+
+def test_generic_equations_are_the_column_equations():
+    # the image of an ansatz, stripped of its unknowns, gives the system
+    # that one column per unknown gives, row for row and key for key
+    rng = random.Random(12)
+    pool = [base(1), *POOL]
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        blocks = [(random_local_function(rng, pool), [random_local_function(rng, pool) for _ in range(n)])
+                  for _ in range(rng.randint(1, 3))]
+        assert ansatz(blocks[0][1]) == sum(
+            (LocalFunction.from_generator(unknown(j)) * col for j, col in enumerate(blocks[0][1])),
+            LocalFunction.zero())
+        # parts keyed like ``functional_parts``: the nonzero ones only
+        equations, rhs = match_unknowns(
+            {i: target for i, (target, _) in enumerate(blocks) if target},
+            {i: ansatz(columns) for i, (_, columns) in enumerate(blocks) if ansatz(columns)})
+        expected, expected_rhs = match_coefficients(blocks)
+        assert [list(row.items()) for row in equations] == [list(row.items()) for row in expected]
+        assert rhs == expected_rhs
+        assert [list(row) for row in equations] == [sorted(row) for row in equations]
 
 
 OPEN_ALGEBRA_ON_A_LINE = """\

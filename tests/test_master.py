@@ -51,8 +51,8 @@ from bvforge.master import (
     quantum_master_check,
     solve_master,
 )
-from bvforge.linsolve import match_coefficients
 from bvforge.modelfile import parse_document
+from harnesses import bench_models, match_coefficients, per_candidate_lift_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 HALF = LocalFunction.constant(Fraction(1, 2))
@@ -690,12 +690,12 @@ def test_finite_lifts_match_the_single_block_oracle(monkeypatch):
     # every lift of every finite fixture, and of the open algebra at
     # deg=9 and at a deg=3 too low to lift it, matches its sides through
     # ``functional_parts`` into the system the one direct block gave
-    solve_lift, match = master._solve_lift, master.match_coefficients
+    solve_lift, solve = master._solve_lift, master.solve_linear_system
     systems, checked = [], []
 
-    def recording_match(blocks):
-        systems.append(match(blocks))
-        return systems[-1]
+    def recording_solve(equations, rhs, num_unknowns):
+        systems.append((equations, rhs))
+        return solve(equations, rhs, num_unknowns)
 
     def checking_lift(m, S, R, stratum):
         systems.clear()
@@ -705,7 +705,7 @@ def test_finite_lifts_match_the_single_block_oracle(monkeypatch):
             checked.append((m.max_poly_degree, out[0] is not None))
         return out
 
-    monkeypatch.setattr(master, "match_coefficients", recording_match)
+    monkeypatch.setattr(master, "solve_linear_system", recording_solve)
     monkeypatch.setattr(master, "_solve_lift", checking_lift)
     specs = [parse_document(path.read_text(encoding="utf-8")).spec
              for path in sorted(FIXTURES.glob("*.bv"))]
@@ -715,6 +715,115 @@ def test_finite_lifts_match_the_single_block_oracle(monkeypatch):
         if m.spatial_dim == 0 and check_noether(m).all_pass:
             solve_master(m, 4)
     assert {(4, True), (9, True), (3, False)} <= set(checked), checked
+
+
+MIXED_MODEL = """\
+dimension 1
+fields 1 2 3
+gauge 1 2
+bounds jet=1 deg=4
+lagrangian 1/2*x[1]*u[3]^2 + u[3; 1]*u[3]
+generators
+  r[1, 1] = x[1]*u[3] + u[2; 1]
+  r[2, 2] = u[1] + u[2]*u[1; 1] + 1
+"""
+
+
+def _signed(terms: list[tuple[Fraction, str]]) -> str:
+    """A sum of (coefficient, monomial) pairs in document syntax."""
+    out = ""
+    for c, mono in terms:
+        body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        out += ("-" if c < 0 else "") + body if not out else (" - " if c < 0 else " + ") + body
+    return out
+
+
+def seeded_open_algebras(count: int = 40, seed: int = 20261021) -> list[str]:
+    """Open algebras with seeded inhomogeneous gauge coefficients.
+
+    The lagrangian depends on u[3] (and at dimension 1 on x[1] and u[3; 1])
+    alone, so E_1 = E_2 = 0 and the Noether identities hold for any
+    transformations of u[1] and u[2].  Each r[a, alpha] adds seeded
+    monomials of mixed degree to the open algebra's q1*u[3] and q2*u[1],
+    so the lift stratum is graded by no weights, and it lifts or is
+    obstructed as the coefficients fall; every fourth model keeps the
+    bare open algebra.  Half the models sit on a line.
+    """
+    rng = random.Random(seed)
+    docs = []
+
+    def coefficient() -> Fraction:
+        return Fraction(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice((1, -1))
+
+    for i in range(count):
+        dim = i % 2
+        atoms = ["u[1]", "u[2]", "u[3]"] + (["x[1]", "u[1; 1]", "u[3; 1]"] if dim else [])
+
+        def extra(n: int) -> list[tuple[Fraction, str]]:
+            return [(coefficient(), "*".join(rng.sample(atoms, rng.randint(0, 2))) or "1")
+                    for _ in range(n * (i % 4 > 1))]
+
+        lagrangian = [(coefficient(), "u[3]^2")]
+        if dim:
+            lagrangian.append((coefficient(), rng.choice(["x[1]*u[3]^2", "u[3; 1]^2", "u[3; 1]*u[3]"])))
+        entries = {("1", "1"): [(coefficient(), "u[3]")] + extra(rng.randint(0, 2)),
+                   ("2", "2"): [(coefficient(), "u[1]")] + extra(rng.randint(0, 2))}
+        for key in (("1", "2"), ("2", "1")):
+            if rng.random() < 0.4 and i % 4 > 1:
+                entries[key] = extra(1)
+        docs.append("\n".join(
+            [f"dimension {dim}", "fields 1 2 3", "gauge 1 2",
+             f"bounds jet=1 deg={rng.choice((3, 4)) if i % 4 > 1 else 4}",
+             f"lagrangian {_signed(lagrangian)}",
+             "generators"]
+            + [f"  r[{a}, {alpha}] = {_signed(terms)}" for (a, alpha), terms in entries.items()]) + "\n")
+    return docs
+
+
+def test_generic_lifts_give_the_per_candidate_systems(monkeypatch, tmp_path):
+    # the system that one kt and one projection of the generic ansatz give
+    # is the per-candidate oracle's, equation for equation, key for key
+    solve_lift, solve = master._solve_lift, master.solve_linear_system
+    systems, outcomes = [], []
+
+    def recording_solve(equations, rhs, num_unknowns):
+        systems.append(([list(row.items()) for row in equations], list(rhs), num_unknowns))
+        return solve(equations, rhs, num_unknowns)
+
+    def checking_lift(m, S, R, stratum):
+        systems.clear()
+        out = solve_lift(m, S, R, stratum)
+        equations, rhs = per_candidate_lift_system(m, S, R, stratum)
+        expected = [([list(row.items()) for row in equations], rhs, out[1])] if out[1] else []
+        assert systems == expected, (m, stratum)
+        outcomes.append((m.spatial_dim, out[1], out[0] is not None))
+        return out
+
+    monkeypatch.setattr(master, "solve_linear_system", recording_solve)
+    monkeypatch.setattr(master, "_solve_lift", checking_lift)
+
+    def solve_lifts(text: str, *flags: str) -> list:
+        outcomes.clear()
+        path = tmp_path / "model.bv"
+        path.write_text(text, encoding="utf-8")
+        run_command(["solve", str(path), *flags])
+        return list(outcomes)
+
+    fixtures = [outcome for path in sorted(FIXTURES.glob("*.bv"))
+                for flags in ((), ("--bounds", "deg=3"))
+                for outcome in solve_lifts(path.read_text(encoding="utf-8"), *flags)]
+    # open_algebra.bv lifts at deg=4 and not at deg=3; su2_plane.bv at
+    # deg=3 (its jet bound is 1) is su(2) on the plane at jet=1, deg=3
+    assert fixtures == [(0, 11, True), (0, 2, False), (2, 0, False), (2, 324, True)]
+    models = bench_models()
+    for workload, count in (("lift-jet", 282), ("lift-finite", 336)):
+        for seed in range(8):
+            job = models.make_job(workload, seed)
+            assert solve_lifts(job.model_text, *job.flags) == [(workload == "lift-jet", count, True)]
+    assert solve_lifts(MIXED_MODEL) == [(1, 282, False)]
+    seeded = [outcome for text in seeded_open_algebras() for outcome in solve_lifts(text)]
+    assert {(dim, lifted) for dim, _, lifted in seeded} == {(0, True), (0, False), (1, True), (1, False)}
+    assert len(seeded) >= 40
 
 
 def test_jet_lift_reaches_every_probed_kernel_through_its_bindings(monkeypatch, tmp_path):
