@@ -13,14 +13,15 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
+from copy import copy
+from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from pathlib import Path
 
 from .algebra import LocalFunction
 from .bracket import JetModelUnsupported, antibracket, bv_laplacian
 from .expr import format_generator, format_local_function, format_signed_sum
-from .jet import ModelSpec, check_field_label, check_jet_order, check_noether, euler_lagrange
+from .jet import MODEL_TABLES, ModelSpec, check_field_label, check_jet_order, check_noether, euler_lagrange
 from .linfty import Element, LInftyStructure, check_linfty, extract_brackets, mc_residual
 from .master import (BVAction, build_stage_action, default_stage, master_residual,
                      quantum_master_check, solve_master)
@@ -82,11 +83,11 @@ def _digest(doc: ModelDocument) -> str:
 
 def _model_jet_order(m: ModelSpec) -> int:
     """The highest jet order the model data uses, as a document's bounds check it."""
-    functions = [m.lagrangian, *m.gauge_coefficients.values(),
-                 *(m.structure_functions or {}).values(),
-                 *(m.closure_functions or {}).values()]
-    return max([f.max_jet_order() for f in functions]
-               + [len(jet) for (_, _, jet) in m.gauge_coefficients])
+    orders = [m.lagrangian.max_jet_order()]
+    for table in MODEL_TABLES:
+        for key, f in (getattr(m, table.attr) or {}).items():
+            orders += (f.max_jet_order(), len(key[-1]) if table.jet else 0)
+    return max(orders)
 
 
 def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
@@ -104,11 +105,11 @@ def _apply_bounds(m: ModelSpec, text: str | None) -> ModelSpec:
         overrides[key] = int(value)
     if "jet" in overrides:
         check_jet_order(_model_jet_order(m), overrides["jet"])
-    return replace(
-        m,
-        max_jet_order=overrides.get("jet", m.max_jet_order),
-        max_poly_degree=overrides.get("deg", m.max_poly_degree),
-    )
+    # the parser checked every entry; new bounds need only the jet-order check above
+    m = copy(m)
+    m.max_jet_order = overrides.get("jet", m.max_jet_order)
+    m.max_poly_degree = overrides.get("deg", m.max_poly_degree)
+    return m
 
 
 def _solved_action(m: ModelSpec, K: int | None) -> BVAction:

@@ -326,16 +326,29 @@ class ModelNames:
 
 @dataclass(frozen=True)
 class ModelTable:
-    """A table of model entries: the ``ModelSpec`` attribute it fills, the
-    name of an entry, the check of each key label, whether the key ends
-    in a multi-index, and the key slot pairs the entries are
-    antisymmetric in."""
+    """A table of model entries, the one record of it that ``ModelSpec``,
+    the document parser and printer, and the CLI read.
+
+    ``attr`` is the ``ModelSpec`` attribute it fills and ``name`` names an
+    entry in a ``ModelSpec`` refusal.  ``section`` is its section of a
+    model document, whose entries read ``head[k1, k2, ...; jet] = value``,
+    and ``noun`` names an entry in the duplicate refusal.  ``slots`` checks
+    each key label, ``jet`` says whether the key ends in a multi-index,
+    and ``pairs`` are the key slot pairs the entries are antisymmetric in.
+    An empty table prints when ``print_empty`` is set: an empty
+    ``structure`` or ``closure`` section declares a closed algebra, while
+    an empty ``generators`` section declares nothing.
+    """
 
     attr: str
     name: str
+    section: str
+    head: str
+    noun: str
     slots: tuple[Callable[[ModelNames, str], None], ...]
     jet: bool = False
     pairs: tuple[tuple[int, int], ...] = ()
+    print_empty: bool = False
 
     @cached_property
     def _swaps(self) -> tuple[tuple[itemgetter, int], ...]:
@@ -365,13 +378,13 @@ class ModelTable:
                 raise ValueError(f"entries {swap(key)} and {key} are not antisymmetric")
 
 
-GAUGE_COEFFICIENTS = ModelTable("gauge_coefficients", "gauge coefficient",
+GAUGE_COEFFICIENTS = ModelTable("gauge_coefficients", "gauge coefficient", "generators", "r", "generator",
                                 (ModelNames.field_label, ModelNames.gauge_label), jet=True)
-STRUCTURE_FUNCTIONS = ModelTable("structure_functions", "structure function",
-                                 (ModelNames.gauge_label,) * 3, pairs=((1, 2),))
-CLOSURE_FUNCTIONS = ModelTable("closure_functions", "closure function",
+STRUCTURE_FUNCTIONS = ModelTable("structure_functions", "structure function", "structure", "c", "structure",
+                                 (ModelNames.gauge_label,) * 3, pairs=((1, 2),), print_empty=True)
+CLOSURE_FUNCTIONS = ModelTable("closure_functions", "closure function", "closure", "nu", "closure",
                                (ModelNames.field_label,) * 2 + (ModelNames.gauge_label,) * 2,
-                               pairs=((0, 1), (2, 3)))
+                               pairs=((0, 1), (2, 3)), print_empty=True)
 MODEL_TABLES = (GAUGE_COEFFICIENTS, STRUCTURE_FUNCTIONS, CLOSURE_FUNCTIONS)
 
 

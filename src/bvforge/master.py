@@ -77,24 +77,13 @@ class BVAction:
     residual_report: dict[int, LocalFunction] | None = None
 
     @classmethod
-    def from_total(
-        cls,
-        total: LocalFunction,
-        spatial_dim: int,
-        solved_up_to: int,
-        residual_report: dict[int, LocalFunction] | None = None,
-    ) -> "BVAction":
+    def from_total(cls, total: LocalFunction, spatial_dim: int, solved_up_to: int) -> "BVAction":
         strata = decompose_by_antifield_number(total)
         for k, part in strata.items():
             if part.ghost_number() != 0:
                 raise ValueError(f"stratum {k} of the action is not of ghost number zero")
-        return cls(
-            total=total,
-            by_antifield_number=strata,
-            solved_up_to=solved_up_to,
-            spatial_dim=spatial_dim,
-            residual_report=residual_report,
-        )
+        return cls(total=total, by_antifield_number=strata, solved_up_to=solved_up_to,
+                   spatial_dim=spatial_dim)
 
     def stratum(self, k: int) -> LocalFunction:
         return self.by_antifield_number.get(k, LocalFunction.zero())

@@ -21,10 +21,13 @@ are followed by one entry per line:
       t^1 = C[1]
 
 Sections may appear in any order, each at most once; ``#`` starts a
-comment.  Each entry is checked as it is read, by the same checks
-``ModelSpec`` makes (``jet.ModelNames`` and the antisymmetry of its
-table), with the document's jet bound; every refusal names the line of
-its entry, and a refused key label its column.
+comment.  The ``generators``, ``structure`` and ``closure`` sections are
+the tables of ``jet.MODEL_TABLES``: each ``jet.ModelTable`` gives its
+section name, entry head and key, and the checks of its entries.  Each
+entry is checked as it is read, by the same checks ``ModelSpec`` makes
+(``jet.ModelNames`` and the antisymmetry of its table), with the
+document's jet bound; every refusal names the line of its entry, and a
+refused key label its column.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from .expr import (
     parse_remaining_expression,
     tokenize,
 )
-from .jet import (CLOSURE_FUNCTIONS, GAUGE_COEFFICIENTS, STRUCTURE_FUNCTIONS, ModelNames,
-                  ModelSpec, ModelTable, check_unique_labels)
+from .jet import MODEL_TABLES, ModelNames, ModelSpec, ModelTable, check_unique_labels
 
 __all__ = ["ModelDocument", "parse_document", "parse_model", "print_model"]
 
@@ -123,23 +125,23 @@ def _family_token(stream: TokenStream) -> Token:
     return stream.advance()
 
 
-def _parse_key(stream: TokenStream, table: _Table) -> tuple[tuple[Token, ...], tuple[int, ...]]:
-    _expect_head(stream, table.head, table.name)
+def _parse_key(stream: TokenStream, table: ModelTable) -> tuple[tuple[Token, ...], tuple[int, ...]]:
+    _expect_head(stream, table.head, table.section)
     stream.expect("LBRACKET", "'['")
     families = [_family_token(stream)]
     while stream.accept("COMMA"):
         families.append(_family_token(stream))
-    if len(families) != len(table.data.slots):
+    if len(families) != len(table.slots):
         tok = stream.current
         raise SemanticError(
-            f"section {table.name!r} keys take {len(table.data.slots)} family labels,"
+            f"section {table.section!r} keys take {len(table.slots)} family labels,"
             f" got {len(families)}", tok.line, tok.column)
     jet: tuple[int, ...] = ()
     if stream.accept("SEMI"):
-        if not table.data.jet:
+        if not table.jet:
             tok = stream.current
             raise SemanticError(
-                f"section {table.name!r} keys carry no jet index", tok.line, tok.column)
+                f"section {table.section!r} keys carry no jet index", tok.line, tok.column)
         jet = parse_jet_indices(stream)
     stream.expect("RBRACKET", "']'")
     stream.expect("EQUALS", "'='")
@@ -172,30 +174,7 @@ def _check_deformation(names: ModelNames, f: LocalFunction, line: int) -> None:
             raise SemanticError("base coordinates do not belong in a deformation entry", line, 1)
 
 
-@dataclass(frozen=True)
-class _Table:
-    """The section of a model table, with entries ``head[k1, k2, ...; jet] = value``.
-
-    ``data`` is the table's ``jet.ModelTable``; a jet suffix, where it
-    allows one, ends the dictionary key.  ``noun`` names an entry in the
-    duplicate refusal.  An empty table prints when ``print_empty`` is set:
-    an empty ``structure`` or ``closure`` section declares a closed
-    algebra, while an empty ``generators`` section declares nothing.
-    """
-
-    name: str
-    head: str
-    noun: str
-    print_empty: bool
-    data: ModelTable
-
-
-_TABLES = (
-    _Table("generators", "r", "generator", False, GAUGE_COEFFICIENTS),
-    _Table("structure", "c", "structure", True, STRUCTURE_FUNCTIONS),
-    _Table("closure", "nu", "closure", True, CLOSURE_FUNCTIONS),
-)
-_TABLE_SECTIONS = (*(t.name for t in _TABLES), "deformation")
+_TABLE_SECTIONS = (*(t.section for t in MODEL_TABLES), "deformation")
 _SECTION_KEYWORDS = ("dimension", "fields", "gauge", "bounds", "lagrangian", *_TABLE_SECTIONS)
 
 
@@ -260,23 +239,23 @@ def parse_document(text: str) -> ModelDocument:
         _at(sections["lagrangian"][0], 1, names.field_sector, lagrangian)
 
     tables: dict[str, dict] = {}
-    for table in _TABLES:
-        if table.name not in sections:
+    for table in MODEL_TABLES:
+        if table.section not in sections:
             continue
         entries: dict[tuple, LocalFunction] = {}
-        for lineno, raw in sections[table.name][2]:
+        for lineno, raw in sections[table.section][2]:
             _entry_stream(stream, raw, lineno)
             tokens, jet = _parse_key(stream, table)
-            for check, tok in zip(table.data.slots, tokens):
+            for check, tok in zip(table.slots, tokens):
                 _at(tok.line, tok.column, check, names, tok.text)
             _at(lineno, 1, names.jet, jet)
-            key = tuple(tok.text for tok in tokens) + ((jet,) if table.data.jet else ())
+            key = tuple(tok.text for tok in tokens) + ((jet,) if table.jet else ())
             if key in entries:
                 raise SemanticError(f"duplicate {table.noun} entry {key}", lineno, 1)
             value = parse_remaining_expression(stream)
-            _at(lineno, 1, table.data.check_value, names, entries, key, value)
+            _at(lineno, 1, table.check_value, names, entries, key, value)
             entries[key] = value
-        tables[table.data.attr] = entries
+        tables[table.attr] = entries
 
     deformation: dict[int, LocalFunction] = {}
     if "deformation" in sections:
@@ -329,13 +308,13 @@ def print_model(m: ModelSpec, deformation: dict[int, LocalFunction] | None = Non
         lines.append("gauge " + " ".join(m.gauge_indices))
     lines.append(f"bounds jet={m.max_jet_order} deg={m.max_poly_degree}")
     lines.append(f"lagrangian {format_local_function(m.lagrangian)}")
-    for table in _TABLES:
-        entries = getattr(m, table.data.attr)
+    for table in MODEL_TABLES:
+        entries = getattr(m, table.attr)
         if entries is None or not (entries or table.print_empty):
             continue
-        lines.append(table.name)
+        lines.append(table.section)
         for key in sorted(entries):
-            families, jet = (key[:-1], key[-1]) if table.data.jet else (key, ())
+            families, jet = (key[:-1], key[-1]) if table.jet else (key, ())
             suffix = f"; {' '.join(str(i) for i in jet)}" if jet else ""
             value = format_local_function(entries[key])
             lines.append(f"  {table.head}[{', '.join(families)}{suffix}] = {value}")

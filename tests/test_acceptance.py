@@ -32,8 +32,8 @@ from bvforge.algebra import (
 from bvforge.bracket import antibracket, bv_laplacian
 from bvforge.cli import run_command
 from bvforge.expr import format_local_function, parse_expression
-from bvforge.jet import (STRUCTURE_FUNCTIONS, ModelNames, ModelSpec, all_multi_indices,
-                         check_noether, euler_lagrange, total_derivative)
+from bvforge.jet import (STRUCTURE_FUNCTIONS, ModelNames, all_multi_indices, check_noether,
+                         euler_lagrange, total_derivative)
 from bvforge.linfty import (
     BasisElement,
     Element,
@@ -52,104 +52,8 @@ from bvforge.master import (
 from bvforge.modelfile import parse_document
 
 from harnesses import bv_identity_harness, gerstenhaber_harness
-
-HALF = LocalFunction.constant(Fraction(1, 2))
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def fx(name: str) -> str:
-    return str(FIXTURES / name)
-
-
-# ---------------------------------------------------------------- models
-
-EPS = {}
-for _i, _j, _k, _s in [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
-                       (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]:
-    EPS[(_i, _j, _k)] = _s
-
-
-def eps_structure_functions():
-    out = {}
-    for gamma in (1, 2, 3):
-        for alpha in (1, 2, 3):
-            for beta in (1, 2, 3):
-                s = EPS.get((alpha, beta, gamma), 0)
-                if s:
-                    out[(str(gamma), str(alpha), str(beta))] = LocalFunction.constant(s)
-    return out
-
-
-def scalar_model():
-    u1 = gen(field("1", (1,)))
-    return ModelSpec(
-        spatial_dim=1,
-        fields=("1",),
-        gauge_indices=("e",),
-        lagrangian=HALF * u1 * u1,
-        gauge_coefficients={("1", "e", (1,)): LocalFunction.one()},
-        max_jet_order=2,
-        max_poly_degree=3,
-    )
-
-
-def curl_model():
-    curl = gen(field("1", (2,))) - gen(field("2", (1,)))
-    return ModelSpec(
-        spatial_dim=2,
-        fields=("1", "2"),
-        gauge_indices=("e",),
-        lagrangian=HALF * curl * curl,
-        gauge_coefficients={
-            ("1", "e", (1,)): LocalFunction.one(),
-            ("2", "e", (2,)): LocalFunction.one(),
-        },
-        max_jet_order=2,
-        max_poly_degree=3,
-    )
-
-
-def ghost_so3_model():
-    return ModelSpec(
-        spatial_dim=0,
-        fields=(),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=LocalFunction.zero(),
-        structure_functions=eps_structure_functions(),
-        max_poly_degree=3,
-    )
-
-
-def open_algebra_model():
-    """Two shift symmetries closing only on the equation of motion of u3."""
-    return ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2"),
-        lagrangian=HALF * gen(field("3")) ** 2,
-        gauge_coefficients={
-            ("1", "1", ()): gen(field("3")),
-            ("2", "2", ()): gen(field("1")),
-        },
-        max_poly_degree=4,
-    )
-
-
-def non_jacobi_ghost_model():
-    # antisymmetric structure constants that fail the Jacobi identity
-    table = {}
-    for (gamma, alpha, beta) in [("3", "1", "2"), ("1", "2", "3"), ("1", "1", "3")]:
-        table[(gamma, alpha, beta)] = LocalFunction.one()
-        table[(gamma, beta, alpha)] = -LocalFunction.one()
-    return ModelSpec(
-        spatial_dim=0,
-        fields=(),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=LocalFunction.zero(),
-        structure_functions=table,
-        max_poly_degree=3,
-    )
-
+from shared import (ALL_COMMANDS, EPS, FIXTURES, curl_model, ghost_so3_model, non_jacobi_ghost_model,
+                    open_algebra_model, scalar_model)
 
 # ---------------------------------------------------------------- corpora
 
@@ -451,22 +355,6 @@ def test_quantum_master_reports_match_frozen_values():
 
 
 # --------------------------------------- 10. determinism and round trips
-
-ALL_COMMANDS = [
-    ["el", fx("scalar.bv"), "--field", "1"],
-    ["divergence", fx("divergence.bv")],
-    ["noether", fx("so3_full.bv")],
-    ["bracket", fx("so3_ghost.bv")],
-    ["delta", fx("so3_ghost.bv")],
-    ["build", fx("so3_ghost.bv")],
-    ["solve", fx("open_algebra.bv"), "-K", "3"],
-    ["residual", fx("so3_ghost.bv")],
-    ["qme", fx("so3_ghost.bv")],
-    ["extract", fx("so3_full.bv")],
-    ["check-linfty", fx("so3_full.bv"), "-n", "3"],
-    ["mc", fx("rotation.bv")],
-]
-
 
 def test_reports_are_deterministic_and_printing_round_trips():
     for argv in ALL_COMMANDS:

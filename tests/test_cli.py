@@ -20,12 +20,7 @@ from bvforge.expr import MAX_TERM_PRODUCTS, TokenStream
 from bvforge.jet import ModelSpec
 from bvforge.linsolve import unknown
 from harnesses import bench_models
-
-FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def fx(name: str) -> str:
-    return str(FIXTURES / name)
+from shared import ALL_COMMANDS, FIXTURES, fx
 
 
 # ------------------------------------------------------------- commands
@@ -526,22 +521,11 @@ def test_bounds_flag_cannot_drop_below_the_models_jet_order(tmp_path):
     assert run_command(["el", str(shift), "--bounds", "jet=0"]) \
         == (2, "error: jet order 1 exceeds bound 0\n")
     assert run_command(["el", str(shift), "--bounds", "deg=0"])[0] == 0
-
-
-ALL_COMMANDS = [
-    ["el", fx("scalar.bv"), "--field", "1"],
-    ["divergence", fx("divergence.bv")],
-    ["noether", fx("so3_full.bv")],
-    ["bracket", fx("so3_ghost.bv")],
-    ["delta", fx("so3_ghost.bv")],
-    ["build", fx("so3_ghost.bv")],
-    ["solve", fx("open_algebra.bv"), "-K", "3"],
-    ["residual", fx("so3_ghost.bv")],
-    ["qme", fx("so3_ghost.bv")],
-    ["extract", fx("so3_full.bv")],
-    ["check-linfty", fx("so3_full.bv"), "-n", "3"],
-    ["mc", fx("rotation.bv")],
-]
+    # and so does every value of the structure and closure tables
+    for table in ("structure\n  c[1, 1, 2] = u[2; 1]\n", "closure\n  nu[1, 2, 1, 2] = u[2; 1]\n"):
+        shift.write_text("dimension 1\nfields 1 2\ngauge 1 2\nlagrangian u[1]^2\n" + table)
+        assert run_command(["el", str(shift), "--bounds", "jet=0"]) \
+            == (2, "error: jet order 1 exceeds bound 0\n")
 
 
 # one sha256 per fixture over every command in both formats, recorded

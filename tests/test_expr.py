@@ -12,6 +12,7 @@ from bvforge.algebra import (
     antighost,
     base,
     field,
+    gen,
     ghost,
 )
 from bvforge.expr import (
@@ -25,10 +26,6 @@ from bvforge.expr import (
     parse_expression,
     tokenize,
 )
-
-
-def lf(g):
-    return LocalFunction.from_generator(g)
 
 
 # --------------------------------------------------------------- tokens
@@ -66,12 +63,12 @@ def test_integers_are_ascii_digits_only():
 # ---------------------------------------------------------------- atoms
 
 def test_atoms_of_every_kind():
-    assert parse_expression("x[2]") == lf(base(2))
-    assert parse_expression("u[1]") == lf(field("1"))
-    assert parse_expression("u[1; 1 1]") == lf(field("1", (1, 1)))
-    assert parse_expression("ustar[2; 1]") == lf(antifield("2", (1,)))
-    assert parse_expression("C[alpha]") == lf(ghost("alpha"))
-    assert parse_expression("Cstar[e]") == lf(antighost("e"))
+    assert parse_expression("x[2]") == gen(base(2))
+    assert parse_expression("u[1]") == gen(field("1"))
+    assert parse_expression("u[1; 1 1]") == gen(field("1", (1, 1)))
+    assert parse_expression("ustar[2; 1]") == gen(antifield("2", (1,)))
+    assert parse_expression("C[alpha]") == gen(ghost("alpha"))
+    assert parse_expression("Cstar[e]") == gen(antighost("e"))
 
 
 def test_jet_indices_normalize_to_sorted_order():
@@ -116,12 +113,12 @@ def test_zero_denominator_is_rejected():
 # ------------------------------------------------------------ operators
 
 def test_precedence_and_grouping():
-    u1, u2 = lf(field("1")), lf(field("2"))
+    u1, u2 = gen(field("1")), gen(field("2"))
     assert parse_expression("2*u[1] + 3*u[2]") == 2 * u1 + 3 * u2
     assert parse_expression("1/2*u[1]^2") == Fraction(1, 2) * u1 * u1
     assert parse_expression("(u[1] + u[2])^2") == (u1 + u2) ** 2
     assert parse_expression("u[1] - u[2] - u[1]") == -u2
-    assert parse_expression("-u[1; 1 1]") == -lf(field("1", (1, 1)))
+    assert parse_expression("-u[1; 1 1]") == -gen(field("1", (1, 1)))
 
 
 def test_power_zero_gives_one():
@@ -135,7 +132,7 @@ def test_odd_atom_powers_are_semantic_errors():
     with pytest.raises(SemanticError, match="cannot carry power 3"):
         parse_expression("ustar[1]^3")
     # power one is fine, and squaring through parentheses just vanishes
-    assert parse_expression("C[1]^1") == lf(ghost("1"))
+    assert parse_expression("C[1]^1") == gen(ghost("1"))
     assert parse_expression("(C[1])^2").is_zero
 
 
@@ -155,7 +152,7 @@ def test_syntax_errors_carry_positions():
 
 
 def test_nesting_is_bounded_with_a_position():
-    assert parse_expression("(" * MAX_NESTING + "u[1]" + ")" * MAX_NESTING) == lf(field("1"))
+    assert parse_expression("(" * MAX_NESTING + "u[1]" + ")" * MAX_NESTING) == gen(field("1"))
     with pytest.raises(ExpressionSyntaxError) as err:
         parse_expression("u[2] * " + "(" * 3000 + "u[1]" + ")" * 3000)
     assert (err.value.line, err.value.column) == (1, 8 + MAX_NESTING)
@@ -183,14 +180,14 @@ def test_frozen_canonical_forms():
 
 
 def test_printer_suppresses_unit_coefficients_only():
-    f = lf(field("1")) - lf(field("2"))
+    f = gen(field("1")) - gen(field("2"))
     assert format_local_function(f) == "u[1] - u[2]"
-    g = -3 * lf(ghost("1")) * lf(ghost("2"))
+    g = -3 * gen(ghost("1")) * gen(ghost("2"))
     assert format_local_function(g) == "-3*C[1]*C[2]"
 
 
 def test_printer_is_insensitive_to_construction_order():
-    u1, u2 = lf(field("1")), lf(field("2"))
+    u1, u2 = gen(field("1")), gen(field("2"))
     assert format_local_function(u1 + u2) == format_local_function(u2 + u1)
 
 
@@ -224,7 +221,7 @@ def test_print_parse_round_trip_on_500_random_functions():
 
 
 def test_powers_are_bounded_before_expansion(monkeypatch):
-    u1 = lf(field("1"))
+    u1 = gen(field("1"))
     assert parse_expression(f"u[1]^{MAX_EXPONENT}") == u1 ** MAX_EXPONENT
     assert parse_expression("(u[1] - u[1])^5").is_zero
 
@@ -250,7 +247,7 @@ def test_term_products_are_bounded_per_expression():
     assert MAX_TERM_PRODUCTS % 100 == 0
     n = MAX_TERM_PRODUCTS // 100
     powers = " + ".join(["u[1]^100"] * n)
-    assert parse_expression(powers) == n * lf(field("1")) ** 100
+    assert parse_expression(powers) == n * gen(field("1")) ** 100
     with pytest.raises(SemanticError, match=f"more than {MAX_TERM_PRODUCTS} term products") as err:
         parse_expression(powers + " + u[1]^100")
     assert (err.value.line, err.value.column) == (1, len(powers) + 8)

@@ -6,7 +6,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -49,8 +48,8 @@ from gauge import (
     gauge_commutator,
     is_total_divergence,
 )
+from shared import EPS, FIXTURES, HALF, curl_model, full_so3_model, open_algebra_model
 
-FIXTURES = Path(__file__).parent / "fixtures"
 U = field("1")
 U1 = field("1", (1,))
 U11 = field("1", (1, 1))
@@ -248,8 +247,7 @@ def test_derivatives_store_ints_exactly_when_integral():
 
 def test_euler_lagrange_basics():
     assert euler_lagrange(gen(U), "1") == LocalFunction.one()
-    half = LocalFunction.constant(Fraction(1, 2))
-    assert euler_lagrange(half * gen(U1) ** 2, "1") == -gen(U11)
+    assert euler_lagrange(HALF * gen(U1) ** 2, "1") == -gen(U11)
 
 
 def test_euler_lagrange_kills_total_derivatives():
@@ -396,62 +394,20 @@ def test_functional_parts_match_the_old_divergence_test():
 
 # ---------------------------------------------------------------- model validation
 
-def scalar_model():
-    half = LocalFunction.constant(Fraction(1, 2))
+def rigid_shift_model():
+    """A free scalar on a line with the rigid shift r[1, e] = 1, whose Noether identity fails."""
     return ModelSpec(
         spatial_dim=1,
         fields=("1",),
         gauge_indices=("e",),
-        lagrangian=half * gen(U1) ** 2,
+        lagrangian=HALF * gen(U1) ** 2,
         gauge_coefficients={("1", "e", ()): LocalFunction.one()},
     )
 
 
-def maxwell_model():
-    half = LocalFunction.constant(Fraction(1, 2))
-    curl = gen(field("1", (2,))) - gen(field("2", (1,)))
-    return ModelSpec(
-        spatial_dim=2,
-        fields=("1", "2"),
-        gauge_indices=("e",),
-        lagrangian=half * curl * curl,
-        gauge_coefficients={
-            ("1", "e", (1,)): LocalFunction.one(),
-            ("2", "e", (2,)): LocalFunction.one(),
-        },
-    )
-
-
-def so3_model(max_poly_degree=2):
-    # rotation generators acting on a 3-component field at a point,
-    # with the invariant quadratic Lagrangian
-    eps = {}
-    for i, j, k, s in [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
-                       (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]:
-        eps[(i, j, k)] = s
-
-    coeffs = {}
-    for alpha in (1, 2, 3):
-        for a in (1, 2, 3):
-            r = LocalFunction.zero()
-            for b in (1, 2, 3):
-                s = eps.get((b, alpha, a), 0)
-                if s:
-                    r = r + s * gen(field(str(b)))
-            if not r.is_zero:
-                coeffs[(str(a), str(alpha), ())] = r
-    half = LocalFunction.constant(Fraction(1, 2))
-    lagr = LocalFunction.zero()
-    for a in (1, 2, 3):
-        lagr = lagr + half * gen(field(str(a))) ** 2
-    return ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=lagr,
-        gauge_coefficients=coeffs,
-        max_poly_degree=max_poly_degree,
-    ), eps
+def so3_model():
+    """Rotations of a triplet of scalars with no structure functions given."""
+    return replace(full_so3_model(), structure_functions=None, max_poly_degree=2)
 
 
 def test_model_validation_rejects_bad_input():
@@ -517,13 +473,13 @@ def test_model_validation_checks_structure_and_closure_tables():
 # ---------------------------------------------------------------- Noether
 
 def test_noether_fails_on_rigid_scalar_shift():
-    report = check_noether(scalar_model())
+    report = check_noether(rigid_shift_model())
     assert report.per_identity_residual["e"] == -gen(U11)
     assert not report.all_pass
 
 
 def test_noether_passes_on_curl_model():
-    report = check_noether(maxwell_model())
+    report = check_noether(replace(curl_model(), max_jet_order=3, max_poly_degree=4))
     assert report.per_identity_residual["e"].is_zero
     assert report.all_pass
 
@@ -535,7 +491,7 @@ def test_noether_passes_with_no_gauge_coefficients():
 
 
 def test_noether_passes_on_rotation_model():
-    m, _ = so3_model()
+    m = so3_model()
     assert check_noether(m).all_pass
 
 
@@ -551,7 +507,7 @@ def pairing_contraction(m, mu):
 
 
 def test_trivial_identity_holds_for_antisymmetric_pairing():
-    m = scalar_model()
+    m = rigid_shift_model()
     mu = {
         ("1", (1,), "1", ()): gen(U),
         ("1", (), "1", (1,)): -gen(U),
@@ -560,7 +516,7 @@ def test_trivial_identity_holds_for_antisymmetric_pairing():
 
 
 def test_trivial_identity_rejects_symmetric_pairing():
-    m = scalar_model()
+    m = rigid_shift_model()
     assert not pairing_contraction(m, {
         ("1", (1,), "1", ()): gen(U),
         ("1", (), "1", (1,)): gen(U),
@@ -569,13 +525,13 @@ def test_trivial_identity_rejects_symmetric_pairing():
 
 
 def test_trivial_identity_empty_pairing():
-    assert pairing_contraction(scalar_model(), {}).is_zero
+    assert pairing_contraction(rigid_shift_model(), {}).is_zero
 
 
 # ---------------------------------------------------------------- evolutionary fields
 
 def test_apply_evolutionary_prolongs_characteristics():
-    m = scalar_model()
+    m = rigid_shift_model()
     q = {"1": gen(U) ** 2}
     f = gen(U1)
     assert apply_evolutionary(m, q, f) == total_derivative(gen(U) ** 2, 1)
@@ -621,12 +577,12 @@ def test_gauge_commutator_abelian_shift_is_trivial():
 
 
 def test_gauge_commutator_recovers_rotation_structure_constants():
-    m, eps = so3_model()
+    m = so3_model()
 
     # independent oracle: commute the representation matrices directly;
     # the vector fields u -> Mu bracket opposite to the matrices
     def matrix(alpha):
-        return [[Fraction(eps.get((b + 1, alpha, a + 1), 0)) for b in range(3)]
+        return [[Fraction(EPS.get((b + 1, alpha, a + 1), 0)) for b in range(3)]
                 for a in range(3)]
 
     for alpha, beta in [(1, 2), (2, 3), (1, 3)]:
@@ -640,7 +596,7 @@ def test_gauge_commutator_recovers_rotation_structure_constants():
                 expected = expected + comm[a][b] * gen(field(str(b + 1)))
             assert report.commutator[str(a + 1)] == expected
         for gamma in (1, 2, 3):
-            expected_c = LocalFunction.constant(eps.get((alpha, beta, gamma), 0))
+            expected_c = LocalFunction.constant(EPS.get((alpha, beta, gamma), 0))
             assert report.c[str(gamma)] == expected_c
         assert all(v.is_zero for v in report.nu.values())
         assert report.explained
@@ -649,18 +605,7 @@ def test_gauge_commutator_recovers_rotation_structure_constants():
 def test_gauge_commutator_detects_on_shell_closure():
     # two shift-like symmetries whose commutator is proportional to an
     # equation of motion rather than to any gauge generator
-    half = LocalFunction.constant(Fraction(1, 2))
-    m = ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2"),
-        lagrangian=half * gen(field("3")) ** 2,
-        gauge_coefficients={
-            ("1", "1", ()): gen(field("3")),
-            ("2", "2", ()): gen(field("1")),
-        },
-        max_poly_degree=2,
-    )
+    m = replace(open_algebra_model(), max_poly_degree=2)
     assert check_noether(m).all_pass
     report = gauge_commutator(m, "1", "2")
     assert report.commutator == {
@@ -676,7 +621,7 @@ def test_gauge_commutator_detects_on_shell_closure():
 
 
 def test_gauge_commutator_is_deterministic():
-    m, _ = so3_model()
+    m = so3_model()
     r1 = gauge_commutator(m, "1", "2")
     r2 = gauge_commutator(m, "1", "2")
     assert r1.c == r2.c

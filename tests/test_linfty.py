@@ -9,7 +9,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import pytest
@@ -39,72 +38,7 @@ from bvforge.linfty import (
 from bvforge.master import BVAction, build_stage_action, solve_master
 from bvforge.modelfile import parse_document, print_model
 from harnesses import assert_ints_when_integral
-
-HALF = LocalFunction.constant(Fraction(1, 2))
-
-EPS = {}
-for _i, _j, _k, _s in [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
-                       (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]:
-    EPS[(_i, _j, _k)] = _s
-
-
-def eps_structure_functions():
-    out = {}
-    for gamma, alpha, beta in itertools.product((1, 2, 3), repeat=3):
-        s = EPS.get((alpha, beta, gamma), 0)
-        if s:
-            out[(str(gamma), str(alpha), str(beta))] = LocalFunction.constant(s)
-    return out
-
-
-def ghost_so3_model():
-    return ModelSpec(
-        spatial_dim=0,
-        fields=(),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=LocalFunction.zero(),
-        structure_functions=eps_structure_functions(),
-        max_poly_degree=3,
-    )
-
-
-def full_so3_model():
-    coeffs = {}
-    for alpha in (1, 2, 3):
-        for a in (1, 2, 3):
-            r = LocalFunction.zero()
-            for b in (1, 2, 3):
-                s = EPS.get((b, alpha, a), 0)
-                if s:
-                    r = r + s * gen(field(str(b)))
-            if not r.is_zero:
-                coeffs[(str(a), str(alpha), ())] = r
-    lagr = LocalFunction.zero()
-    for a in (1, 2, 3):
-        lagr = lagr + HALF * gen(field(str(a))) ** 2
-    return ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=lagr,
-        gauge_coefficients=coeffs,
-        structure_functions=eps_structure_functions(),
-        max_poly_degree=3,
-    )
-
-
-def open_algebra_model():
-    return ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2"),
-        lagrangian=HALF * gen(field("3")) ** 2,
-        gauge_coefficients={
-            ("1", "1", ()): gen(field("3")),
-            ("2", "2", ()): gen(field("1")),
-        },
-        max_poly_degree=4,
-    )
+from shared import EPS, FIXTURES, HALF, full_so3_model, ghost_so3_model, open_algebra_model
 
 
 def finite_abelian_model():
@@ -517,7 +451,6 @@ def polarized_extract_brackets(S: BVAction, n_max: int) -> LInftyStructure:
     )
 
 
-FIXTURES = Path(__file__).parent / "fixtures"
 FINITE_FIXTURES = ("gl3", "mc_fail", "open_algebra", "rotation", "so3_full",
                    "so3_ghost", "zero")
 RANDOM_POOL = (field("1"), field("2"), antifield("1"), antifield("2"),

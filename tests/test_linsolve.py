@@ -21,6 +21,7 @@ from bvforge.linsolve import LinearSolution, ansatz, match_unknowns, solve_linea
 from bvforge.master import solve_master
 from bvforge.modelfile import parse_document
 from harnesses import match_coefficients
+from shared import OPEN_ALGEBRA_ON_A_LINE
 
 
 def dense_solve(equations, rhs, num_unknowns):
@@ -242,18 +243,6 @@ def test_generic_equations_are_the_column_equations():
         assert [list(row.items()) for row in equations] == [list(row.items()) for row in expected]
         assert rhs == expected_rhs
         assert [list(row) for row in equations] == [sorted(row) for row in equations]
-
-
-OPEN_ALGEBRA_ON_A_LINE = """\
-dimension 1
-fields 1 2 3
-gauge 1 2
-bounds jet=1 deg=4
-lagrangian 1/2*u[3]^2
-generators
-  r[1, 1] = u[3]
-  r[2, 2] = u[1]
-"""
 
 
 def test_open_algebra_on_a_line_keeps_its_system(monkeypatch):

@@ -9,7 +9,6 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -53,128 +52,8 @@ from bvforge.master import (
 )
 from bvforge.modelfile import parse_document
 from harnesses import bench_models, match_coefficients, per_candidate_lift_system
-
-FIXTURES = Path(__file__).parent / "fixtures"
-HALF = LocalFunction.constant(Fraction(1, 2))
-
-
-def scalar_model():
-    u1 = gen(field("1", (1,)))
-    return ModelSpec(
-        spatial_dim=1,
-        fields=("1",),
-        gauge_indices=("e",),
-        lagrangian=HALF * u1 * u1,
-        gauge_coefficients={("1", "e", (1,)): LocalFunction.one()},
-        max_jet_order=2,
-        max_poly_degree=3,
-    )
-
-
-def curl_model():
-    curl = gen(field("1", (2,))) - gen(field("2", (1,)))
-    return ModelSpec(
-        spatial_dim=2,
-        fields=("1", "2"),
-        gauge_indices=("e",),
-        lagrangian=HALF * curl * curl,
-        gauge_coefficients={
-            ("1", "e", (1,)): LocalFunction.one(),
-            ("2", "e", (2,)): LocalFunction.one(),
-        },
-        max_jet_order=2,
-        max_poly_degree=3,
-    )
-
-
-EPS = {}
-for _i, _j, _k, _s in [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1),
-                       (2, 1, 3, -1), (3, 2, 1, -1), (1, 3, 2, -1)]:
-    EPS[(_i, _j, _k)] = _s
-
-
-def eps_structure_functions():
-    out = {}
-    for gamma in (1, 2, 3):
-        for alpha in (1, 2, 3):
-            for beta in (1, 2, 3):
-                s = EPS.get((alpha, beta, gamma), 0)
-                if s:
-                    out[(str(gamma), str(alpha), str(beta))] = LocalFunction.constant(s)
-    return out
-
-
-def ghost_so3_model():
-    return ModelSpec(
-        spatial_dim=0,
-        fields=(),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=LocalFunction.zero(),
-        structure_functions=eps_structure_functions(),
-        max_poly_degree=3,
-    )
-
-
-def full_so3_model():
-    coeffs = {}
-    for alpha in (1, 2, 3):
-        for a in (1, 2, 3):
-            r = LocalFunction.zero()
-            for b in (1, 2, 3):
-                s = EPS.get((b, alpha, a), 0)
-                if s:
-                    r = r + s * gen(field(str(b)))
-            if not r.is_zero:
-                coeffs[(str(a), str(alpha), ())] = r
-    lagr = LocalFunction.zero()
-    for a in (1, 2, 3):
-        lagr = lagr + HALF * gen(field(str(a))) ** 2
-    return ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=lagr,
-        gauge_coefficients=coeffs,
-        structure_functions=eps_structure_functions(),
-        max_poly_degree=3,
-    )
-
-
-def open_algebra_model(with_seeded_functions=False):
-    """Two shift symmetries closing only on the equation of motion of u3."""
-    kwargs = {}
-    if with_seeded_functions:
-        kwargs["structure_functions"] = {}
-        kwargs["closure_functions"] = {("2", "3", "1", "2"): LocalFunction.one()}
-    return ModelSpec(
-        spatial_dim=0,
-        fields=("1", "2", "3"),
-        gauge_indices=("1", "2"),
-        lagrangian=HALF * gen(field("3")) ** 2,
-        gauge_coefficients={
-            ("1", "1", ()): gen(field("3")),
-            ("2", "2", ()): gen(field("1")),
-        },
-        max_poly_degree=4,
-        **kwargs,
-    )
-
-
-def non_jacobi_ghost_model():
-    # antisymmetric structure constants that fail the Jacobi identity
-    table = {}
-    for (gamma, alpha, beta) in [("3", "1", "2"), ("1", "2", "3"), ("1", "1", "3")]:
-        table[(gamma, alpha, beta)] = LocalFunction.one()
-        table[(gamma, beta, alpha)] = -LocalFunction.one()
-    return ModelSpec(
-        spatial_dim=0,
-        fields=(),
-        gauge_indices=("1", "2", "3"),
-        lagrangian=LocalFunction.zero(),
-        structure_functions=table,
-        max_poly_degree=3,
-    )
-
+from shared import (FIXTURES, OPEN_ALGEBRA_ON_A_LINE, curl_model, full_so3_model,
+                    ghost_so3_model, non_jacobi_ghost_model, open_algebra_model, scalar_model)
 
 # ---------------------------------------------------------------- actions
 
@@ -580,18 +459,6 @@ def test_direct_candidates_edge_cases():
     assert correction_candidates(open_algebra_model(), 3) == oracle_candidates(open_algebra_model(), 3)
     assert correction_candidates(replace(open_algebra_model(), max_poly_degree=2), 2) == []
     assert enumerate_basis_monomials([ghost("1"), antifield("1")], 4, bidegree=(2, 2)) == []
-
-
-OPEN_ALGEBRA_ON_A_LINE = """\
-dimension 1
-fields 1 2 3
-gauge 1 2
-bounds jet=1 deg=4
-lagrangian 1/2*u[3]^2
-generators
-  r[1, 1] = u[3]
-  r[2, 2] = u[1]
-"""
 
 
 def test_benchmark_lifts_keep_their_candidate_counts():

@@ -6,17 +6,17 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from bvforge.algebra import LocalFunction, antighost, field, ghost
+from bvforge.algebra import LocalFunction, antighost, field, gen, ghost
 from bvforge.cli import run_command
 from bvforge.expr import (MAX_DEFORMATION_ORDER, ExpressionSyntaxError, SemanticError,
                           parse_expression)
-from bvforge.jet import ModelSpec
+from bvforge.jet import MODEL_TABLES, ModelSpec, ModelTable
 from bvforge.modelfile import parse_document, parse_model, print_model
 from harnesses import assert_ints_when_integral
+from shared import FIXTURES
 
 ABELIAN_DOC = """
 # two scalars with one shared shift symmetry
@@ -47,12 +47,8 @@ lagrangian 1/2*u[1; 1]^2
 """
 
 
-def lf(g):
-    return LocalFunction.from_generator(g)
-
-
 def test_abelian_document_matches_handbuilt_spec():
-    u1, u2 = lf(field("1")), lf(field("2"))
+    u1, u2 = gen(field("1")), gen(field("2"))
     expected = ModelSpec(
         spatial_dim=0,
         fields=("1", "2"),
@@ -95,7 +91,7 @@ def test_empty_structure_section_declares_closedness():
 
 def test_unsorted_jet_list_normalizes():
     m = parse_model("dimension 2\nfields 1\nlagrangian u[1; 2 1]")
-    assert m.lagrangian == lf(field("1", (1, 2)))
+    assert m.lagrangian == gen(field("1", (1, 2)))
 
 
 def test_bounds_keys_in_either_order():
@@ -110,8 +106,8 @@ def test_deformation_section_is_kept_on_the_document():
         "dimension 0\ngauge e\nlagrangian 0\n"
         "deformation\n  t^1 = C[e]\n  t^2 = 1/2*C[e]\n")
     assert doc.deformation == {
-        1: lf(ghost("e")),
-        2: Fraction(1, 2) * lf(ghost("e")),
+        1: gen(ghost("e")),
+        2: Fraction(1, 2) * gen(ghost("e")),
     }
     assert doc.spec.gauge_indices == ("e",)
 
@@ -120,7 +116,7 @@ def test_deformation_allows_antighosts_and_sums():
     doc = parse_document(
         "dimension 0\nfields 1\ngauge e\n"
         "deformation\n  t^1 = C[e] - 2*Cstar[e]\n")
-    assert doc.deformation[1] == lf(ghost("e")) - 2 * lf(antighost("e"))
+    assert doc.deformation[1] == gen(ghost("e")) - 2 * gen(antighost("e"))
 
 
 # ------------------------------------------------------------ rejections
@@ -241,14 +237,13 @@ REFUSALS = [
     ("closure", [(("1", "2", "1", "2"), "1"), (("2", "1", "2", "1"), "2")], 1,
      "entries ('1', '2', '1', '2') and ('2', '1', '2', '1') are not antisymmetric"),
 ]
-_HEADS = {"generators": ("r", "gauge_coefficients"), "structure": ("c", "structure_functions"),
-          "closure": ("nu", "closure_functions")}
+_TABLES = {table.section: table for table in MODEL_TABLES}
 
 
-def _entry_line(head: str, key: tuple, value: str) -> str:
-    labels, jet = (key[:-1], key[-1]) if head == "r" else (key, ())
+def _entry_line(table: ModelTable, key: tuple, value: str) -> str:
+    labels, jet = (key[:-1], key[-1]) if table.jet else (key, ())
     suffix = f"; {' '.join(map(str, jet))}" if jet else ""
-    return f"  {head}[{', '.join(labels)}{suffix}] = {value}"
+    return f"  {table.head}[{', '.join(labels)}{suffix}] = {value}"
 
 
 @pytest.mark.parametrize("section, entries, column, words", REFUSALS)
@@ -259,10 +254,10 @@ def test_parser_and_model_spec_refuse_alike(section, entries, column, words):
         text = HEAD + f"lagrangian {entries[0][1]}\n"
         kwargs = {"lagrangian": parse_expression(entries[0][1])}
     else:
-        head, attr = _HEADS[section]
-        text = HEAD + section + "\n" + "".join(_entry_line(head, k, v) + "\n" for k, v in entries)
+        table = _TABLES[section]
+        text = HEAD + section + "\n" + "".join(_entry_line(table, k, v) + "\n" for k, v in entries)
         kwargs = {"lagrangian": LocalFunction.zero(),
-                  attr: {k: parse_expression(v) for k, v in entries}}
+                  table.attr: {k: parse_expression(v) for k, v in entries}}
     with pytest.raises(SemanticError) as err:
         parse_document(text)
     assert (err.value.line, err.value.column, err.value.reason) == (text.count("\n"), column, words)
@@ -489,11 +484,10 @@ MODEL_DIGESTS = {
 
 
 def test_printed_fixtures_match_their_pinned_digests():
-    fixtures = Path(__file__).parent / "fixtures"
-    assert sorted(MODEL_DIGESTS) == sorted(p.name for p in fixtures.glob("*.bv"))
+    assert sorted(MODEL_DIGESTS) == sorted(p.name for p in FIXTURES.glob("*.bv"))
     for name, digest in MODEL_DIGESTS.items():
-        doc = parse_document((fixtures / name).read_text(encoding="utf-8"))
+        doc = parse_document((FIXTURES / name).read_text(encoding="utf-8"))
         printed = print_model(doc.spec, doc.deformation)
         assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == digest, name
-        status, out = run_command(["el", str(fixtures / name), "--format", "structured"])
+        status, out = run_command(["el", str(FIXTURES / name), "--format", "structured"])
         assert (status, json.loads(out)["model"]) == (0, digest), name
