@@ -178,17 +178,22 @@ def _fold(partials: dict[tuple[int, ...], dict[Factors, Fraction]]) -> LocalFunc
     Q_J = P_J + sum over i >= max J of D_i Q_{J+i}, from the longest J
     down.  A sorted J + i has the one parent J, so every node is
     differentiated once, after the sums that meet at it have merged.
-    The term dicts in ``partials`` are consumed.
+    Each image D_i Q_{J+i}, a fresh dict, meets its parent's sum by adding
+    the smaller into the larger.  The term dicts in ``partials`` are
+    consumed.
     """
     levels: list[dict[tuple[int, ...], dict[Factors, Fraction]]] = [
         {} for _ in range(max(map(len, partials), default=0) + 1)]
     for jet, terms in partials.items():
         levels[len(jet)][jet] = terms
     for order in range(len(levels) - 1, 0, -1):
+        parents = levels[order - 1]
         for jet, terms in levels[order].items():
             if terms:
-                add_terms(levels[order - 1].setdefault(jet[:-1], {}),
-                          total_derivative(LocalFunction(terms, _internal=True), jet[-1]).terms())
+                image = total_derivative(LocalFunction(terms, _internal=True), jet[-1])._terms
+                parent = parents.get(jet[:-1], {})
+                big, small = (parent, image) if len(parent) > len(image) else (image, parent)
+                parents[jet[:-1]] = add_terms(big, small.items())
     return LocalFunction(levels[0].get((), {}), _internal=True)
 
 

@@ -45,16 +45,18 @@ def solve_linear_system(
     incoming row, augmented by its right-hand side under the key
     ``num_unknowns``, is reduced against the monic pivot rows until its
     leading column has no pivot; it then becomes the pivot row of that
-    column, scaled by the ``Fraction`` inverse of its leading entry, so
-    no integer division ever yields a float, and each integral entry is
-    kept as an int.  Every pivot row is zero left
-    of its pivot, so back-substitution from the highest pivot down
-    yields the solution.
+    column, divided by its leading entry: an integral quotient of ints
+    stays an int, any other is a ``Fraction``, never a float.  A row equal
+    to one taken before is skipped, since it would reduce to zero or its
+    first copy already proved the system inconsistent.  Every pivot row
+    is zero left of its pivot, so back-substitution from the highest
+    pivot down, over the nonzero unknowns, yields the solution.
     """
     if len(equations) != len(rhs):
         raise ValueError("one right-hand side per equation required")
     n = num_unknowns
     pivots: dict[int, dict[int, Fraction]] = {}
+    taken: set[tuple] = set()
     for eq, b in zip(equations, rhs):
         row: dict[int, Fraction] = {}
         for j, c in eq.items():
@@ -64,6 +66,9 @@ def solve_linear_system(
                 row[j] = c
         if b:
             row[n] = b
+        if (key := tuple(row.items())) in taken:
+            continue
+        taken.add(key)
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -75,19 +80,22 @@ def solve_linear_system(
             continue
         if lead == n:
             return None
-        inverse = 1 / Fraction(row[lead])
+        c = row[lead]
         pivots[lead] = pivot_row = {}
         for k, v in row.items():
-            v *= inverse
-            pivot_row[k] = v.numerator if v.denominator == 1 else v
+            if v.__class__ is int is c.__class__ and not v % c:
+                pivot_row[k] = v // c
+            else:
+                v = Fraction(v, c)
+                pivot_row[k] = v.numerator if v.denominator == 1 else v
 
-    values = [Fraction(0)] * n
+    values = [0] * n
     for col in sorted(pivots, reverse=True):
         pivot_row = pivots[col]
-        values[col] = Fraction(pivot_row.get(n, 0)) - sum(
-            v * values[k] for k, v in pivot_row.items() if col < k < n)
+        values[col] = pivot_row.get(n, 0) - sum(
+            v * values[k] for k, v in pivot_row.items() if col < k < n and values[k])
     rank = len(pivots)
-    return LinearSolution(tuple(values), nullity=n - rank, rank=rank)
+    return LinearSolution(tuple(map(Fraction, values)), nullity=n - rank, rank=rank)
 
 
 def unknown(j: int) -> Generator:

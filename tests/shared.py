@@ -15,12 +15,13 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 
-from bvforge.algebra import LocalFunction, field, gen, sum_of
+from bvforge.algebra import LocalFunction, antifield, antighost, base, field, gen, ghost, sum_of
 from bvforge.jet import ModelSpec
 
 __all__ = ["HALF", "EPS", "FIXTURES", "fx", "ALL_COMMANDS", "OPEN_ALGEBRA_ON_A_LINE",
            "eps_structure_functions", "scalar_model", "curl_model", "ghost_so3_model", "full_so3_model",
-           "open_algebra_model", "non_jacobi_ghost_model"]
+           "open_algebra_model", "non_jacobi_ghost_model",
+           "GRADED_POOL", "random_monomial", "random_local_function"]
 
 HALF = LocalFunction.constant(Fraction(1, 2))
 # the Levi-Civita symbol on 1, 2, 3, nonzero entries only
@@ -167,3 +168,29 @@ def non_jacobi_ghost_model():
         structure_functions=table,
         max_poly_degree=3,
     )
+
+
+# ---------------------------------------------------- seeded functions
+
+# generators of every kind and both parities, with and without a jet index
+GRADED_POOL = [
+    base(1), base(2),
+    field("1"), field("1", (1,)), field("2"), field("2", (1, 2)),
+    antifield("1"), antifield("2", (1,)),
+    ghost("1"), ghost("2"), ghost("1", (2,)),
+    antighost("1"), antighost("2"),
+]
+
+
+def random_monomial(rng, pool, max_len):
+    """Up to ``max_len`` factors drawn from ``pool``, not yet canonical, and a
+    coefficient n/d with |n| <= 6 and 1 <= d <= 4."""
+    k = rng.randint(0, max_len)
+    flat = [rng.choice(pool) for _ in range(k)]
+    coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return tuple((g, 1) for g in flat), coeff
+
+
+def random_local_function(rng, pool=GRADED_POOL, terms=3, max_len=4):
+    return LocalFunction.from_terms(
+        random_monomial(rng, pool, max_len) for _ in range(terms))

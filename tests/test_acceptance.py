@@ -52,36 +52,17 @@ from bvforge.master import (
 from bvforge.modelfile import parse_document
 
 from harnesses import bv_identity_harness, gerstenhaber_harness
-from shared import (ALL_COMMANDS, EPS, FIXTURES, curl_model, ghost_so3_model, non_jacobi_ghost_model,
-                    open_algebra_model, scalar_model)
+from shared import (ALL_COMMANDS, EPS, FIXTURES, GRADED_POOL, curl_model, ghost_so3_model,
+                    non_jacobi_ghost_model, open_algebra_model, random_local_function, random_monomial,
+                    scalar_model)
 
 # ---------------------------------------------------------------- corpora
-
-GRADED_POOL = [
-    base(1), base(2),
-    field("1"), field("1", (1,)), field("2"), field("2", (1, 2)),
-    antifield("1"), antifield("2", (1,)),
-    ghost("1"), ghost("2"), ghost("1", (2,)),
-    antighost("1"), antighost("2"),
-]
 
 POINT_POOL = [
     field("1"), antifield("1"),
     field("2"), antifield("2"),
     ghost("1"), antighost("1"),
 ]
-
-
-def random_monomial(rng, pool, max_len):
-    k = rng.randint(0, max_len)
-    flat = [rng.choice(pool) for _ in range(k)]
-    coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return tuple((g, 1) for g in flat), coeff
-
-
-def random_local_function(rng, pool=GRADED_POOL, terms=3, max_len=4):
-    return LocalFunction.from_terms(
-        random_monomial(rng, pool, max_len) for _ in range(terms))
 
 
 def random_homogeneous(rng, parity, pool=GRADED_POOL):

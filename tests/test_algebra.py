@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 from harnesses import assert_ints_when_integral
+from shared import GRADED_POOL, random_local_function
 
 from bvforge.algebra import (
     Bidegree,
@@ -89,25 +90,6 @@ def naive_partial(f: LocalFunction, z: Generator, side: str) -> LocalFunction:
                 s = 1
             out = out + lf_from_flat(c * s, rest)
     return out
-
-
-POOL = [
-    base(1), base(2),
-    field("1"), field("1", (1,)), field("2"), field("2", (1, 2)),
-    antifield("1"), antifield("2", (1,)),
-    ghost("1"), ghost("2"), ghost("1", (2,)),
-    antighost("1"), antighost("2"),
-]
-
-
-def random_local_function(rng, terms=3, max_len=4):
-    pairs = []
-    for _ in range(terms):
-        k = rng.randint(0, max_len)
-        flat = [rng.choice(POOL) for _ in range(k)]
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        pairs.append((tuple((g, 1) for g in flat), coeff))
-    return LocalFunction.from_terms(pairs)
 
 
 # ---------------------------------------------------------------- generators
@@ -285,7 +267,7 @@ def test_normalize_agrees_with_naive_sign_oracle():
     rng = random.Random(20260816)
     for _ in range(300):
         k = rng.randint(0, 6)
-        flat = [rng.choice(POOL) for _ in range(k)]
+        flat = [rng.choice(GRADED_POOL) for _ in range(k)]
         factors, c = normalize((tuple((g, 1) for g in flat), Fraction(1)))
         sign, srt = naive_sorted_sign(flat)
         if sign is None:
@@ -396,7 +378,7 @@ def test_partials_match_position_stripping_oracle():
     rng = random.Random(77)
     for _ in range(120):
         f = random_local_function(rng, terms=2, max_len=5)
-        z = rng.choice(POOL)
+        z = rng.choice(GRADED_POOL)
         assert graded_partial(f, z, "left") == naive_partial(f, z, "left")
         assert graded_partial(f, z, "right") == naive_partial(f, z, "right")
 
@@ -408,7 +390,7 @@ def test_left_leibniz_rule_randomised():
         g = random_local_function(rng, terms=1, max_len=4)
         if f.is_zero or g.is_zero:
             continue
-        z = rng.choice(POOL)
+        z = rng.choice(GRADED_POOL)
         lhs = graded_partial(f * g, z, "left")
         sign = -1 if (z.parity and f.parity()) else 1
         rhs = graded_partial(f, z, "left") * g + sign * (f * graded_partial(g, z, "left"))
@@ -422,7 +404,7 @@ def test_right_leibniz_rule_randomised():
         g = random_local_function(rng, terms=1, max_len=4)
         if f.is_zero or g.is_zero:
             continue
-        z = rng.choice(POOL)
+        z = rng.choice(GRADED_POOL)
         lhs = graded_partial(f * g, z, "right")
         sign = -1 if (z.parity and g.parity()) else 1
         rhs = f * graded_partial(g, z, "right") + sign * (graded_partial(f, z, "right") * g)
@@ -612,7 +594,7 @@ def test_local_functions_store_ints_exactly_when_integral():
     for _ in range(200):
         f, g = random_local_function(rng), random_local_function(rng)
         s = rng.choice(scalars)
-        z = rng.choice(POOL)
+        z = rng.choice(GRADED_POOL)
         results = [f, f + g, f - g, f * g, s * f, f * s, -f, f + f, 2 * f - f,
                    f * Fraction(1, 2) + f * Fraction(1, 2), f ** 2, sum_of((f, g, f)),
                    LocalFunction.constant(s), graded_partial(f * f + f * g, z, "left"),

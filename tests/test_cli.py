@@ -1,6 +1,8 @@
 """Command line driver: dispatch, reports, exit statuses, determinism."""
 
 import argparse
+import ast
+import gc
 import hashlib
 import json
 import os
@@ -660,3 +662,53 @@ def test_module_entry_point_runs_in_a_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "-u[1; 1 1]\n"
+
+
+
+# ------------------------------------------------------------ collector
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    seen = []
+    parse = cli.parse_document
+
+    def watching(text):
+        seen.append(gc.isenabled())
+        if len(seen) == 1:
+            raise RuntimeError("an error no handler catches")
+        return parse(text)
+
+    monkeypatch.setattr(cli, "parse_document", watching)
+    before = (gc.isenabled(), gc.get_threshold())
+    try:
+        (gc.enable if enabled else gc.disable)()
+        state = (enabled, before[1])
+        with pytest.raises(RuntimeError):
+            run_command(["el", fx("scalar.bv")])
+        assert (gc.isenabled(), gc.get_threshold()) == state
+        for argv, status in [(["divergence", fx("divergence.bv")], 0),
+                             (["divergence", fx("scalar.bv")], 1),
+                             (["solve", fx("scalar_gauge.bv")], 2),
+                             (["el", fx("missing.bv")], 2)]:
+            assert run_command(argv)[0] == status
+            assert (gc.isenabled(), gc.get_threshold()) == state
+        with pytest.raises(SystemExit):
+            run_command(["frobnicate", fx("scalar.bv")])
+        assert (gc.isenabled(), gc.get_threshold()) == state
+    finally:
+        (gc.enable if before[0] else gc.disable)()
+    # the collector is paused while the command runs
+    assert seen == [False] * 4
+
+
+def test_only_the_command_line_touches_the_collector():
+    importers, used = set(), set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "gc" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "gc":
+                importers.add(path.name)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gc":
+                used.add(node.attr)
+    assert importers == {"cli.py"}
+    assert used == {"isenabled", "disable", "enable"}

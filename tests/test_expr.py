@@ -26,6 +26,7 @@ from bvforge.expr import (
     parse_expression,
     tokenize,
 )
+from shared import random_local_function
 
 
 # --------------------------------------------------------------- tokens
@@ -189,25 +190,6 @@ def test_printer_suppresses_unit_coefficients_only():
 def test_printer_is_insensitive_to_construction_order():
     u1, u2 = gen(field("1")), gen(field("2"))
     assert format_local_function(u1 + u2) == format_local_function(u2 + u1)
-
-
-POOL = [
-    base(1), base(2),
-    field("1"), field("1", (1,)), field("2"), field("2", (1, 2)),
-    antifield("1"), antifield("2", (1,)),
-    ghost("1"), ghost("2"), ghost("1", (2,)),
-    antighost("1"), antighost("2"),
-]
-
-
-def random_local_function(rng, terms=3, max_len=4):
-    pairs = []
-    for _ in range(terms):
-        k = rng.randint(0, max_len)
-        flat = [rng.choice(POOL) for _ in range(k)]
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        pairs.append((tuple((g, 1) for g in flat), coeff))
-    return LocalFunction.from_terms(pairs)
 
 
 def test_print_parse_round_trip_on_500_random_functions():

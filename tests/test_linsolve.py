@@ -15,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
+import bvforge.linsolve
 import bvforge.master
-from bvforge.algebra import GeneratorKind, LocalFunction, antifield, base, field, ghost, term_key
+from bvforge.algebra import GeneratorKind, LocalFunction, add_terms, antifield, base, field, ghost, term_key
 from bvforge.linsolve import LinearSolution, ansatz, match_unknowns, solve_linear_system, unknown
 from bvforge.master import solve_master
 from bvforge.modelfile import parse_document
@@ -121,6 +122,76 @@ def test_sparse_solver_agrees_with_the_dense_oracle(seed):
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def random_integer_system(rng: random.Random):
+    """Up to 12 unknowns and 30 integer rows, entries in +-1..+-6, of which
+    at least 30 % repeat an earlier row exactly, right-hand side included."""
+    n = rng.randint(0, 12)
+    size = rng.randint(2, 30)
+    distinct = size - rng.randint(-(-3 * size // 10), size - 1)
+    x0 = [rng.randint(-3, 3) for _ in range(n)]
+    consistent = rng.random() < 0.6
+    rows = []
+    for _ in range(distinct):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows)[0], rng.choice(rows)[0]
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            combo = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in range(n)}
+            row = {j: c for j, c in combo.items() if c}
+        else:
+            row = {j: rng.choice((-1, 1)) * rng.randint(1, 6) for j in range(n) if rng.random() < 0.35}
+        b = sum(c * x0[j] for j, c in row.items()) if consistent else rng.randint(-6, 6)
+        rows.append((row, b))
+    rows += [(dict(row), b) for row, b in (rng.choice(rows) for _ in range(size - distinct))]
+    rng.shuffle(rows)
+    return [row for row, _ in rows], [b for _, b in rows], n
+
+
+def without_repeats(equations, rhs):
+    """The system with every exact repeat of an earlier row dropped."""
+    firsts = {}
+    for row, b in zip(equations, rhs):
+        firsts.setdefault((tuple(row.items()), b), (row, b))
+    return [row for row, _ in firsts.values()], [b for _, b in firsts.values()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_systems_with_repeats_agree_with_the_dense_oracle(seed):
+    rng = random.Random(seed)
+    outcomes = {"inconsistent": 0, "deficient": 0, "full": 0}
+    for _ in range(300):
+        equations, rhs, n = random_integer_system(rng)
+        distinct, distinct_rhs = without_repeats(equations, rhs)
+        assert len(equations) - len(distinct) >= 0.3 * len(equations)
+        got = solve_linear_system(equations, rhs, n)
+        assert got == dense_solve(equations, rhs, n)
+        assert got == solve_linear_system(distinct, distinct_rhs, n)
+        if got is None:
+            outcomes["inconsistent"] += 1
+            continue
+        check_solution(equations, rhs, got)
+        outcomes["deficient" if got.rank < min(len(distinct), n) else "full"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_a_repeated_row_costs_no_reduction_step(monkeypatch):
+    steps = []
+
+    def counting(row, pairs):
+        steps.append(1)
+        return add_terms(row, pairs)
+
+    monkeypatch.setattr(bvforge.linsolve, "add_terms", counting)
+    rng = random.Random(3)
+    for _ in range(100):
+        equations, rhs, n = random_integer_system(rng)
+        steps.clear()
+        got = solve_linear_system(equations, rhs, n)
+        repeated = len(steps)
+        steps.clear()
+        assert solve_linear_system(*without_repeats(equations, rhs), n) == got
+        assert repeated == len(steps)
+
+
 def test_row_order_does_not_change_the_solution():
     rng = random.Random(7)
     for _ in range(100):
@@ -172,10 +243,10 @@ def test_malformed_systems_are_rejected():
 
 # ------------------------------------------------- coefficient matching
 
-POOL = [field("1"), field("2", (1,)), antifield("1"), ghost("1"), ghost("2")]
+BLOCK_POOL = [field("1"), field("2", (1,)), antifield("1"), ghost("1"), ghost("2")]
 
 
-def random_local_function(rng: random.Random, pool=POOL) -> LocalFunction:
+def random_block_function(rng: random.Random, pool=BLOCK_POOL) -> LocalFunction:
     terms = []
     for _ in range(rng.randint(0, 4)):
         factors = tuple((rng.choice(pool), 1) for _ in range(rng.randint(0, 3)))
@@ -199,7 +270,7 @@ def test_match_coefficients_builds_the_lookup_system():
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(0, 5)
-        blocks = [(random_local_function(rng), [random_local_function(rng) for _ in range(n)])
+        blocks = [(random_block_function(rng), [random_block_function(rng) for _ in range(n)])
                   for _ in range(rng.randint(1, 3))]
         equations, rhs = match_coefficients(blocks)
         assert (equations, rhs) == lookup_assembly(blocks)
@@ -220,17 +291,17 @@ def test_unknowns_are_even_shared_and_lead_every_monomial():
         a = unknown(j)
         assert a is unknown(j) and a.kind is GeneratorKind.BASE and a.family == f"#{j}"
         assert a.parity == 0 and a.bidegree == (0, 0)
-        assert all(a < g for g in [base(1), base(2), *POOL])
+        assert all(a < g for g in [base(1), base(2), *BLOCK_POOL])
 
 
 def test_generic_equations_are_the_column_equations():
     # the image of an ansatz, stripped of its unknowns, gives the system
     # that one column per unknown gives, row for row and key for key
     rng = random.Random(12)
-    pool = [base(1), *POOL]
+    pool = [base(1), *BLOCK_POOL]
     for _ in range(200):
         n = rng.randint(0, 5)
-        blocks = [(random_local_function(rng, pool), [random_local_function(rng, pool) for _ in range(n)])
+        blocks = [(random_block_function(rng, pool), [random_block_function(rng, pool) for _ in range(n)])
                   for _ in range(rng.randint(1, 3))]
         assert ansatz(blocks[0][1]) == sum(
             (LocalFunction.from_generator(unknown(j)) * col for j, col in enumerate(blocks[0][1])),
