@@ -16,8 +16,9 @@ commute or anticommute according to their parities, odd generators
 square to zero, and every product is kept in a canonical form: the
 factors of each monomial are sorted by a fixed total order on
 generators and the Koszul sign of the sorting permutation is absorbed
-into the rational coefficient.  Each generator is made once, so two
-occurrences of the same symbol are one object and compare by identity.
+into the rational coefficient.  A generator is the tuple of its place
+in that order and is made once, so factors and terms sort as plain
+tuples and two generators are equal only when they are one object.
 
 A coefficient is an ``int`` when it is integral and a
 ``fractions.Fraction`` otherwise, never a float.  Explicit
@@ -26,16 +27,15 @@ are ordinary even generators here.  Every sparse sum in the package,
 of local functions, of bracket values and of solver rows, goes through
 the one helper ``add_terms``.
 
-A term is a (factors, coefficient) pair.  ``term_bidegree`` and
-``term_key`` read its grading and its place in the term order, and
-``inversion_parity`` signs every sort of a term or of bracket inputs.
+A term is a (factors, coefficient) pair.  ``term_bidegree`` reads its
+grading, and ``inversion_parity`` signs every sort of a term or of
+bracket inputs.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from operator import ge, gt, le, lt
 from typing import ItemsView, Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -90,15 +90,18 @@ class Generator(tuple):
     ``family`` is the label of the field/ghost family (or the spatial
     direction for a base coordinate, as a string).  ``jet`` is kept
     sorted, since total derivatives commute.  ``Generator(kind, family,
-    jet)`` returns the one object made for that symbol, so a generator
-    equals itself only, never the plain tuple of its value, and no
-    attribute can be set.  The value is (kind rank, family read as the
-    integer of its UTF-8 bytes, jet): ``tuple.__hash__`` hashes it in C,
-    the same under every PYTHONHASHSEED.  A tuple takes no slots, so the
-    other attributes sit in the instance dict, set when it is made;
+    jet)`` returns the one object made for that symbol, and no attribute
+    can be set.  The value is its place in the term order: (kind rank,
+    code points of family, -1, len(jet), *jet), so ``"1"`` sorts before
+    ``"10"`` and ``"#12"`` before ``"3"``, as ``str`` does.  It fixes the
+    symbol, so generators are equal only when identical (a plain tuple of
+    the value would equal one too; the package makes none), and
+    ``tuple``'s own equality, order and hash run in C, the hash the same
+    under every PYTHONHASHSEED.  A tuple takes no slots, so the other
+    attributes sit in the instance dict, set when it is made;
     ``unprolonged`` is the generator of the family with no jet, and
     ``prolonged(i)`` the next one along direction i, each made once and
-    then kept.  Generators order by ``sort_key``, the term order.
+    then kept.
     """
 
     def __new__(cls, kind: GeneratorKind, family: str, jet: Iterable[int] = ()) -> "Generator":
@@ -116,11 +119,10 @@ class Generator(tuple):
         ordered = tuple(sorted(jet))
         if ordered != jet:
             return _GENERATORS.setdefault((kind, family, jet), cls(kind, family, ordered))
-        self = tuple.__new__(cls, (kind.rank, int.from_bytes(family.encode(), "little"), jet))
+        self = tuple.__new__(cls, (kind.rank, *map(ord, family), -1, len(jet), *jet))
         b = Bidegree(*_KIND_BIDEGREE[kind])
         vars(self).update(kind=kind, family=family, jet=jet, bidegree=b, parity=b.parity,
                           is_odd=b.parity == 1, ghost_number=b.total, antifield_number=b.antighost,
-                          sort_key=(kind.rank, family, len(jet), jet),
                           unprolonged=cls(kind, family) if jet else self, _prolonged={})
         _GENERATORS[kind, family, jet] = self
         return self
@@ -129,17 +131,6 @@ class Generator(tuple):
         raise AttributeError(f"a generator is shared and cannot change its {name!r}")
 
     __delattr__ = __setattr__
-    __hash__ = tuple.__hash__
-
-    def __eq__(self, other) -> bool:  # identity, since each is made once
-        return self is other
-
-    def __ne__(self, other) -> bool:
-        return self is not other
-
-    # all four compare sort keys, so the order of the tuple values never applies
-    __lt__, __le__, __gt__, __ge__ = (
-        (lambda self, other, op=op: op(self.sort_key, other.sort_key)) for op in (lt, le, gt, ge))
 
     def __reduce__(self):  # a copy or a pickle is the one shared object
         return Generator, (self.kind, self.family, self.jet)
@@ -197,18 +188,14 @@ def term_bidegree(factors: Factors) -> Bidegree:
     return Bidegree(p, q)
 
 
-def term_key(factors: Factors) -> tuple:
-    """The position of a term with these factors in the canonical term order."""
-    return tuple([(g.sort_key, e) for g, e in factors])
-
-
 def inversion_parity(keys: Sequence) -> int:
     """Parity (0 or 1) of the pairs i < j with keys[i] > keys[j].
 
     Equal keys never count.  The Koszul sign of sorting a sequence is
-    the inversion parity of its odd entries; ``normalize``,
+    the inversion parity of its odd entries.  ``normalize`` passes the
+    odd generators themselves, which compare in the term order, and
     ``LInftyStructure._canonical`` and the identity weights of
-    ``LInftyStructure._identity_table`` take their signs from here.
+    ``LInftyStructure._identity_table`` pass basis indices.
     """
     inversions = 0
     for i in range(len(keys)):
@@ -229,7 +216,7 @@ def normalize(term: Term) -> Term:
     factors, coefficient = term
     if coefficient == 0:
         return _VANISHING
-    odd_keys = []
+    odd = []
     merged: dict[Generator, int] = {}
     for g, e in factors:
         if e < 0:
@@ -239,11 +226,11 @@ def normalize(term: Term) -> Term:
         if g.parity:
             if e > 1 or g in merged:
                 return _VANISHING
-            odd_keys.append(g.sort_key)
+            odd.append(g)
         merged[g] = merged.get(g, 0) + e
-    if inversion_parity(odd_keys):
+    if inversion_parity(odd):
         coefficient = -coefficient
-    return tuple(sorted(merged.items(), key=lambda ge: ge[0].sort_key)), coefficient
+    return tuple(sorted(merged.items())), coefficient
 
 
 def add_terms(data: dict, pairs: Iterable[tuple[object, Fraction]]) -> dict:
@@ -333,7 +320,7 @@ class LocalFunction:
 
     def sorted_terms(self) -> tuple[Term, ...]:
         """The (factors, coefficient) pairs in the canonical term order."""
-        return tuple(sorted(self._terms.items(), key=lambda t: term_key(t[0])))
+        return tuple(sorted(self._terms.items()))
 
     def terms(self) -> ItemsView[Factors, Fraction]:
         """The (factors, coefficient) pairs, in no particular order."""

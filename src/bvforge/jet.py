@@ -88,11 +88,10 @@ def _leibniz_terms(factors: Factors, c: Fraction, i: int, x_i: str):
                 yield head + factors[pos + 1:], ce
             continue
         h = g.prolonged(i)
-        key = h.sort_key
         odd = g.parity
         sign = False
         j = pos + 1
-        while j < n and factors[j][0].sort_key < key:
+        while j < n and factors[j][0] < h:
             if odd and factors[j][0].parity:
                 sign = not sign
             j += 1

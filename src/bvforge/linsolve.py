@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import Factors, Generator, GeneratorKind, LocalFunction, add_terms, term_key
+from .algebra import Factors, Generator, GeneratorKind, LocalFunction, add_terms
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def match_unknowns(
         rows: dict[Factors, dict[int, Fraction]] = {fac: {} for fac in value}
         for fac, coeff in generic[z].terms() if z in generic else ():
             rows.setdefault(fac[1:], {})[int(fac[0][0].family[1:])] = coeff
-        for fac in sorted(rows, key=term_key):
+        for fac in sorted(rows):
             equations.append(dict(sorted(rows[fac].items())))
             rhs.append(value.get(fac, 0))
     return equations, rhs

@@ -25,10 +25,11 @@ from math import lcm
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from bvforge.algebra import Factors, LocalFunction, antifield, antighost, field, ghost, term_key
+from bvforge.algebra import Factors, LocalFunction, antifield, antighost, field, ghost
 from bvforge.bracket import antibracket, bv_laplacian
 from bvforge.jet import functional_parts
 from bvforge.master import BVAction, correction_candidates, kt_differential
+from shared import documented_factors_key
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def match_coefficients(
             for fac, coeff in col.terms():
                 rows.setdefault(fac, {})[j] = coeff
         value = dict(target.terms()).get
-        for fac in sorted(rows, key=term_key):
+        for fac in sorted(rows, key=documented_factors_key):
             equations.append(rows[fac])
             rhs.append(value(fac, 0))
     return equations, rhs

@@ -21,7 +21,8 @@ from bvforge.jet import ModelSpec
 __all__ = ["HALF", "EPS", "FIXTURES", "fx", "ALL_COMMANDS", "OPEN_ALGEBRA_ON_A_LINE",
            "eps_structure_functions", "scalar_model", "curl_model", "ghost_so3_model", "full_so3_model",
            "open_algebra_model", "non_jacobi_ghost_model",
-           "GRADED_POOL", "random_monomial", "random_local_function"]
+           "GRADED_POOL", "random_monomial", "random_local_function",
+           "documented_key", "documented_factors_key"]
 
 HALF = LocalFunction.constant(Fraction(1, 2))
 # the Levi-Civita symbol on 1, 2, 3, nonzero entries only
@@ -194,3 +195,17 @@ def random_monomial(rng, pool, max_len):
 def random_local_function(rng, pool=GRADED_POOL, terms=3, max_len=4):
     return LocalFunction.from_terms(
         random_monomial(rng, pool, max_len) for _ in range(terms))
+
+
+# ------------------------------------------------------ the term order
+
+def documented_key(g):
+    """A generator's place in the term order, as documented: kind, then
+    family as a string, then jet length, then jet.  The package compares
+    generators by their tuple values alone; this is their oracle."""
+    return g.kind.rank, g.family, len(g.jet), g.jet
+
+
+def documented_factors_key(factors):
+    """The place of a term with these factors in the documented term order."""
+    return tuple((documented_key(g), e) for g, e in factors)

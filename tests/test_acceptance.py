@@ -388,6 +388,28 @@ def test_the_package_imports_only_what_it_uses():
     assert unused == []
 
 
+_COMPARISONS = {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"}
+
+
+def test_the_package_keeps_one_term_order():
+    # a generator's tuple value is its place in the term order, so no module
+    # names a second key and Generator keeps tuple's own comparisons
+    package = Path(__file__).parents[1] / "src" / "bvforge"
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "arg", "asname")}
+            offenders += [f"{path.name}:{node.lineno}: {name}"
+                          for name in sorted(names & {"sort_key", "term_key"})]
+            if isinstance(node, ast.ClassDef) and node.name == "Generator":
+                defined = {item.id for item in ast.walk(node)
+                           if isinstance(item, ast.Name) and isinstance(item.ctx, ast.Store)}
+                defined |= {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                offenders += [f"{path.name}: Generator.{name}"
+                              for name in sorted(defined & _COMPARISONS)]
+    assert offenders == []
+
+
 def test_the_package_does_not_import_random():
     # random sampling is test machinery; the library stays deterministic
     package = Path(__file__).parents[1] / "src" / "bvforge"

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from harnesses import assert_ints_when_integral
-from shared import GRADED_POOL, random_local_function
+from shared import GRADED_POOL, documented_factors_key, documented_key, random_local_function
 
 from bvforge.algebra import (
     Bidegree,
@@ -48,7 +51,7 @@ def naive_sorted_sign(flat):
     while changed:
         changed = False
         for i in range(len(seq) - 1):
-            if seq[i].sort_key > seq[i + 1].sort_key:
+            if documented_key(seq[i]) > documented_key(seq[i + 1]):
                 if seq[i].is_odd and seq[i + 1].is_odd:
                     sign = -sign
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
@@ -155,37 +158,61 @@ def test_prolongation_links_are_the_shared_generators():
         field("1").unprolonged = field("2")
 
 
+# generators as source text, each with its tuple value and its hash on a 64-bit build
+PINNED_GENERATORS = {
+    "base(1)": ((0, 49, -1, 0), 7233219183385037654),
+    "field('1')": ((1, 49, -1, 0), -3839560304298816466),
+    "field('1', (2, 1))": ((1, 49, -1, 2, 1, 2), -7459522512293217889),
+    "antifield('a', (1,))": ((2, 97, -1, 1, 1), 8954861087180207366),
+    "ghost('10')": ((3, 49, 48, -1, 0), 3767968006371252001),
+    "antighost('b10', (1, 1, 2))": ((4, 98, 49, 48, -1, 3, 1, 1, 2), 3841624114538667544),
+}
+
+
 def test_generator_repr_and_hash_are_pinned():
     assert repr(field("1", (2, 1))) == "Generator(kind=<GeneratorKind.FIELD: 'u'>, family='1', jet=(1, 2))"
     assert repr(base(3)) == "Generator(kind=<GeneratorKind.BASE: 'x'>, family='3', jet=())"
-    # the hash reads the family's bytes as an integer, so no PYTHONHASHSEED moves it
-    pinned = {base(1): -4145398843972620368, field("1"): 5924488089694121678,
-              field("1", (2, 1)): 24021415824814992, antifield("a", (1,)): 4548456055515557302,
-              ghost("10"): 7453856097301915297, antighost("b10", (1, 1, 2)): 2196020495105258229}
-    for g, value in pinned.items():
-        assert hash(g) == hash((g.kind.rank, int.from_bytes(g.family.encode(), "little"), g.jet))
+    # the value is (kind rank, code points of family, -1, len(jet), *jet), all ints,
+    # so no PYTHONHASHSEED moves the hash
+    names = {"base": base, "field": field, "antifield": antifield, "ghost": ghost,
+             "antighost": antighost}
+    hashes = []
+    for text, (value, pinned) in PINNED_GENERATORS.items():
+        g = eval(text, names)
+        assert tuple(g) == value and hash(g) == hash(value)
         if sys.maxsize > 2 ** 32:  # the values of a 64-bit build
-            assert hash(g) == value
+            assert hash(g) == pinned
+        hashes.append(str(hash(g)))
+    script = ("from bvforge.algebra import base, field, antifield, ghost, antighost\n"
+              f"print(*(hash(g) for g in ({', '.join(PINNED_GENERATORS)})))")
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == hashes
 
 
 def test_generators_hash_in_c_and_equal_only_themselves():
-    # a generator is the tuple (kind rank, family as an integer, jet), so
-    # tuple.__hash__ hashes it without a Python frame; it equals itself only
+    # a generator is the tuple of its place in the term order, so tuple's own
+    # hash, equality and order run without a Python frame; each is made once
+    # and its value fixes its symbol, so it equals no other generator
     g = field("1", (2, 1))
-    assert isinstance(g, tuple) and tuple(g) == (1, int.from_bytes(b"1", "little"), (1, 2))
+    assert isinstance(g, tuple) and tuple(g) == (1, ord("1"), -1, 2, 1, 2)
     gens = [base(1), base(2), unknown(0), unknown(12), g, field("1"), antifield("a", (1,)),
             ghost("10"), antighost("b10", (1, 1, 2))]
     for h in gens:
         assert hash(h) == hash(tuple(h))
         assert h == h and not h != h
-        assert h != tuple(h) and tuple(h) != h and not h == tuple(h) and not tuple(h) == h
-        assert h not in {tuple(h): 1} and tuple(h) not in {h: 1}
     for a, b in itertools.product(gens, repeat=2):
         assert (a == b) is (a is b)
         assert ((a < b), (a <= b), (a > b), (a >= b)) == (
-            a.sort_key < b.sort_key, a.sort_key <= b.sort_key,
-            a.sort_key > b.sort_key, a.sort_key >= b.sort_key)
+            documented_key(a) < documented_key(b), documented_key(a) <= documented_key(b),
+            documented_key(a) > documented_key(b), documented_key(a) >= documented_key(b))
     factors = tuple((h, 1) for h in sorted(gens) if not h.is_odd) + ((ghost("10"), 1),)
+    x1, x2, a0, a12 = gens[:4]
     frames = []
     sys.setprofile(lambda frame, event, arg: frames.append(frame.f_code.co_name)
                    if event == "call" else None)
@@ -193,6 +220,8 @@ def test_generators_hash_in_c_and_equal_only_themselves():
         hash(factors)
         table = {factors: 1, factors[1:]: 2}
         assert table[tuple(list(factors))] == 1 and tuple(list(factors[1:])) in table
+        assert sorted(factors)[0][0] is a0 and sorted(gens)[-1] is gens[-1]
+        assert a0 < a12 < x1 < x2 < g and not g < x1
     finally:
         sys.setprofile(None)
     assert frames == []
@@ -275,6 +304,36 @@ def test_normalize_agrees_with_naive_sign_oracle():
         else:
             assert c == sign
             assert flat_factors(factors) == srt
+
+
+# families that str orders differently from their numbers or their bytes, on every
+# kind, at jet lengths 0 to 2, beside the unknowns #0 to #12 and three directions
+ORDER_POOL = [unknown(j) for j in range(13)] + [base(1), base(2), base(10)] + [
+    make(family, jet) for make in (field, antifield, ghost, antighost)
+    for family in ("1", "10", "2", "a", "a1", "\u03c8") for jet in ((), (1,), (2,), (1, 1), (1, 2))]
+
+
+def test_the_tuple_order_is_the_documented_term_order():
+    assert sorted(ORDER_POOL) == sorted(ORDER_POOL, key=documented_key)
+    for a, b in itertools.product(ORDER_POOL, repeat=2):
+        assert (a == b) is (a is b)
+        assert (a < b) == (documented_key(a) < documented_key(b))
+    rng = random.Random(30)
+    for _ in range(300):
+        gens = rng.sample(ORDER_POOL, rng.randint(0, 12))
+        assert sorted(gens) == sorted(gens, key=documented_key)
+        flat = [rng.choice(gens or ORDER_POOL) for _ in range(rng.randint(0, 6))]
+        factors, c = normalize((tuple((g, 1) for g in flat), 1))
+        sign, srt = naive_sorted_sign(flat)
+        if sign is None:
+            assert (factors, c) == ((), 0)
+        else:
+            assert c == sign and flat_factors(factors) == srt
+        f = LocalFunction.from_terms(
+            (tuple((rng.choice(gens or ORDER_POOL), 1) for _ in range(rng.randint(0, 4))), 1)
+            for _ in range(rng.randint(0, 8)))
+        keys = [fac for fac, _ in f.sorted_terms()]
+        assert keys == sorted(keys, key=documented_factors_key) and len(keys) == len(f.terms())
 
 
 # ---------------------------------------------------------------- arithmetic

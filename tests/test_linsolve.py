@@ -17,12 +17,12 @@ import pytest
 
 import bvforge.linsolve
 import bvforge.master
-from bvforge.algebra import GeneratorKind, LocalFunction, add_terms, antifield, base, field, ghost, term_key
+from bvforge.algebra import GeneratorKind, LocalFunction, add_terms, antifield, base, field, ghost
 from bvforge.linsolve import LinearSolution, ansatz, match_unknowns, solve_linear_system, unknown
 from bvforge.master import solve_master
 from bvforge.modelfile import parse_document
 from harnesses import match_coefficients
-from shared import OPEN_ALGEBRA_ON_A_LINE
+from shared import OPEN_ALGEBRA_ON_A_LINE, documented_factors_key
 
 
 def dense_solve(equations, rhs, num_unknowns):
@@ -259,7 +259,7 @@ def lookup_assembly(blocks):
     equations, rhs = [], []
     for target, columns in blocks:
         keys = {fac for src in [target, *columns] for fac, _ in src.sorted_terms()}
-        for fac in sorted(keys, key=term_key):
+        for fac in sorted(keys, key=documented_factors_key):
             row = {j: col.coefficient(fac) for j, col in enumerate(columns) if col.coefficient(fac)}
             equations.append(row)
             rhs.append(target.coefficient(fac))
